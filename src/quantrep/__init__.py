@@ -75,6 +75,7 @@ from .quantile import (
     interpolate_coefficients,
     isotonic_projection,
     load_model,
+    metric_factor,
     modified_labels,
     monotonicity_violation_rate,
     raw_feature_correlation,

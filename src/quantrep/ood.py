@@ -19,6 +19,9 @@ DEFAULT_LOF_K = 20
 # onto duplicate points.
 _LRD_EPS = 1e-12
 
+# Distance entries per k-NN chunk (8 MB of float64).
+_CHUNK_ELEMS = 1 << 20
+
 
 @dataclass
 class OodScores:
@@ -32,6 +35,40 @@ class OodScores:
             raise ValidationError("scores and is_id must have equal length")
         if not np.all(np.isfinite(self.scores)):
             raise ValidationError("scores must be finite")
+
+
+def _k_nearest(points, reference, k, exclude_self):
+    """Exact k nearest reference rows of each point: (indices, distances).
+
+    Rows are processed in chunks of about ``_CHUNK_ELEMS`` distances, so
+    memory is O(chunk * m) rather than O(n * m). Per row, the k-th
+    smallest distance comes from ``np.partition``; the neighbourhood is
+    every index strictly below it plus the lowest-indexed ties at it, and
+    is returned ordered by (distance, index). That is exactly the first k
+    entries of a stable argsort of the full distance row. With
+    ``exclude_self`` the points are the reference itself and row i skips
+    column i.
+    """
+    n, m = points.shape[0], reference.shape[0]
+    step = max(1, _CHUNK_ELEMS // m)
+    nn = np.empty((n, k), dtype=np.intp)
+    nn_dist = np.empty((n, k))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        dist = cdist(points[start:stop], reference)
+        if exclude_self:
+            np.fill_diagonal(dist[:, start:stop], np.inf)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        below = dist < kth
+        ties = dist == kth
+        need = k - below.sum(axis=1, keepdims=True)
+        keep = below | (ties & (np.cumsum(ties, axis=1) <= need))
+        idx = np.nonzero(keep)[1].reshape(stop - start, k)  # ascending index
+        near = np.take_along_axis(dist, idx, axis=1)
+        order = np.argsort(near, axis=1, kind="stable")
+        nn[start:stop] = np.take_along_axis(idx, order, axis=1)
+        nn_dist[start:stop] = np.take_along_axis(near, order, axis=1)
+    return nn, nn_dist
 
 
 def lof_scores(reference, queries, k=DEFAULT_LOF_K):
@@ -57,20 +94,16 @@ def lof_scores(reference, queries, k=DEFAULT_LOF_K):
         raise ValidationError("k must be at least 1")
     if queries.shape[1] != reference.shape[1]:
         raise ValidationError("reference and queries must share dimensionality")
+    if not (np.all(np.isfinite(reference)) and np.all(np.isfinite(queries))):
+        raise ValidationError("reference and queries must be finite")
 
-    d_rr = cdist(reference, reference)
-    np.fill_diagonal(d_rr, np.inf)
-    nn_r = np.argsort(d_rr, axis=1, kind="stable")[:, :k]
-    rows = np.arange(m)[:, None]
-    kdist = d_rr[rows, nn_r[:, -1:]]  # (m, 1)
-
-    reach_r = np.maximum(d_rr[rows, nn_r], kdist[nn_r[:, :], 0].reshape(m, k))
+    nn_r, d_nn_r = _k_nearest(reference, reference, k, exclude_self=True)
+    kdist = d_nn_r[:, -1]
+    reach_r = np.maximum(d_nn_r, kdist[nn_r])
     lrd_r = 1.0 / np.maximum(reach_r.mean(axis=1), _LRD_EPS)
 
-    d_qr = cdist(queries, reference)
-    nn_q = np.argsort(d_qr, axis=1, kind="stable")[:, :k]
-    qrows = np.arange(queries.shape[0])[:, None]
-    reach_q = np.maximum(d_qr[qrows, nn_q], kdist[nn_q, 0])
+    nn_q, d_nn_q = _k_nearest(queries, reference, k, exclude_self=False)
+    reach_q = np.maximum(d_nn_q, kdist[nn_q])
     lrd_q = 1.0 / np.maximum(reach_q.mean(axis=1), _LRD_EPS)
 
     lof = lrd_r[nn_q].mean(axis=1) / lrd_q

@@ -380,6 +380,30 @@ def represent(model: QuantileModel, features) -> QuantileRepresentation:
     return QuantileRepresentation(values, model.grid)
 
 
+def metric_factor(model: QuantileModel):
+    """Factor L (d x d) with L Lᵀ = M = Σ_tasks WᵀW, W the dense field
+    without its bias column.
+
+    Without the isotonic projection a representation is affine in the
+    features, so rep(x_i) - rep(x_j) = W (x_i - x_j) per task and the
+    flattened representation distance equals ||(x_i - x_j) L||. Distance
+    computations on ``features @ L`` therefore match those on
+    ``represent(...).flattened()`` without building the (n, k, n_dense)
+    tensor. A single-task binary model counts twice: its class-0 slice is
+    the mirrored class-1 slice, whose Gram matrix is the same. Eigenvalues
+    are clipped at 0, so rank-deficient fields are handled.
+    """
+    d = model.feature_dim
+    gram = np.zeros((d, d))
+    for task in model.tasks:
+        w = task.dense_coefficients[:, :d]
+        gram += w.T @ w
+    if model.single_task_binary:
+        gram *= 2.0
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
 @dataclass
 class MonotonicityReport:
     aggregate: float
@@ -478,19 +502,51 @@ def save_model(model: QuantileModel, out_dir, name="model"):
 
 
 def load_model(model_path) -> QuantileModel:
+    """Read a model written by ``save_model``.
+
+    The schema version, the task count, the sidecar shape and the sidecar
+    size are checked against the model file; any mismatch or missing field
+    raises ``ValidationError``.
+    """
     with open(model_path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    grid = QuantileGrid(np.asarray(obj["grid"]["anchors"]),
-                        np.asarray(obj["grid"]["dense"]))
-    shape = tuple(obj["dense_shape"])
-    bin_path = os.path.join(os.path.dirname(model_path), obj["dense_file"])
+    try:
+        version = obj["schema_version"]
+        if version != _SCHEMA_VERSION:
+            raise ValidationError(
+                f"unsupported model schema_version {version!r} "
+                f"(expected {_SCHEMA_VERSION})")
+        grid = QuantileGrid(np.asarray(obj["grid"]["anchors"]),
+                            np.asarray(obj["grid"]["dense"]))
+        class_count, feature_dim = obj["class_count"], obj["feature_dim"]
+        shape = tuple(obj["dense_shape"])
+        dense_file = obj["dense_file"]
+        tasks = [(t["class_id"],
+                  [LinearClassifier.from_json_dict(c) for c in t["anchor_classifiers"]],
+                  float("nan") if t["median_agreement"] is None
+                  else t["median_agreement"])
+                 for t in obj["tasks"]]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed model file {model_path}: {exc!r}") from exc
+    n_tasks = len(tasks)
+    if n_tasks != class_count and not (class_count == 2 and n_tasks == 1):
+        raise ValidationError(
+            f"model has {n_tasks} tasks for {class_count} classes")
+    expected = (n_tasks, grid.n_dense, feature_dim + 1)
+    if shape != expected:
+        raise ValidationError(
+            f"dense_shape {list(shape)} does not match the model {list(expected)}")
+    bin_path = os.path.join(os.path.dirname(model_path), dense_file)
     with open(bin_path, "rb") as fh:
-        dense = np.frombuffer(fh.read(), dtype="<f8").reshape(shape).copy()
-    tasks = []
-    for i, tobj in enumerate(obj["tasks"]):
-        anchors = [LinearClassifier.from_json_dict(c) for c in tobj["anchor_classifiers"]]
-        agreement = tobj["median_agreement"]
-        tasks.append(QuantileTask(
-            tobj["class_id"], grid.anchors.copy(), anchors, dense[i],
-            median_agreement=float("nan") if agreement is None else agreement))
-    return QuantileModel(grid, tasks, obj["class_count"], obj["feature_dim"])
+        raw = fh.read()
+    if len(raw) != 8 * int(np.prod(shape)):
+        raise ValidationError(
+            f"{bin_path} holds {len(raw)} bytes; dense_shape {list(shape)} "
+            "needs 8 per entry")
+    dense = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    return QuantileModel(
+        grid,
+        [QuantileTask(class_id, grid.anchors.copy(), anchors, dense[i],
+                      median_agreement=agreement)
+         for i, (class_id, anchors, agreement) in enumerate(tasks)],
+        class_count, feature_dim)

@@ -166,6 +166,45 @@ class TestOodEval:
         with open(out / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["detector"] for r in rows} == {"baseline", "quantile-rep"}
+        timings = json.loads((out / "run_meta.json").read_text())["timings_sec"]
+        assert set(timings) == {"load", "quantile_rep_lof", "baseline_lof",
+                                "metrics", "total"}
+        assert all(v >= 0.0 for v in timings.values())
+
+    @pytest.mark.parametrize("damage", ["truncated-sidecar", "schema-version",
+                                        "task-count", "missing-field"])
+    def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
+        model = run_fit(tmp_path, "m", moons_dir / "id.csv")
+        meta_path = model / "model.json"
+        meta = json.loads(meta_path.read_text())
+        if damage == "truncated-sidecar":
+            blob = (model / "model_dense.bin").read_bytes()
+            (model / "model_dense.bin").write_bytes(blob[:-8])
+        elif damage == "schema-version":
+            meta["schema_version"] = 99
+        elif damage == "task-count":
+            meta["tasks"] = meta["tasks"] * 3
+        else:
+            del meta["dense_shape"]
+        meta_path.write_text(json.dumps(meta))
+        rc = main(["ood-eval", "--model", str(model),
+                   "--train", str(moons_dir / "id.csv"),
+                   "--test-id", str(moons_dir / "id.csv"),
+                   "--test-ood", str(moons_dir / "ood.csv"),
+                   "--out", str(tmp_path / "ood")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_feature_dimension_mismatch_exit_2(self, tmp_path, moons_dir):
+        model = run_fit(tmp_path, "m", moons_dir / "id.csv")
+        assert main(["gen-data", "latent-binary", "--out", str(tmp_path / "l"),
+                     "--n", "40", "--dim", "3", "--g", "1,0,0"]) == 0
+        rc = main(["ood-eval", "--model", str(model),
+                   "--train", str(moons_dir / "id.csv"),
+                   "--test-id", str(moons_dir / "id.csv"),
+                   "--test-ood", str(tmp_path / "l" / "data.csv"),
+                   "--out", str(tmp_path / "ood")])
+        assert rc == 2
 
     def test_missing_inputs_exit_2(self, tmp_path, moons_dir):
         rc = main(["ood-eval", "--model", str(tmp_path / "absent"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quantrep import (
+    Dataset,
     FitConfig,
     OodScores,
     UndefinedMetricError,
@@ -9,12 +10,14 @@ from quantrep import (
     auroc,
     detection_accuracy,
     gen_two_moons,
+    fit_quantile_model,
     lof_scores,
+    metric_factor,
     random_label_quantile_model,
     represent,
     tnr_at_tpr,
 )
-from quantrep.quantile import QuantileGrid
+from quantrep.quantile import QuantileGrid, fit_base_classifiers
 
 from oracles import (
     auroc_pairwise,
@@ -52,12 +55,37 @@ class TestLof:
         lof = -lof_scores(ref, interior, k=4)
         assert lof.min() >= 0.9 and lof.max() <= 1.1
 
+    def test_lattice_duplicates_match_bruteforce(self):
+        # every lattice point twice: ties at the k-th distance in every row,
+        # resolved by the lowest index as in the brute-force definition
+        xs = np.arange(6.0)
+        lattice = np.array([[a, b] for a in xs for b in xs])
+        ref = np.vstack([lattice, lattice[::2]])
+        queries = np.vstack([lattice[::5], lattice[3::7] + 0.5])
+        for k in (1, 2, 4, 5, 9):
+            got = -lof_scores(ref, queries, k=k)
+            want = lof_bruteforce(ref, queries, k=k)
+            assert np.abs(got - want).max() <= 1e-9, k
+
+    def test_chunked_search_matches_single_chunk(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        ref = np.round(rng.normal(size=(90, 2)), 1)
+        queries = np.round(rng.normal(size=(40, 2)), 1)
+        whole = lof_scores(ref, queries, k=6)
+        monkeypatch.setattr("quantrep.ood._CHUNK_ELEMS", 200)
+        np.testing.assert_array_equal(lof_scores(ref, queries, k=6), whole)
+
     def test_k_validated(self):
         ref = np.zeros((5, 2))
         with pytest.raises(ValidationError):
             lof_scores(ref, ref, k=5)
         with pytest.raises(ValidationError):
             lof_scores(ref, ref, k=0)
+
+    def test_nonfinite_rejected(self):
+        ref = np.arange(10.0)[:, None]
+        with pytest.raises(ValidationError):
+            lof_scores(ref, np.array([[np.nan]]), k=2)
 
 
 class TestAuroc:
@@ -187,3 +215,52 @@ class TestRandomLabelModel:
     def test_preconditions(self):
         with pytest.raises(ValidationError):
             random_label_quantile_model(np.zeros((3, 2)), 2)
+
+
+class TestMetricPath:
+    """LOF on features @ metric_factor(model) equals LOF on the flattened
+    representation, for linear anchors without the isotonic projection."""
+
+    GRID = QuantileGrid(np.linspace(0.01, 0.99, 20), np.linspace(0.01, 0.99, 150))
+
+    def _assert_same_lof(self, model, ref, queries, k=10):
+        factor = metric_factor(model)
+        via_metric = lof_scores(ref @ factor, queries @ factor, k=k)
+        via_rep = lof_scores(represent(model, ref).flattened(),
+                             represent(model, queries).flattened(), k=k)
+        assert np.all(np.abs(via_metric - via_rep) <= 1e-9 * np.abs(via_rep))
+
+    def test_binary_two_moons(self):
+        train, ood = gen_two_moons(100, 0.25, 40, (8.3, 2.0), seed=31)
+        base = fit_base_classifiers(train)
+        model = fit_quantile_model(train, base[0], grid=self.GRID)
+        assert model.single_task_binary
+        test_id, _ = gen_two_moons(50, 0.25, 1, (8.3, 2.0), seed=32)
+        queries = np.vstack([test_id.features, ood.features])
+        self._assert_same_lof(model, train.features, queries)
+
+    def test_three_class_one_vs_rest(self):
+        rng = np.random.default_rng(33)
+        centers = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 2.0, -1.0]])
+        labels = np.repeat(np.arange(3), 60)
+        feats = centers[labels] + rng.normal(size=(180, 3))
+        train = Dataset(feats, labels, 3)
+        model = fit_quantile_model(train, fit_base_classifiers(train), grid=self.GRID)
+        assert len(model.tasks) == 3
+        queries = rng.normal(size=(50, 3)) * 2.0
+        self._assert_same_lof(model, train.features, queries)
+
+    def test_rank_deficient_field_distances(self):
+        # a duplicated feature column gives a rank-deficient metric
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(120, 1))
+        feats = np.hstack([x, x, rng.normal(size=(120, 1))])
+        train = Dataset(feats, (x[:, 0] + feats[:, 2] > 0).astype(int), 2)
+        model = fit_quantile_model(train, fit_base_classifiers(train)[0],
+                                   grid=self.GRID)
+        factor = metric_factor(model)
+        rep = represent(model, feats[:30]).flattened()
+        proj = feats[:30] @ factor
+        d_rep = np.linalg.norm(rep[:, None] - rep[None], axis=2)
+        d_proj = np.linalg.norm(proj[:, None] - proj[None], axis=2)
+        np.testing.assert_allclose(d_proj, d_rep, rtol=1e-9, atol=1e-9 * d_rep.max())

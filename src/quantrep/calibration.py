@@ -7,10 +7,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit as sigmoid
 
 from .errors import ConfigError, ValidationError
+from .linear import FitConfig, fit_weighted_logistic
 from .quantile import QuantileModel, QuantileRepresentation
 
 
@@ -151,30 +151,22 @@ def msp_confidence(probabilities):
 # ---------------------------------------------------------------------------
 
 def platt_fit(scores, correctness):
-    """Fit (a, b) so that sigmoid(a*s + b) minimizes log loss; convex."""
+    """Fit (a, b) so that sigmoid(a*s + b) minimizes log loss; convex.
+
+    An unregularised one-feature logistic fit, started flat at the base
+    rate so that constant scores keep slope 0.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     correctness = np.asarray(correctness, dtype=np.float64)
     if scores.shape != correctness.shape:
         raise ValidationError("scores and correctness must have equal length")
     if np.unique(correctness).size < 2:
         raise ValidationError("correctness must contain both outcomes")
-
-    def loss(theta):
-        z = theta[0] * scores + theta[1]
-        return float(np.sum(np.logaddexp(0.0, -z) * correctness
-                            + np.logaddexp(0.0, z) * (1 - correctness)))
-
-    def grad(theta):
-        r = sigmoid(theta[0] * scores + theta[1]) - correctness
-        return np.array([np.dot(r, scores), np.sum(r)])
-
-    # start flat at the base rate; the objective is convex so the start
-    # only matters for degenerate (constant-score) inputs
-    rate = float(np.clip(correctness.mean(), 1e-12, 1 - 1e-12))
-    theta0 = np.array([0.0, math.log(rate / (1.0 - rate))])
-    res = minimize(loss, theta0, jac=grad, method="BFGS",
-                   options={"gtol": 1e-10, "maxiter": 500})
-    return float(res.x[0]), float(res.x[1])
+    rate = float(correctness.mean())
+    clf = fit_weighted_logistic(scores[:, None], correctness,
+                                config=FitConfig(l2_reg=0.0),
+                                warm_start=[0.0, math.log(rate / (1.0 - rate))])
+    return float(clf.weights[0]), clf.bias
 
 
 def platt_apply(scores, ab):

@@ -183,6 +183,14 @@ def cmd_fit_quantile(args):
         raise FitError(str(exc)) from exc
     t_fit = time.perf_counter()
 
+    nonconverged = [sum(not c.converged for c in t.anchor_classifiers)
+                    for t in model.tasks]
+    degenerate = [sum(c.degenerate for c in t.anchor_classifiers)
+                  for t in model.tasks]
+    if sum(nonconverged):
+        print(f"warning: {sum(nonconverged)} anchor fits did not meet the "
+              f"stopping rule (tol={fit_config.tol:g} relative to the total "
+              f"sample weight, max_iter={fit_config.max_iter})", file=sys.stderr)
     mono = monotonicity_violation_rate(represent(model, dataset.features))
     save_model(model, args.out)
     _save_bases(os.path.join(args.out, "base.json"), bases)
@@ -198,6 +206,8 @@ def cmd_fit_quantile(args):
         "data": {"n": dataset.n, "d": dataset.d, "k": dataset.k},
         "monotonicity_violation_rate": mono.aggregate,
         "median_agreement": [t.median_agreement for t in model.tasks],
+        "nonconverged_anchors": nonconverged,
+        "degenerate_anchors": degenerate,
     })
     _write_json(os.path.join(args.out, "run_meta.json"), {
         "timings_sec": {"base_fit": t_base - t_start,

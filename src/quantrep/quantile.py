@@ -114,18 +114,23 @@ def modified_labels(base_probs, tau):
     return (base_probs > 1.0 - tau).astype(np.int64)
 
 
-def class_balance_weights(labels01):
-    """Per-sample weights n/(2*n_c), mean 1; uniform if only one class."""
+def class_balance_weights(labels01, sample_weights=None):
+    """Per-sample weights w_i * W/(2*W_c), with W the total and W_c the
+    class-c total of the sample weights (unit weights if not given), so
+    both classes carry weight W/2. A single class keeps the sample weights.
+    """
     labels01 = np.asarray(labels01)
     n = labels01.shape[0]
     if n == 0:
         raise ValidationError("need at least one sample")
-    n1 = int(np.sum(labels01 == 1))
-    n0 = n - n1
-    if n0 == 0 or n1 == 0:
-        return np.ones(n)
-    w = np.where(labels01 == 1, n / (2.0 * n1), n / (2.0 * n0))
-    return w
+    w = np.ones(n) if sample_weights is None else _as_float_array(sample_weights)
+    pos = labels01 == 1
+    w1 = float(np.sum(w[pos]))
+    w0 = float(np.sum(w[~pos]))
+    if w0 == 0 or w1 == 0:
+        return w
+    total = w0 + w1
+    return w * np.where(pos, total / (2.0 * w1), total / (2.0 * w0))
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +300,14 @@ def _resolve_bases(base, k):
 
 def fit_base_classifiers(dataset, fit_config: FitConfig | None = None):
     """Plain logistic base classifiers: a single binary task for k=2,
-    one-vs-rest otherwise. No class weighting; weighting enters later,
-    on the per-quantile pseudo-datasets."""
+    one-vs-rest otherwise. The dataset's sample weights apply; no class
+    weighting, which enters later, on the per-quantile pseudo-datasets."""
     fit_config = fit_config or FitConfig()
-    if dataset.k == 2:
-        return [fit_weighted_logistic(dataset.features,
-                                      (dataset.labels == 1).astype(np.int64),
-                                      config=fit_config)]
+    positives = [1] if dataset.k == 2 else range(dataset.k)
     return [fit_weighted_logistic(dataset.features,
                                   (dataset.labels == c).astype(np.int64),
-                                  config=fit_config)
-            for c in range(dataset.k)]
+                                  dataset.weights, config=fit_config)
+            for c in positives]
 
 
 def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileModel:
@@ -313,8 +315,9 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
 
     Per class and anchor tau: threshold the base one-vs-rest probabilities
     at 1 - tau to form pseudo-labels, weight them inversely to pseudo-class
-    size, fit a weighted logistic classifier, and normalize it. The dense
-    coefficient field then comes from cubic interpolation across anchors.
+    weight (scaling the dataset's sample weights, if any), fit a weighted
+    logistic classifier, and normalize it. The dense coefficient field then
+    comes from cubic interpolation across anchors.
     Deterministic for a fixed config.
     """
     grid = grid or QuantileGrid()
@@ -334,7 +337,7 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
         for tau in grid.anchors:
             try:
                 y_plus = modified_labels(probs, tau)
-                wts = class_balance_weights(y_plus)
+                wts = class_balance_weights(y_plus, dataset.weights)
                 clf = fit_weighted_logistic(features, y_plus, wts, fit_config,
                                             warm_start=warm)
                 if not clf.degenerate:

@@ -93,6 +93,19 @@ class TestFitQuantile:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["timings_sec"]["total"] > 0
 
+    def test_manifest_counts_anchor_diagnostics(self, tmp_path, moons_dir, capsys):
+        out = run_fit(tmp_path, "conv", moons_dir / "id.csv")
+        assert "warning" not in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["nonconverged_anchors"] == [0]
+        assert manifest["degenerate_anchors"][0] >= 0
+
+        out = run_fit(tmp_path, "capped", moons_dir / "id.csv", ("--max-iter", "1"))
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert "did not meet the stopping rule" in err
+        assert json.loads((out / "manifest.json").read_text())["nonconverged_anchors"][0] > 0
+
     def test_rerun_byte_identical_results(self, tmp_path, moons_dir):
         a = run_fit(tmp_path, "da", moons_dir / "id.csv")
         b = run_fit(tmp_path, "db", moons_dir / "id.csv")

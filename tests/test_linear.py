@@ -12,11 +12,13 @@ from quantrep import (
     fit_weighted_logistic,
     normalize_l2,
 )
+from quantrep.datasets import LatentModelSpec, gen_latent_binary
 from quantrep.linear import (
     logistic_gradient,
     logistic_objective,
     sigmoid_mae_objective,
 )
+from quantrep.quantile import fit_base_classifiers, fit_quantile_model
 
 from oracles import finite_difference_gradient
 
@@ -51,6 +53,25 @@ class TestWeightedLogistic:
         y_dup = np.concatenate([y, y[7:8]])
         b = fit_weighted_logistic(x_dup, y_dup, None, TIGHT)
         np.testing.assert_allclose(a.coefficients(), b.coefficients(), atol=1e-8)
+
+    @pytest.mark.parametrize("n, l2_reg, tol", [(40, 0.1, 1e-8), (300, 1e-4, 1e-8),
+                                                (300, 1e-4, 1e-5)])
+    def test_converged_meets_relative_gradient_bound(self, n, l2_reg, tol):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3))
+        y = (x @ np.array([1.0, -0.5, 0.2]) + rng.normal(0, 0.7, n) > 0).astype(int)
+        w = rng.uniform(0.5, 3.0, n)
+        clf = fit_weighted_logistic(x, y, w, FitConfig(l2_reg=l2_reg, tol=tol))
+        assert clf.converged
+        gw, gb = logistic_gradient(x, y, w, clf.weights, clf.bias, l2_reg)
+        assert np.linalg.norm(np.append(gw, gb)) <= tol * max(1.0, w.sum())
+
+    def test_iteration_cap_reports_nonconvergence(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(200, 2))
+        y = (x[:, 0] + rng.normal(0, 1.0, 200) > 0).astype(int)
+        assert not fit_weighted_logistic(x, y, config=FitConfig(max_iter=1)).converged
+        assert fit_weighted_logistic(x, y).converged
 
     def test_single_class_returns_flagged_constant(self):
         clf = fit_weighted_logistic(np.array([[0.1], [0.2]]), np.array([1, 1]))
@@ -203,3 +224,13 @@ class TestSigmoidMae:
         a = sigmoid_mae_objective(x, y, w, b)
         bb = sigmoid_mae_objective(x, 1 - y, -w, -b)
         assert a == pytest.approx(bb, abs=1e-12)
+
+
+def test_every_latent_anchor_converges_at_default_config():
+    # latent-binary 600x8: the benchmark's latent-m fit, at the CLI defaults
+    spec = LatentModelSpec([1.0, -0.7, 0.5, 0.3, -0.2, 0.8, -0.4, 0.1])
+    ds = gen_latent_binary(spec, 600, seed=1)
+    bases = fit_base_classifiers(ds)
+    model = fit_quantile_model(ds, bases)
+    assert bases[0].converged
+    assert [c.converged for c in model.tasks[0].anchor_classifiers] == [True] * 100

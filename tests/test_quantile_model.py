@@ -63,6 +63,20 @@ class TestFitQuantileModel:
         np.testing.assert_array_equal(m1.tasks[0].dense_coefficients,
                                       m2.tasks[0].dense_coefficients)
 
+    def test_weight_two_row_equals_duplicated_row(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(60, 2))
+        y = (x[:, 0] - 0.5 * x[:, 1] + rng.normal(0, 0.5, 60) > 0).astype(int)
+        w = np.ones(60)
+        w[:6] = 2.0
+        weighted = Dataset(x, y, 2, weights=w)
+        duplicated = Dataset(np.vstack([x, x[:6]]), np.concatenate([y, y[:6]]), 2)
+        fc = FitConfig(l2_reg=0.1, max_iter=5000, tol=1e-12)
+        a, b = (fit_quantile_model(ds, fit_base_classifiers(ds, fc), grid=SMALL_GRID,
+                                   fit_config=fc).tasks[0].anchor_coefficients()
+                for ds in (weighted, duplicated))
+        np.testing.assert_allclose(a, b, atol=1e-8)
+
     def test_anchor_coefficients_unit_norm(self):
         ds = separable_1d(seed=4)
         base = fit_base_classifiers(ds, FitConfig(l2_reg=0.5))[0]

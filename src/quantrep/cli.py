@@ -358,13 +358,17 @@ def cmd_shift_match(args):
     family = args.family or "orthogonal-2d"
     seed = args.seed if args.seed is not None else 0
 
+    t_start = time.perf_counter()
     data_t0 = load_dataset(args.data_t0)
     data_t1 = load_dataset(args.data_t1)
+    t_load = time.perf_counter()
     fit_config = FitConfig(seed=seed)
     bases0 = fit_base_classifiers(data_t0, fit_config)
     model_t0 = fit_quantile_model(data_t0, bases0, fit_config=fit_config)
+    t_fit = time.perf_counter()
     est = estimate_transform(family, model_t0, data_t1, fit_config=fit_config,
                              search_config=SearchConfig(seed=seed))
+    t_estimate = time.perf_counter()
 
     obj = est.transform.to_json_dict()
     obj.update({"objective": est.objective,
@@ -385,6 +389,12 @@ def cmd_shift_match(args):
         "subcommand": "shift-match", "data_t0": os.path.abspath(args.data_t0),
         "data_t1": os.path.abspath(args.data_t1), "family": family,
         "seed": seed,
+    })
+    _write_json(os.path.join(args.out, "run_meta.json"), {
+        "timings_sec": {"load": t_load - t_start,
+                        "fit_t0": t_fit - t_load,
+                        "estimate": t_estimate - t_fit,
+                        "total": time.perf_counter() - t_start},
     })
     return 0
 

@@ -26,6 +26,9 @@ from .errors import FitError, QuantrepError, ValidationError
 from .linear import FitConfig, LinearClassifier, fit_weighted_logistic, normalize_l2
 
 _MONO_TOL = 1e-9
+# the sidecar is the spline through the stored anchors; on one machine it is
+# rebuilt bit for bit, the slack only absorbs another LAPACK build's rounding
+_SIDECAR_TOL = 1e-12
 _SCHEMA_VERSION = 1
 
 
@@ -236,7 +239,9 @@ class QuantileTask:
     def anchor_coefficients(self):
         return np.stack([c.coefficients() for c in self.anchor_classifiers])
 
-    def logits(self, features):
+    def logits(self, features, out=None):
+        """(n, n_dense) logits of the dense field at ``features``; with
+        ``out`` given, they are written there (``np.matmul``'s ``out``)."""
         features = _as_float_array(features)
         d = self.dense_coefficients.shape[1] - 1
         if features.shape[1] != d:
@@ -246,7 +251,7 @@ class QuantileTask:
         # single GEMM with a padded ones column; an order of magnitude
         # faster than matmul-plus-broadcast-add for small d
         padded = np.column_stack([features, np.ones(features.shape[0])])
-        return padded @ self.dense_coefficients.T
+        return np.matmul(padded, self.dense_coefficients.T, out=out)
 
 
 @dataclass
@@ -508,8 +513,9 @@ def load_model(model_path) -> QuantileModel:
     """Read a model written by ``save_model``.
 
     The schema version, the task count, the sidecar shape and the sidecar
-    size are checked against the model file; any mismatch or missing field
-    raises ``ValidationError``.
+    size are checked against the model file, and the sidecar values against
+    ``interpolate_coefficients`` of the stored anchors (to 1e-12); any
+    mismatch or missing field raises ``ValidationError``.
     """
     with open(model_path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -547,6 +553,19 @@ def load_model(model_path) -> QuantileModel:
             f"{bin_path} holds {len(raw)} bytes; dense_shape {list(shape)} "
             "needs 8 per entry")
     dense = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    for i, (class_id, anchors, _) in enumerate(tasks):
+        try:
+            rebuilt = interpolate_coefficients(
+                grid.anchors, np.stack([c.coefficients() for c in anchors]),
+                grid.dense)
+        except ValueError as exc:
+            raise ValidationError(
+                f"malformed anchors for class {class_id} in {model_path}: "
+                f"{exc}") from exc
+        if not np.allclose(dense[i], rebuilt, rtol=_SIDECAR_TOL, atol=_SIDECAR_TOL):
+            raise ValidationError(
+                f"{bin_path} does not match the spline through the anchors of "
+                f"class {class_id}")
     return QuantileModel(
         grid,
         [QuantileTask(class_id, grid.anchors.copy(), anchors, dense[i],

@@ -7,6 +7,13 @@ once the newer features are mapped back through the inverse transform.
 The estimator minimizes the mean absolute logit discrepancy over a
 transform family; the search is derivative-free because the interpolated
 coefficient field makes analytic gradients brittle.
+
+A search evaluates that objective thousands of times for one pair of
+models and one t1 sample, so it is a :class:`FieldGap`: built once, it
+holds the t1 logits and a single preallocated (tasks, n, n_dense) buffer.
+Each evaluation maps the samples back, writes every t0 task's logits into
+the buffer and reduces the absolute gap in place, so no n x n_dense array
+is allocated per candidate transform.
 """
 
 import math
@@ -19,9 +26,9 @@ from .linear import FitConfig
 from .quantile import (
     QuantileGrid,
     QuantileModel,
+    QuantileTask,
     fit_base_classifiers,
     fit_quantile_model,
-    represent,
 )
 
 _ORTHO_TOL = 1e-12
@@ -103,22 +110,54 @@ def apply_transform(transform: Transform, features):
     return transform.apply(features)
 
 
-def _task_logit_stack(model, features):
-    return np.stack([task.logits(features) for task in model.tasks])
+def _stored_tasks(model, other):
+    """The model's stored tasks. A single-task binary model compared with a
+    model that stores both classes also gets its class-0 task: the negated,
+    tau-reflected class-1 field, the slice ``represent`` mirrors.
 
-
-def _field_gap_tasks(model_t0, logits1, inv_transform, samples_t1):
-    """Mean |logit gap| over stored tasks only.
-
-    For single-task binary models the mirrored class-0 slice is the
-    negated tau-reflection on both sides, so it contributes the same mean
-    absolute gap and can be skipped.
+    When both models store a single binary task, the mirrored slices have
+    the same mean absolute gap as the stored ones, so they are skipped.
     """
-    mapped = inv_transform.apply_inverse(samples_t1)
-    logits0 = _task_logit_stack(model_t0, mapped)
-    if logits0.shape != logits1.shape:
-        raise ValidationError("the two models must share grid and class count")
-    return float(np.mean(np.abs(logits0 - logits1)))
+    if model.single_task_binary and not other.single_task_binary:
+        (task,) = model.tasks
+        mirror = QuantileTask(0, task.anchor_taus, [],
+                              -task.dense_coefficients[::-1])
+        return [mirror, task]
+    return model.tasks
+
+
+class FieldGap:
+    """The matching objective of one pair of models on one t1 sample, as a
+    function of the inverse transform.
+
+    The t1 logits are computed once. Each call writes the t0 logits at the
+    mapped-back samples into one (tasks, n, n_dense) buffer owned by this
+    evaluator and returns the mean of |t0 - t1| over it; two evaluators
+    never share a buffer.
+    """
+
+    def __init__(self, model_t0: QuantileModel, model_t1: QuantileModel,
+                 samples_t1):
+        self._samples = np.asarray(samples_t1, dtype=np.float64)
+        self._tasks = _stored_tasks(model_t0, model_t1)
+        tasks1 = _stored_tasks(model_t1, model_t0)
+        if (len(self._tasks) != len(tasks1)
+                or model_t0.grid.n_dense != model_t1.grid.n_dense):
+            raise ValidationError("the two models must share grid and class count")
+        shape = (len(tasks1), self._samples.shape[0], model_t1.grid.n_dense)
+        self._logits1 = np.empty(shape)
+        for k, task in enumerate(tasks1):
+            task.logits(self._samples, out=self._logits1[k])
+        self._buf = np.empty(shape)
+
+    def __call__(self, inv_transform):
+        mapped = inv_transform.apply_inverse(self._samples)
+        buf = self._buf
+        for k, task in enumerate(self._tasks):
+            task.logits(mapped, out=buf[k])
+        np.subtract(buf, self._logits1, out=buf)
+        np.abs(buf, out=buf)
+        return float(np.mean(buf))
 
 
 def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
@@ -126,16 +165,7 @@ def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
     """Mean over samples, classes, and dense taus of the absolute logit gap
     between the old model at the mapped-back point and the new model at the
     point itself. Zero when both pictures agree exactly."""
-    samples_t1 = np.asarray(samples_t1, dtype=np.float64)
-    if model_t0.single_task_binary == model_t1.single_task_binary:
-        logits1 = _task_logit_stack(model_t1, samples_t1)
-        return _field_gap_tasks(model_t0, logits1, inv_transform, samples_t1)
-    rep1 = represent(model_t1, samples_t1).values
-    mapped = inv_transform.apply_inverse(samples_t1)
-    rep0 = represent(model_t0, mapped).values
-    if rep0.shape != rep1.shape:
-        raise ValidationError("the two models must share grid and class count")
-    return float(np.mean(np.abs(rep0 - rep1)))
+    return FieldGap(model_t0, model_t1, samples_t1)(inv_transform)
 
 
 @dataclass
@@ -150,13 +180,24 @@ class SearchConfig:
 
 @dataclass
 class TransformEstimate:
+    """The best transform found and its objective.
+
+    ``near_ties`` lists grid members within ``tie_tol`` of the optimum (a
+    symmetric construction). ``rank_deficient`` marks an affine search on a
+    t0 dense field (bias column dropped, stacked over tasks) of rank below
+    d: the field then sees only a subspace of the features, and the
+    objective cannot tell the map from maps that differ off it. Either
+    makes the estimate not identifiable.
+    """
+
     transform: Transform
     objective: float
     near_ties: list = field(default_factory=list)
+    rank_deficient: bool = False
 
     @property
     def identifiable(self):
-        return len(self.near_ties) == 0
+        return not self.near_ties and not self.rank_deficient
 
 
 def _golden_section(fn, lo, hi, tol):
@@ -177,14 +218,13 @@ def _golden_section(fn, lo, hi, tol):
     return (a + b) / 2.0
 
 
-def _estimate_orthogonal(model_t0, logits1, samples, config):
+def _estimate_orthogonal(gap, config):
     step = math.radians(config.angle_step_deg)
     n_steps = int(round(2.0 * math.pi / step))
     grid_vals = []  # (objective, angle, reflect)
 
     def objective_at(angle, reflect):
-        t = Transform("orthogonal-2d", angle=angle, reflect=reflect)
-        return _field_gap_tasks(model_t0, logits1, t, samples)
+        return gap(Transform("orthogonal-2d", angle=angle, reflect=reflect))
 
     for reflect in (False, True):
         for i in range(n_steps):
@@ -216,18 +256,18 @@ def _angle_distance(a, b):
     return min(diff, 2.0 * math.pi - diff)
 
 
-def _estimate_affine(model_t0, logits1, samples, config):
-    d = samples.shape[1]
+def _estimate_affine(gap, model_t0, d, config):
     if d > 10:
         raise ConfigError("affine search supported for d <= 10")
     rng = np.random.default_rng(config.seed)
 
     def objective_vec(theta):
-        mat = theta[:d * d].reshape(d, d)
-        if np.linalg.cond(mat) >= _MAX_CONDITION:
+        try:
+            t = Transform("affine", matrix=theta[:d * d].reshape(d, d),
+                          offset=theta[d * d:])
+        except ValidationError:  # condition number at or above _MAX_CONDITION
             return np.inf
-        t = Transform("affine", matrix=mat, offset=theta[d * d:])
-        return _field_gap_tasks(model_t0, logits1, t, samples)
+        return gap(t)
 
     best_theta, best_obj = None, np.inf
     for start in range(config.n_starts):
@@ -251,7 +291,9 @@ def _estimate_affine(model_t0, logits1, samples, config):
             best_theta, best_obj = theta.copy(), f
     best = Transform("affine", matrix=best_theta[:d * d].reshape(d, d),
                      offset=best_theta[d * d:])
-    return TransformEstimate(best, best_obj, [])
+    field_t0 = np.vstack([t.dense_coefficients[:, :d] for t in model_t0.tasks])
+    return TransformEstimate(best, best_obj, [],
+                             rank_deficient=bool(np.linalg.matrix_rank(field_t0) < d))
 
 
 def estimate_transform(family, model_t0: QuantileModel, data_t1,
@@ -264,6 +306,8 @@ def estimate_transform(family, model_t0: QuantileModel, data_t1,
     Returns a :class:`TransformEstimate` whose ``near_ties`` lists grid
     members indistinguishable from the optimum; a nonempty list signals a
     non-identifiable (symmetric) construction rather than a unique answer.
+    An affine estimate is also not identifiable when the t0 dense field is
+    rank deficient (see :class:`TransformEstimate`).
     """
     fit_config = fit_config or FitConfig()
     search_config = search_config or SearchConfig()
@@ -273,13 +317,13 @@ def estimate_transform(family, model_t0: QuantileModel, data_t1,
     model_t1 = fit_quantile_model(data_t1, bases1, grid=grid, fit_config=fit_config)
 
     samples = data_t1.features
-    logits1 = _task_logit_stack(model_t1, samples)
+    gap = FieldGap(model_t0, model_t1, samples)
     if family == "orthogonal-2d":
         if samples.shape[1] != 2:
             raise ConfigError("orthogonal-2d requires 2-d features")
-        est = _estimate_orthogonal(model_t0, logits1, samples, search_config)
+        est = _estimate_orthogonal(gap, search_config)
     elif family == "affine":
-        est = _estimate_affine(model_t0, logits1, samples, search_config)
+        est = _estimate_affine(gap, model_t0, samples.shape[1], search_config)
     else:
         raise ConfigError(f"unknown transform family: {family!r}")
     return est

@@ -184,8 +184,9 @@ class TestOodEval:
                                 "metrics", "total"}
         assert all(v >= 0.0 for v in timings.values())
 
-    @pytest.mark.parametrize("damage", ["truncated-sidecar", "schema-version",
-                                        "task-count", "missing-field"])
+    @pytest.mark.parametrize("damage", ["truncated-sidecar", "changed-sidecar-value",
+                                        "schema-version", "task-count",
+                                        "missing-field"])
     def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
@@ -193,6 +194,10 @@ class TestOodEval:
         if damage == "truncated-sidecar":
             blob = (model / "model_dense.bin").read_bytes()
             (model / "model_dense.bin").write_bytes(blob[:-8])
+        elif damage == "changed-sidecar-value":
+            dense = np.fromfile(model / "model_dense.bin", dtype="<f8")
+            dense[len(dense) // 2] += 0.5
+            dense.tofile(model / "model_dense.bin")
         elif damage == "schema-version":
             meta["schema_version"] = 99
         elif damage == "task-count":
@@ -291,3 +296,22 @@ class TestShiftMatch:
             rows = list(csv.DictReader(fh))
         assert rows[0]["true_angle"] == "0"
         assert rows[0]["estimated_angle"] != ""
+        timings = json.loads((out / "run_meta.json").read_text())["timings_sec"]
+        assert set(timings) == {"load", "fit_t0", "estimate", "total"}
+        assert all(v >= 0.0 for v in timings.values())
+
+    def test_affine_on_separable_pair_not_identifiable(self, tmp_path):
+        # two well-separated gaussians: every anchor has the same direction,
+        # so the t0 dense field has rank 1 and cannot pin a 2-d affine map
+        for tag, seed in (("t0", "3"), ("t1", "5")):
+            assert main(["gen-data", "gaussian-pair", "--out", str(tmp_path / tag),
+                         "--n-per-class", "50", "--seed", seed]) == 0
+        out = tmp_path / "sm"
+        rc = main(["shift-match", "--data-t0", str(tmp_path / "t0" / "data.csv"),
+                   "--data-t1", str(tmp_path / "t1" / "data.csv"),
+                   "--family", "affine", "--out", str(out)])
+        assert rc == 0
+        est = json.loads((out / "estimate.json").read_text())
+        assert est["family"] == "affine"
+        assert est["identifiable"] is False
+        assert est["near_ties"] == []

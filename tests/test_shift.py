@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from quantrep import (
     apply_transform,
     estimate_transform,
     fit_quantile_model,
+    fit_weighted_logistic,
     gen_gaussian_pair,
     matching_objective,
 )
-from quantrep.quantile import QuantileGrid, fit_base_classifiers
-from quantrep.shift import SearchConfig
+from quantrep.quantile import QuantileGrid, fit_base_classifiers, represent
+from quantrep.shift import FieldGap, SearchConfig
 
 CENTERS = np.array([[0.0, 0.0], [1.0, 1.0]])
 STDS = np.array([[0.1, 0.3], [0.3, 0.11]])
@@ -100,6 +102,109 @@ class TestMatchingObjective:
         perm = np.random.default_rng(3).permutation(data.n)
         b = matching_objective(model, model, t, data.features[perm])
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def stacked_gap(m0, m1, tr, x):
+    """The objective as one expression over freshly stacked task logits."""
+    logits1 = np.stack([t.logits(x) for t in m1.tasks])
+    return float(np.mean(np.abs(
+        np.stack([t.logits(tr.apply_inverse(x)) for t in m0.tasks]) - logits1)))
+
+
+def random_transforms(seed, count):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        out.append(Transform("orthogonal-2d", angle=rng.uniform(0, 2 * math.pi),
+                             reflect=bool(rng.integers(0, 2))))
+        out.append(Transform("affine", matrix=np.eye(2) + rng.normal(0, 0.3, (2, 2)),
+                             offset=rng.normal(0, 0.5, 2)))
+    return out
+
+
+def three_class(seed, n_per_class=80):
+    rng = np.random.default_rng(seed)
+    centers = np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]])
+    feats = np.vstack([c + rng.normal(0, 0.6, (n_per_class, 2)) for c in centers])
+    return Dataset(feats, np.repeat(np.arange(3), n_per_class), 3)
+
+
+@pytest.fixture(scope="module")
+def binary_pair(t0_model):
+    _, model = t0_model
+    fresh = gen_gaussian_pair(CENTERS, STDS, 300, seed=11)
+    return model, fit_model(fresh), fresh.features
+
+
+@pytest.fixture(scope="module")
+def three_class_pair():
+    grid = QuantileGrid(np.linspace(0.01, 0.99, 20), np.linspace(0.01, 0.99, 150))
+    d0, d1 = three_class(0), three_class(1)
+    return fit_model(d0, grid=grid), fit_model(d1, grid=grid), d1.features
+
+
+class TestFieldGap:
+    @pytest.mark.parametrize("pair", ["binary_pair", "three_class_pair"])
+    def test_equals_stacked_expression_bitwise(self, pair, request):
+        m0, m1, x = request.getfixturevalue(pair)
+        gap = FieldGap(m0, m1, x)
+        for tr in random_transforms(12, 50):
+            assert gap(tr) == stacked_gap(m0, m1, tr, x)
+            assert matching_objective(m0, m1, tr, x) == stacked_gap(m0, m1, tr, x)
+
+    def test_interleaved_evaluators_do_not_alias(self, t0_model, binary_pair,
+                                                  three_class_pair):
+        m0, m1, _ = binary_pair
+        # the swapped pair has the same buffer shape and different contents
+        refs = [binary_pair, (m1, m0, t0_model[0].features), three_class_pair]
+        gaps = [FieldGap(*ref) for ref in refs]
+        for tr in random_transforms(13, 5):
+            for gap, (m0, m1, x) in zip(gaps + gaps[::-1], refs + refs[::-1]):
+                assert gap(tr) == stacked_gap(m0, m1, tr, x)
+
+    def test_grid_or_class_count_mismatch_raises(self, binary_pair, three_class_pair):
+        m0, m1, x = binary_pair
+        coarse = fit_model(gen_gaussian_pair(CENTERS, STDS, 50, seed=1),
+                           grid=QuantileGrid(GRID.anchors, np.linspace(0.01, 0.99, 100)))
+        with pytest.raises(ValidationError):
+            FieldGap(m0, coarse, x)
+        with pytest.raises(ValidationError):
+            FieldGap(m0, three_class_pair[1], three_class_pair[2])
+        with pytest.raises(ValidationError):
+            matching_objective(three_class_pair[0], m1,
+                               Transform("orthogonal-2d", angle=0.3), x)
+
+    def test_two_task_binary_model_matches_represent(self, binary_pair):
+        # a binary model fitted with one base per class stores both tasks;
+        # against a single-task model the objective compares whole
+        # representations, class-0 mirror included
+        m0, _, x = binary_pair
+        data = gen_gaussian_pair(CENTERS, STDS, 300, seed=12)
+        bases = [fit_weighted_logistic(data.features, (data.labels == c).astype(int),
+                                       config=FC) for c in (0, 1)]
+        m1 = fit_quantile_model(data, bases, grid=GRID, fit_config=FC)
+        assert len(m1.tasks) == 2
+        for tr in random_transforms(14, 5):
+            ref = float(np.mean(np.abs(represent(m0, tr.apply_inverse(x)).values
+                                       - represent(m1, x).values)))
+            assert matching_objective(m0, m1, tr, x) == pytest.approx(ref, rel=1e-12)
+            ref = float(np.mean(np.abs(represent(m1, tr.apply_inverse(x)).values
+                                       - represent(m0, x).values)))
+            assert matching_objective(m1, m0, tr, x) == pytest.approx(ref, rel=1e-12)
+
+    def test_evaluations_allocate_less_than_one_field(self, binary_pair):
+        m0, m1, x = binary_pair
+        gap = FieldGap(m0, m1, x)
+        transforms = random_transforms(15, 10)
+        field_bytes = x.shape[0] * GRID.n_dense * 8
+        tracemalloc.start()
+        try:
+            for tr in transforms:
+                gap(tr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < field_bytes
 
 
 class TestEstimateTransform:

@@ -84,7 +84,6 @@ from .quantile import (
     simultaneous_loss,
 )
 from .shift import (
-    SearchConfig,
     Transform,
     TransformEstimate,
     apply_transform,

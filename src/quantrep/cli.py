@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import resource
 import sys
 import time
 
@@ -41,7 +42,7 @@ from .quantile import (
     represent,
     save_model,
 )
-from .shift import SearchConfig, estimate_transform
+from .shift import estimate_transform
 
 _FMT = "%.17g"
 
@@ -63,6 +64,15 @@ def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _write_run_meta(out_dir, timings):
+    """Stage timings (seconds) and the peak resident set size of this
+    process: the wall-clock data kept out of the byte-identical files."""
+    _write_json(os.path.join(out_dir, "run_meta.json"), {
+        "timings_sec": timings,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    })
 
 
 def _resolve(args, defaults, keys):
@@ -135,17 +145,17 @@ def cmd_gen_data(args):
     cfg = _resolve(args, defaults, defaults.keys())
     os.makedirs(args.out, exist_ok=True)
 
+    t_start = time.perf_counter()
     if kind == "two-moons":
         center = _parse_floats(cfg["ood_center"], 2)
         id_ds, ood_ds = gen_two_moons(int(cfg["n_per_class"]), float(cfg["noise"]),
                                       int(cfg["ood_n"]), center, int(cfg["seed"]))
-        save_dataset(id_ds, os.path.join(args.out, "id.csv"))
-        save_dataset(ood_ds, os.path.join(args.out, "ood.csv"))
+        outputs = {"id.csv": id_ds, "ood.csv": ood_ds}
     elif kind == "gaussian-pair":
         centers = np.asarray(_parse_floats(cfg["centers"], 4)).reshape(2, 2)
         stds = np.asarray(_parse_floats(cfg["stds"], 4)).reshape(2, 2)
         ds = gen_gaussian_pair(centers, stds, int(cfg["n_per_class"]), int(cfg["seed"]))
-        save_dataset(ds, os.path.join(args.out, "data.csv"))
+        outputs = {"data.csv": ds}
     else:
         g = np.asarray(_parse_floats(cfg["g"]))
         if g.shape[0] != int(cfg["dim"]):
@@ -154,10 +164,17 @@ def cmd_gen_data(args):
         spec = LatentModelSpec(g, float(cfg["g_intercept"]), cfg["noise_kind"],
                                scale[0] if len(scale) == 1 else tuple(scale))
         ds = gen_latent_binary(spec, int(cfg["n"]), seed=int(cfg["seed"]))
-        save_dataset(ds, os.path.join(args.out, "data.csv"))
+        outputs = {"data.csv": ds}
+    t_generate = time.perf_counter()
+    for name, ds in outputs.items():
+        save_dataset(ds, os.path.join(args.out, name))
+    t_save = time.perf_counter()
 
     _write_json(os.path.join(args.out, "resolved_config.json"),
                 {"subcommand": "gen-data", "kind": kind, **cfg})
+    _write_run_meta(args.out, {"generate": t_generate - t_start,
+                               "save": t_save - t_generate,
+                               "total": time.perf_counter() - t_start})
     return 0
 
 
@@ -209,11 +226,9 @@ def cmd_fit_quantile(args):
         "nonconverged_anchors": nonconverged,
         "degenerate_anchors": degenerate,
     })
-    _write_json(os.path.join(args.out, "run_meta.json"), {
-        "timings_sec": {"base_fit": t_base - t_start,
-                        "quantile_fit": t_fit - t_base,
-                        "total": time.perf_counter() - t_start},
-    })
+    _write_run_meta(args.out, {"base_fit": t_base - t_start,
+                               "quantile_fit": t_fit - t_base,
+                               "total": time.perf_counter() - t_start})
     return 0
 
 
@@ -281,13 +296,11 @@ def cmd_ood_eval(args):
         "test_id": os.path.abspath(args.test_id),
         "test_ood": os.path.abspath(args.test_ood), "k": k, "seed": seed,
     })
-    _write_json(os.path.join(args.out, "run_meta.json"), {
-        "timings_sec": {"load": t_load - t_start,
-                        "quantile_rep_lof": t_quant - t_load,
-                        "baseline_lof": t_base - t_quant,
-                        "metrics": t_metrics - t_base,
-                        "total": time.perf_counter() - t_start},
-    })
+    _write_run_meta(args.out, {"load": t_load - t_start,
+                               "quantile_rep_lof": t_quant - t_load,
+                               "baseline_lof": t_base - t_quant,
+                               "metrics": t_metrics - t_base,
+                               "total": time.perf_counter() - t_start})
     return 0
 
 
@@ -302,13 +315,16 @@ def cmd_calib_eval(args):
     binning = args.binning or "quantile"
     seed = args.seed if args.seed is not None else 0
 
+    t_start = time.perf_counter()
     model = load_model(os.path.join(args.model, "model.json"))
     bases = _load_bases(os.path.join(args.model, "base.json"))
     data = load_dataset(args.data)
     base = bases[0] if len(bases) == 1 else bases
+    t_load = time.perf_counter()
 
     report = corruption_sweep(model, base, data, corruption, severities,
                               m=int(bins), binning=binning, seed=seed)
+    t_sweep = time.perf_counter()
     report.to_csv(os.path.join(args.out, "sweep.csv"))
     _write_json(os.path.join(args.out, "resolved_config.json"), {
         "subcommand": "calib-eval", "model": os.path.abspath(args.model),
@@ -316,6 +332,9 @@ def cmd_calib_eval(args):
         "corruption": corruption, "bins": int(bins), "binning": binning,
         "seed": seed,
     })
+    _write_run_meta(args.out, {"load": t_load - t_start,
+                               "sweep": t_sweep - t_load,
+                               "total": time.perf_counter() - t_start})
     return 0
 
 
@@ -323,11 +342,14 @@ def cmd_xcorr(args):
     for p, what in ((args.model, "model dir"), (args.data, "data")):
         _require(p, what)
     os.makedirs(args.out, exist_ok=True)
+    t_start = time.perf_counter()
     model = load_model(os.path.join(args.model, "model.json"))
     data = load_dataset(args.data)
+    t_load = time.perf_counter()
 
     quant = coefficient_cross_correlation(model)
     raw = raw_feature_correlation(data.features)
+    t_corr = time.perf_counter()
     d = raw.shape[0]
     _write_matrix_csv(os.path.join(args.out, "xcorr_quantile.csv"),
                       [[float(v) for v in row] for row in quant])
@@ -348,6 +370,9 @@ def cmd_xcorr(args):
         "subcommand": "xcorr", "model": os.path.abspath(args.model),
         "data": os.path.abspath(args.data),
     })
+    _write_run_meta(args.out, {"load": t_load - t_start,
+                               "correlation": t_corr - t_load,
+                               "total": time.perf_counter() - t_start})
     return 0
 
 
@@ -366,8 +391,7 @@ def cmd_shift_match(args):
     bases0 = fit_base_classifiers(data_t0, fit_config)
     model_t0 = fit_quantile_model(data_t0, bases0, fit_config=fit_config)
     t_fit = time.perf_counter()
-    est = estimate_transform(family, model_t0, data_t1, fit_config=fit_config,
-                             search_config=SearchConfig(seed=seed))
+    est = estimate_transform(family, model_t0, data_t1, fit_config=fit_config)
     t_estimate = time.perf_counter()
 
     obj = est.transform.to_json_dict()
@@ -390,12 +414,10 @@ def cmd_shift_match(args):
         "data_t1": os.path.abspath(args.data_t1), "family": family,
         "seed": seed,
     })
-    _write_json(os.path.join(args.out, "run_meta.json"), {
-        "timings_sec": {"load": t_load - t_start,
-                        "fit_t0": t_fit - t_load,
-                        "estimate": t_estimate - t_fit,
-                        "total": time.perf_counter() - t_start},
-    })
+    _write_run_meta(args.out, {"load": t_load - t_start,
+                               "fit_t0": t_fit - t_load,
+                               "estimate": t_estimate - t_fit,
+                               "total": time.perf_counter() - t_start})
     return 0
 
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -120,7 +120,7 @@ class LatentModelSpec:
 
     def posterior(self, features):
         """Analytic P(g(x) + eps(x) >= 0) for Gaussian noise."""
-        p = norm.cdf(self.latent_mean(features) / self.noise_sigma(features))
+        p = ndtr(self.latent_mean(features) / self.noise_sigma(features))
         return np.clip(p, _P_LO, _P_HI)
 
 

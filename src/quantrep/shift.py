@@ -5,8 +5,9 @@ The quantile models fitted on the two epochs describe the same labeled
 distribution in different coordinates, so the logit fields should agree
 once the newer features are mapped back through the inverse transform.
 The estimator minimizes the mean absolute logit discrepancy over a
-transform family; the search is derivative-free because the interpolated
-coefficient field makes analytic gradients brittle.
+transform family with derivative-free scipy searches: a 1 degree scan
+refined by bounded Brent for rotations, and one Powell search over the
+inverse map, where the objective is convex, for affine maps.
 
 A search evaluates that objective thousands of times for one pair of
 models and one t1 sample, so it is a :class:`FieldGap`: built once, it
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig
@@ -31,8 +33,10 @@ from .quantile import (
     fit_quantile_model,
 )
 
-_ORTHO_TOL = 1e-12
 _MAX_CONDITION = 1e8
+_ANGLE_STEP = math.radians(1.0)  # rotation scan; also the tie detector's grid
+_REFINE_TOL = 1e-4               # radians, bounded-Brent stop width
+_TIE_TOL = 1e-6                  # near-optimum reporting threshold
 
 
 @dataclass
@@ -161,7 +165,7 @@ class FieldGap:
 
 
 def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
-                       inv_transform: Transform, samples_t1, grid=None):
+                       inv_transform: Transform, samples_t1):
     """Mean over samples, classes, and dense taus of the absolute logit gap
     between the old model at the mapped-back point and the new model at the
     point itself. Zero when both pictures agree exactly."""
@@ -169,20 +173,10 @@ def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
 
 
 @dataclass
-class SearchConfig:
-    angle_step_deg: float = 1.0
-    refine_tol: float = 1e-4      # radians, golden-section stop width
-    tie_tol: float = 1e-6         # near-optimum reporting threshold
-    n_starts: int = 5             # affine multi-start
-    n_sweeps: int = 12            # affine coordinate-descent sweeps
-    seed: int = 0
-
-
-@dataclass
 class TransformEstimate:
     """The best transform found and its objective.
 
-    ``near_ties`` lists grid members within ``tie_tol`` of the optimum (a
+    ``near_ties`` lists grid members within 1e-6 of the optimum (a
     symmetric construction). ``rank_deficient`` marks an affine search on a
     t0 dense field (bias column dropped, stacked over tasks) of rank below
     d: the field then sees only a subspace of the features, and the
@@ -200,27 +194,8 @@ class TransformEstimate:
         return not self.near_ties and not self.rank_deficient
 
 
-def _golden_section(fn, lo, hi, tol):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
-
-
-def _estimate_orthogonal(gap, config):
-    step = math.radians(config.angle_step_deg)
-    n_steps = int(round(2.0 * math.pi / step))
+def _estimate_orthogonal(gap):
+    n_steps = int(round(2.0 * math.pi / _ANGLE_STEP))
     grid_vals = []  # (objective, angle, reflect)
 
     def objective_at(angle, reflect):
@@ -228,25 +203,24 @@ def _estimate_orthogonal(gap, config):
 
     for reflect in (False, True):
         for i in range(n_steps):
-            angle = i * step
+            angle = i * _ANGLE_STEP
             grid_vals.append((objective_at(angle, reflect), angle, reflect))
 
     best_obj, best_angle, best_reflect = min(grid_vals, key=lambda v: v[0])
-    refined = _golden_section(lambda a: objective_at(a, best_reflect),
-                              best_angle - step, best_angle + step,
-                              config.refine_tol)
-    refined_obj = objective_at(refined, best_reflect)
-    if refined_obj <= best_obj:
-        best_obj, best_angle = refined_obj, refined
+    refined = minimize_scalar(lambda a: objective_at(a, best_reflect),
+                              bounds=(best_angle - _ANGLE_STEP, best_angle + _ANGLE_STEP),
+                              method="bounded", options={"xatol": _REFINE_TOL})
+    if refined.fun <= best_obj:
+        best_obj, best_angle = float(refined.fun), float(refined.x)
 
     best = Transform("orthogonal-2d", angle=best_angle % (2.0 * math.pi),
                      reflect=best_reflect)
     ties = [
         Transform("orthogonal-2d", angle=angle, reflect=reflect)
         for obj, angle, reflect in grid_vals
-        if obj <= best_obj + config.tie_tol
+        if obj <= best_obj + _TIE_TOL
         and not (reflect == best_reflect
-                 and _angle_distance(angle, best_angle) <= 2.0 * step)
+                 and _angle_distance(angle, best_angle) <= 2.0 * _ANGLE_STEP)
     ]
     return TransformEstimate(best, best_obj, ties)
 
@@ -256,49 +230,36 @@ def _angle_distance(a, b):
     return min(diff, 2.0 * math.pi - diff)
 
 
-def _estimate_affine(gap, model_t0, d, config):
+def _estimate_affine(gap, model_t0, d):
+    """One Powell search over the inverse map x -> P x + q from the identity.
+
+    The t0 logits at ``P x + q`` are affine in (P, q), so the objective, a
+    mean of absolute values of affine functions, is convex in (P, q) and a
+    single local search needs no restarts. Candidates whose P is singular or
+    has condition number at or above ``_MAX_CONDITION`` score ``inf``.
+    """
     if d > 10:
         raise ConfigError("affine search supported for d <= 10")
-    rng = np.random.default_rng(config.seed)
 
-    def objective_vec(theta):
+    def forward(theta):
+        inv_p = np.linalg.inv(theta[:d * d].reshape(d, d))
+        return Transform("affine", matrix=inv_p, offset=-inv_p @ theta[d * d:])
+
+    def objective(theta):
         try:
-            t = Transform("affine", matrix=theta[:d * d].reshape(d, d),
-                          offset=theta[d * d:])
-        except ValidationError:  # condition number at or above _MAX_CONDITION
+            return gap(forward(theta))
+        except (ValidationError, np.linalg.LinAlgError):
             return np.inf
-        return gap(t)
 
-    best_theta, best_obj = None, np.inf
-    for start in range(config.n_starts):
-        theta = np.concatenate([np.eye(d).ravel(), np.zeros(d)])
-        if start > 0:
-            theta = theta + rng.normal(0.0, 0.3, theta.size)
-        f = objective_vec(theta)
-        span = 1.0
-        for _ in range(config.n_sweeps):
-            for j in range(theta.size):
-                def fn(v, j=j):
-                    cand = theta.copy()
-                    cand[j] = v
-                    return objective_vec(cand)
-                v = _golden_section(fn, theta[j] - span, theta[j] + span, 1e-5)
-                fv = fn(v)
-                if fv < f:
-                    theta[j], f = v, fv
-            span *= 0.7
-        if f < best_obj:
-            best_theta, best_obj = theta.copy(), f
-    best = Transform("affine", matrix=best_theta[:d * d].reshape(d, d),
-                     offset=best_theta[d * d:])
+    theta0 = np.concatenate([np.eye(d).ravel(), np.zeros(d)])
+    best = forward(minimize(objective, theta0, method="Powell").x)
     field_t0 = np.vstack([t.dense_coefficients[:, :d] for t in model_t0.tasks])
-    return TransformEstimate(best, best_obj, [],
+    return TransformEstimate(best, gap(best), [],
                              rank_deficient=bool(np.linalg.matrix_rank(field_t0) < d))
 
 
 def estimate_transform(family, model_t0: QuantileModel, data_t1,
                        fit_config: FitConfig | None = None,
-                       search_config: SearchConfig | None = None,
                        grid: QuantileGrid | None = None):
     """Fit a quantile model on the newer labeled epoch, then minimize the
     matching objective over the chosen family.
@@ -310,7 +271,6 @@ def estimate_transform(family, model_t0: QuantileModel, data_t1,
     rank deficient (see :class:`TransformEstimate`).
     """
     fit_config = fit_config or FitConfig()
-    search_config = search_config or SearchConfig()
     grid = grid or model_t0.grid
 
     bases1 = fit_base_classifiers(data_t1, fit_config)
@@ -321,9 +281,9 @@ def estimate_transform(family, model_t0: QuantileModel, data_t1,
     if family == "orthogonal-2d":
         if samples.shape[1] != 2:
             raise ConfigError("orthogonal-2d requires 2-d features")
-        est = _estimate_orthogonal(gap, search_config)
+        est = _estimate_orthogonal(gap)
     elif family == "affine":
-        est = _estimate_affine(gap, model_t0, samples.shape[1], search_config)
+        est = _estimate_affine(gap, model_t0, samples.shape[1])
     else:
         raise ConfigError(f"unknown transform family: {family!r}")
     return est

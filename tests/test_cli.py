@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quantrep
 from quantrep import load_dataset
 from quantrep.cli import main
 from quantrep.errors import DegenerateClassifierError
@@ -12,6 +16,23 @@ from quantrep.errors import DegenerateClassifierError
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def assert_run_meta(out, stages):
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert set(meta) == {"timings_sec", "peak_rss_mb"}
+    assert set(meta["timings_sec"]) == {*stages, "total"}
+    assert all(v >= 0.0 for v in meta["timings_sec"].values())
+    assert meta["peak_rss_mb"] > 0.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats would add about half a second to every CLI call
+    src = os.path.dirname(os.path.dirname(quantrep.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quantrep.cli; print('scipy.stats' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def run_fit(tmp_path, tag, data, extra=()):
@@ -39,6 +60,7 @@ class TestGenData:
             assert rc == 0
         for name in ("id.csv", "ood.csv", "resolved_config.json"):
             assert read(tmp_path / "r1" / name) == read(tmp_path / "r2" / name)
+        assert_run_meta(tmp_path / "r1", {"generate", "save"})
 
     def test_gaussian_pair_defaults(self, tmp_path):
         rc = main(["gen-data", "gaussian-pair", "--out", str(tmp_path / "g"),
@@ -90,8 +112,7 @@ class TestFitQuantile:
         # correspondingly looser than with the default grid
         assert manifest["median_agreement"][0] >= 0.9
         assert "timings" not in json.dumps(manifest)
-        meta = json.loads((out / "run_meta.json").read_text())
-        assert meta["timings_sec"]["total"] > 0
+        assert_run_meta(out, {"base_fit", "quantile_fit"})
 
     def test_manifest_counts_anchor_diagnostics(self, tmp_path, moons_dir, capsys):
         out = run_fit(tmp_path, "conv", moons_dir / "id.csv")
@@ -179,10 +200,7 @@ class TestOodEval:
         with open(out / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["detector"] for r in rows} == {"baseline", "quantile-rep"}
-        timings = json.loads((out / "run_meta.json").read_text())["timings_sec"]
-        assert set(timings) == {"load", "quantile_rep_lof", "baseline_lof",
-                                "metrics", "total"}
-        assert all(v >= 0.0 for v in timings.values())
+        assert_run_meta(out, {"load", "quantile_rep_lof", "baseline_lof", "metrics"})
 
     @pytest.mark.parametrize("damage", ["truncated-sidecar", "changed-sidecar-value",
                                         "schema-version", "task-count",
@@ -259,6 +277,7 @@ class TestCalibEval:
         q_row = [r for r in clean if r["method"] == "QUANT"][0]
         assert float(q_row["accuracy"]) == pytest.approx(acc, abs=1e-15)
         assert float(q_row["ece"]) == pytest.approx(val, abs=1e-15)
+        assert_run_meta(out, {"load", "sweep"})
 
 
 class TestXcorr:
@@ -274,6 +293,7 @@ class TestXcorr:
         with open(out / "scatter_pairs.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1  # d=2 -> one off-diagonal pair
+        assert_run_meta(out, {"load", "correlation"})
 
 
 class TestShiftMatch:
@@ -296,9 +316,7 @@ class TestShiftMatch:
             rows = list(csv.DictReader(fh))
         assert rows[0]["true_angle"] == "0"
         assert rows[0]["estimated_angle"] != ""
-        timings = json.loads((out / "run_meta.json").read_text())["timings_sec"]
-        assert set(timings) == {"load", "fit_t0", "estimate", "total"}
-        assert all(v >= 0.0 for v in timings.values())
+        assert_run_meta(out, {"load", "fit_t0", "estimate"})
 
     def test_affine_on_separable_pair_not_identifiable(self, tmp_path):
         # two well-separated gaussians: every anchor has the same direction,

@@ -18,7 +18,7 @@ from quantrep import (
     matching_objective,
 )
 from quantrep.quantile import QuantileGrid, fit_base_classifiers, represent
-from quantrep.shift import FieldGap, SearchConfig
+from quantrep.shift import FieldGap
 
 CENTERS = np.array([[0.0, 0.0], [1.0, 1.0]])
 STDS = np.array([[0.1, 0.3], [0.3, 0.11]])
@@ -261,11 +261,26 @@ class TestEstimateTransform:
     def test_affine_identity_recovery(self, t0_model):
         data, model = t0_model
         fresh = gen_gaussian_pair(CENTERS, STDS, 300, seed=9)
-        est = estimate_transform("affine", model, fresh, fit_config=FC,
-                                 grid=GRID,
-                                 search_config=SearchConfig(n_starts=2, n_sweeps=6))
+        est = estimate_transform("affine", model, fresh, fit_config=FC, grid=GRID)
         np.testing.assert_allclose(est.transform.matrix, np.eye(2), atol=0.3)
         np.testing.assert_allclose(est.transform.offset, 0.0, atol=0.3)
+
+    def test_affine_recovery_on_full_rank_field(self):
+        # three overlapping classes give a rank-2 t0 field, so the objective
+        # identifies the map; the search must reach the truth's objective
+        grid = QuantileGrid(np.linspace(0.01, 0.99, 20), np.linspace(0.01, 0.99, 150))
+        truth = Transform("affine", matrix=[[1.2, 0.2], [-0.1, 0.9]], offset=[0.4, -0.3])
+        d0, fresh = three_class(0, 150), three_class(1, 150)
+        d1 = Dataset(truth.apply(fresh.features), fresh.labels, 3)
+        m0 = fit_model(d0, grid=grid)
+        est = estimate_transform("affine", m0, d1, fit_config=FC, grid=grid)
+        assert est.identifiable
+        np.testing.assert_allclose(est.transform.matrix, truth.matrix, atol=0.3)
+        np.testing.assert_allclose(est.transform.offset, truth.offset, atol=0.3)
+        # the reported objective belongs to the reported transform
+        m1 = fit_model(d1, grid=grid)
+        assert est.objective == matching_objective(m0, m1, est.transform, d1.features)
+        assert est.objective <= matching_objective(m0, m1, truth, d1.features)
 
     def test_unsupported_family(self, t0_model):
         data, model = t0_model

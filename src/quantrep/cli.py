@@ -71,6 +71,7 @@ def _write_run_meta(out_dir, timings):
     process: the wall-clock data kept out of the byte-identical files."""
     _write_json(os.path.join(out_dir, "run_meta.json"), {
         "timings_sec": timings,
+        # ru_maxrss is in KiB on Linux (in bytes on macOS)
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     })
 

@@ -234,8 +234,11 @@ def _estimate_affine(gap, model_t0, d):
     """One Powell search over the inverse map x -> P x + q from the identity.
 
     The t0 logits at ``P x + q`` are affine in (P, q), so the objective, a
-    mean of absolute values of affine functions, is convex in (P, q) and a
-    single local search needs no restarts. Candidates whose P is singular or
+    mean of absolute values of affine functions, is convex in (P, q): it has
+    no other basin for restarts to find. Powell is a local, derivative-free
+    method, though, and may stop at a kink of this piecewise-linear objective
+    short of its minimum; the reported objective is only known to be at or
+    below the objective at the true map. Candidates whose P is singular or
     has condition number at or above ``_MAX_CONDITION`` score ``inf``.
     """
     if d > 10:

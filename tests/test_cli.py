@@ -23,6 +23,7 @@ def assert_run_meta(out, stages):
     assert set(meta) == {"timings_sec", "peak_rss_mb"}
     assert set(meta["timings_sec"]) == {*stages, "total"}
     assert all(v >= 0.0 for v in meta["timings_sec"].values())
+    assert meta["timings_sec"]["total"] > 0.0
     assert meta["peak_rss_mb"] > 0.0
 
 

@@ -11,7 +11,6 @@ from .calibration import (
     IsotonicMap,
     MetricsReport,
     ReliabilityTable,
-    class_probabilities,
     corrupt_features,
     corruption_sweep,
     ece,
@@ -21,7 +20,6 @@ from .calibration import (
     msp_confidence,
     platt_apply,
     platt_fit,
-    quantile_probability,
 )
 from .datasets import (
     Dataset,

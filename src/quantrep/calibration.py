@@ -1,5 +1,8 @@
-"""Probabilities from quantile representations, calibration-error
+"""Quantile probabilities of a fitted model, calibration-error
 measurement, post-hoc correction maps, and the corruption sweep.
+
+The probabilities reduce the representation over tau one row block at a
+time (``quantile._row_blocks``); the full tensor is never built.
 """
 
 import csv
@@ -11,7 +14,7 @@ from scipy.special import expit as sigmoid
 
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig, fit_weighted_logistic
-from .quantile import QuantileModel, QuantileRepresentation
+from .quantile import QuantileModel, _row_blocks
 
 
 def _logit(p, eps=1e-12):
@@ -19,51 +22,16 @@ def _logit(p, eps=1e-12):
     return np.log(p / (1.0 - p))
 
 
-def quantile_probability(rep: QuantileRepresentation, class_id):
-    """Per-sample fraction of dense-grid taus whose logit is nonnegative.
+def model_class_probabilities(model: QuantileModel, features):
+    """(n, class_count) one-vs-rest quantile probabilities: per sample and
+    class, the fraction of dense-grid taus whose logit is nonnegative.
 
     This is the Riemann form of integrating I[logit(x, tau) >= 0] over tau.
-    One-vs-rest probabilities are reported as-is; across classes they need
-    not sum to 1.
+    The representation is evaluated in row blocks, never as a whole. Across
+    classes the probabilities need not sum to 1.
     """
-    if rep.grid.n_dense == 0:
-        raise ValidationError("dense grid must be nonempty")
-    if not 0 <= class_id < rep.values.shape[1]:
-        raise ValidationError(f"class_id {class_id} out of range")
-    return np.mean(rep.values[:, class_id, :] >= 0, axis=1)
-
-
-def class_probabilities(rep: QuantileRepresentation):
-    """(n, class_count) matrix of one-vs-rest quantile probabilities."""
-    return np.mean(rep.values >= 0, axis=2)
-
-
-def model_class_probabilities(model: QuantileModel, features, chunk_size=8192):
-    """Quantile probabilities straight from the model, evaluated in chunks.
-
-    Equivalent to ``class_probabilities(represent(model, features))`` but
-    never materializes the full logit tensor, which matters for large
-    evaluation sets.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features[:, None]
-    n = features.shape[0]
-    out = np.empty((n, model.class_count))
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        block = features[lo:hi]
-        if model.single_task_binary:
-            logits = model.tasks[0].logits(block)
-            out[lo:hi, 1] = np.mean(logits >= 0, axis=1)
-            # the class-0 field is the negated tau-reflection of class 1,
-            # so its positive fraction is the fraction of logits <= 0
-            out[lo:hi, 0] = np.mean(logits <= 0, axis=1)
-        else:
-            for task in model.tasks:
-                logits = task.logits(block)
-                out[lo:hi, task.class_id] = np.mean(logits >= 0, axis=1)
-    return out
+    return np.concatenate([np.mean(v >= 0, axis=2)
+                           for v in _row_blocks(model, features)])
 
 
 @dataclass

@@ -39,7 +39,6 @@ from .quantile import (
     metric_factor,
     monotonicity_violation_rate,
     raw_feature_correlation,
-    represent,
     save_model,
 )
 from .shift import estimate_transform
@@ -193,12 +192,7 @@ def cmd_fit_quantile(args):
         bases = fit_base_classifiers(dataset, fit_config)
     t_base = time.perf_counter()
 
-    try:
-        model = fit_quantile_model(dataset, bases, grid=grid, fit_config=fit_config)
-    except ValidationError:
-        raise
-    except QuantrepError as exc:
-        raise FitError(str(exc)) from exc
+    model = fit_quantile_model(dataset, bases, grid=grid, fit_config=fit_config)
     t_fit = time.perf_counter()
 
     nonconverged = [sum(not c.converged for c in t.anchor_classifiers)
@@ -209,7 +203,7 @@ def cmd_fit_quantile(args):
         print(f"warning: {sum(nonconverged)} anchor fits did not meet the "
               f"stopping rule (tol={fit_config.tol:g} relative to the total "
               f"sample weight, max_iter={fit_config.max_iter})", file=sys.stderr)
-    mono = monotonicity_violation_rate(represent(model, dataset.features))
+    mono = monotonicity_violation_rate(model, dataset.features, dataset.weights)
     save_model(model, args.out)
     _save_bases(os.path.join(args.out, "base.json"), bases)
     resolved = {"subcommand": "fit-quantile", "data": os.path.abspath(args.data),

@@ -26,6 +26,10 @@ from .errors import FitError, QuantrepError, ValidationError
 from .linear import FitConfig, LinearClassifier, fit_weighted_logistic, normalize_l2
 
 _MONO_TOL = 1e-9
+# float64 logits per row block of the reductions over tau (see _row_blocks);
+# a block and its temporaries then stay within a 2 MiB L2 cache: on a
+# 2-vCPU Xeon, 4 MiB blocks ran the 2 000-row moons passes about 2x slower
+_BLOCK_BYTES = 2**20
 # the sidecar is the spline through the stored anchors; on one machine it is
 # rebuilt bit for bit, the slack only absorbs another LAPACK build's rounding
 _SIDECAR_TOL = 1e-12
@@ -322,8 +326,9 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
     at 1 - tau to form pseudo-labels, weight them inversely to pseudo-class
     weight (scaling the dataset's sample weights, if any), fit a weighted
     logistic classifier, and normalize it. The dense coefficient field then
-    comes from cubic interpolation across anchors.
-    Deterministic for a fixed config.
+    comes from cubic interpolation across anchors. Each task's median
+    agreement (median anchor vs base at 0.5) is weighted by the sample
+    weights. Deterministic for a fixed config.
     """
     grid = grid or QuantileGrid()
     fit_config = fit_config or FitConfig()
@@ -355,15 +360,17 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
 
         median_idx = int(np.argmin(np.abs(grid.anchors - 0.5)))
         median_clf = anchors[median_idx]
-        agreement = float(np.mean(
-            (median_clf.decision(features) >= 0) == (probs > 0.5)))
+        agreement = float(np.average(
+            (median_clf.decision(features) >= 0) == (probs > 0.5),
+            weights=dataset.weights))
         tasks.append(QuantileTask(class_id, grid.anchors.copy(), anchors,
                                   dense, median_agreement=agreement))
     return QuantileModel(grid, tasks, dataset.k, features.shape[1])
 
 
 def represent(model: QuantileModel, features) -> QuantileRepresentation:
-    """Evaluate the dense logit field at each sample.
+    """Evaluate the dense logit field at each sample; the per-sample
+    reductions over tau run it on row blocks (``_row_blocks``).
 
     Output shape is (n, class_count, n_dense). For a single-task binary
     model the class-0 slice is the class-1 slice negated and reflected in
@@ -378,13 +385,13 @@ def represent(model: QuantileModel, features) -> QuantileRepresentation:
             f"dimension {model.feature_dim}")
     n = features.shape[0]
     values = np.empty((n, model.class_count, model.grid.n_dense))
+    # logits go straight into their slices: no temporaries per call
     if model.single_task_binary:
-        logits = model.tasks[0].logits(features)
-        values[:, 1, :] = logits
-        values[:, 0, :] = -logits[:, ::-1]
+        model.tasks[0].logits(features, out=values[:, 1, :])
+        np.negative(values[:, 1, ::-1], out=values[:, 0, :])
     else:
         for task in model.tasks:
-            values[:, task.class_id, :] = task.logits(features)
+            task.logits(features, out=values[:, task.class_id, :])
     return QuantileRepresentation(values, model.grid)
 
 
@@ -412,21 +419,41 @@ def metric_factor(model: QuantileModel):
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
+def _row_blocks(model: QuantileModel, features):
+    """Yield ``represent(model, features[lo:hi]).values`` over row blocks of
+    about ``_BLOCK_BYTES``, so a per-sample reduction over tau never holds
+    the whole (n, class_count, n_dense) tensor. An empty input still gives
+    one (empty) block."""
+    features = _as_float_array(features)
+    rows = max(1, _BLOCK_BYTES // (8 * model.class_count * model.grid.n_dense))
+    for lo in range(0, max(features.shape[0], 1), rows):
+        yield represent(model, features[lo:lo + rows]).values
+
+
 @dataclass
 class MonotonicityReport:
     aggregate: float
     per_profile: np.ndarray  # (n, class_count)
 
 
-def monotonicity_violation_rate(rep: QuantileRepresentation) -> MonotonicityReport:
-    """Fraction of adjacent dense-grid pairs that decrease by more than the
-    tolerance. Monotonicity holds for the ideal solution; here it is
-    measured, not assumed."""
-    if rep.values.shape[2] < 2:
-        raise ValidationError("need at least two grid points")
-    drops = rep.values[:, :, 1:] < rep.values[:, :, :-1] - _MONO_TOL
-    per_profile = drops.mean(axis=2)
-    return MonotonicityReport(float(drops.mean()), per_profile)
+def monotonicity_violation_rate(model: QuantileModel, features,
+                                weights=None) -> MonotonicityReport:
+    """Fraction of adjacent dense-grid pairs of the representation at
+    ``features`` that decrease by more than the tolerance. Monotonicity
+    holds for the ideal solution; here it is measured, not assumed.
+
+    ``per_profile`` is the fraction per sample and class. ``aggregate`` is
+    the count over all profiles, each sample's count weighted by
+    ``weights`` (unit weights if not given), over the weighted number of
+    adjacent pairs.
+    """
+    counts = np.concatenate([
+        np.count_nonzero(v[:, :, 1:] < v[:, :, :-1] - _MONO_TOL, axis=2)
+        for v in _row_blocks(model, features)])
+    w = np.ones(counts.shape[0]) if weights is None else _as_float_array(weights)
+    pairs = model.class_count * (model.grid.n_dense - 1)
+    aggregate = float((w @ counts.sum(axis=1)) / (w.sum() * pairs))
+    return MonotonicityReport(aggregate, counts / (model.grid.n_dense - 1))
 
 
 def isotonic_projection(rep: QuantileRepresentation) -> QuantileRepresentation:

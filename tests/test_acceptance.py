@@ -317,7 +317,7 @@ def test_c10_monotonicity_and_median_agreement():
         ds = Dataset(x, (x[:, 0] > cut).astype(int), 2)
         base = fit_base_classifiers(ds, FitConfig())[0]
         model = fit_quantile_model(ds, base, fit_config=FitConfig())
-        rate = monotonicity_violation_rate(represent(model, x)).aggregate
+        rate = monotonicity_violation_rate(model, x).aggregate
         agree = model.tasks[0].median_agreement
         worst_rate = max(worst_rate, rate)
         worst_agree = min(worst_agree, agree)

@@ -6,6 +6,7 @@ from quantrep import (
     LatentModelSpec,
     LatentOracle,
     QuantileGrid,
+    QuantileModel,
     ValidationError,
     corrupt_features,
     corruption_sweep,
@@ -17,40 +18,39 @@ from quantrep import (
     msp_confidence,
     platt_apply,
     platt_fit,
-    quantile_probability,
 )
 from quantrep.calibration import _logit
-from quantrep.quantile import QuantileRepresentation
+from quantrep.quantile import QuantileTask
 
 from oracles import ece_bruteforce, isotonic_minmax
 
 
-def make_rep(profiles, grid=None):
-    grid = grid or QuantileGrid(np.linspace(0.0005, 0.9995, 10),
-                                np.linspace(0.0005, 0.9995, 1000))
-    values = np.stack([-profiles[:, ::-1], profiles], axis=1)
-    return QuantileRepresentation(values, grid)
+def linear_1d_model(dense_coefficients):
+    """Single-task binary model on one feature whose class-1 logit at x is
+    w(tau) * x + b(tau), with (w, b) the rows of ``dense_coefficients``."""
+    dense = np.asarray(dense_coefficients, dtype=np.float64)
+    grid = QuantileGrid(np.linspace(0.0005, 0.9995, 10),
+                        np.linspace(0.0005, 0.9995, dense.shape[0]))
+    return QuantileModel(grid, [QuantileTask(1, grid.anchors, [], dense)], 2, 1)
 
 
 class TestQuantileProbability:
     def test_all_positive_profile(self):
-        rep = make_rep(np.ones((3, 1000)))
-        np.testing.assert_array_equal(quantile_probability(rep, 1), 1.0)
+        model = linear_1d_model(np.tile([0.0, 1.0], (1000, 1)))
+        probs = model_class_probabilities(model, np.zeros((3, 1)))
+        np.testing.assert_array_equal(probs[:, 1], 1.0)
 
     def test_crossing_at_tau_star(self):
-        grid = QuantileGrid(np.linspace(0.0005, 0.9995, 10),
-                            np.linspace(0.0005, 0.9995, 1000))
-        profiles = (grid.dense - 0.3)[None, :]
-        rep = make_rep(profiles, grid)
-        p = quantile_probability(rep, 1)[0]
+        taus = np.linspace(0.0005, 0.9995, 1000)
+        model = linear_1d_model(np.column_stack([np.zeros(1000), taus - 0.3]))
+        p = model_class_probabilities(model, np.zeros((1, 1)))[0, 1]
         assert abs(p - 0.7) <= 1.1 / 1000  # within one grid step
 
     def test_binary_classes_complement(self):
         rng = np.random.default_rng(0)
-        rep = make_rep(rng.normal(size=(20, 1000)))
-        p0 = quantile_probability(rep, 0)
-        p1 = quantile_probability(rep, 1)
-        assert np.abs(p0 + p1 - 1.0).max() <= 1e-12
+        model = linear_1d_model(rng.normal(size=(1000, 2)))
+        probs = model_class_probabilities(model, rng.normal(size=(20, 1)))
+        assert np.abs(probs[:, 0] + probs[:, 1] - 1.0).max() <= 1e-12
 
     def test_oracle_probabilities_match_posterior(self):
         spec = LatentModelSpec(np.array([1.0]))

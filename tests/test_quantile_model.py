@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,19 @@ from quantrep import (
     FitConfig,
     LinearClassifier,
     QuantileGrid,
+    QuantileModel,
     ValidationError,
     coefficient_cross_correlation,
     fit_quantile_model,
     load_model,
+    model_class_probabilities,
     monotonicity_violation_rate,
     raw_feature_correlation,
     represent,
     save_model,
 )
-from quantrep.quantile import QuantileRepresentation, fit_base_classifiers
+from quantrep import quantile
+from quantrep.quantile import QuantileRepresentation, QuantileTask, fit_base_classifiers
 
 from oracles import pearson_pair
 
@@ -154,38 +159,118 @@ class TestRepresent:
             represent(model, np.zeros((3, 2)))
 
 
-class TestMonotonicity:
-    def _rep(self, values):
-        grid = QuantileGrid(np.linspace(0.01, 0.99, 10),
-                            np.linspace(0.01, 0.99, values.shape[-1]))
-        return QuantileRepresentation(values, grid)
+def linear_1d_model(dense_coefficients):
+    """Single-task binary model on one feature whose class-1 logit at x is
+    w(tau) * x + b(tau), with (w, b) the rows of ``dense_coefficients``."""
+    dense = np.asarray(dense_coefficients, dtype=np.float64)
+    grid = QuantileGrid(np.linspace(0.01, 0.99, 10),
+                        np.linspace(0.01, 0.99, dense.shape[0]))
+    return QuantileModel(grid, [QuantileTask(1, grid.anchors, [], dense)], 2, 1)
 
+
+def random_field_model(class_count, n_dense=200, d=2, seed=0):
+    """Model with a random (far from monotone) dense field: one task for
+    binary, one per class otherwise."""
+    rng = np.random.default_rng(seed)
+    grid = QuantileGrid(np.linspace(0.01, 0.99, 10), np.linspace(0.01, 0.99, n_dense))
+    ids = [1] if class_count == 2 else range(class_count)
+    tasks = [QuantileTask(c, grid.anchors, [], rng.normal(size=(n_dense, d + 1)))
+             for c in ids]
+    return QuantileModel(grid, tasks, class_count, d)
+
+
+class TestMonotonicity:
     def test_increasing_profile_zero(self):
-        values = np.linspace(-1, 1, 50)[None, None, :]
-        assert monotonicity_violation_rate(self._rep(values)).aggregate == 0.0
+        # the logit at x = 1 increases in tau; so does the class-0 mirror
+        model = linear_1d_model(np.column_stack([np.linspace(-1, 1, 50), np.zeros(50)]))
+        assert monotonicity_violation_rate(model, np.ones((1, 1))).aggregate == 0.0
 
     def test_decreasing_profile_one(self):
-        values = np.linspace(1, -1, 50)[None, None, :]
-        assert monotonicity_violation_rate(self._rep(values)).aggregate == 1.0
+        model = linear_1d_model(np.column_stack([np.linspace(1, -1, 50), np.zeros(50)]))
+        assert monotonicity_violation_rate(model, np.ones((1, 1))).aggregate == 1.0
 
     def test_separable_end_to_end_below_one_percent(self):
         ds = separable_1d(n=300, seed=13)
         base = fit_base_classifiers(ds, FitConfig())[0]
         model = fit_quantile_model(ds, base)
-        rep = represent(model, ds.features)
-        report = monotonicity_violation_rate(rep)
+        report = monotonicity_violation_rate(model, ds.features)
         assert report.aggregate < 0.01
         assert report.per_profile.shape == (ds.n, 2)
 
     def test_isotonic_projection_removes_violations(self):
         from quantrep import isotonic_projection
         rng = np.random.default_rng(20)
-        values = np.cumsum(rng.normal(size=(4, 2, 60)), axis=2)
-        rep = self._rep(values.reshape(8, 1, 60))
+        values = np.cumsum(rng.normal(size=(8, 1, 60)), axis=2)
+        rep = QuantileRepresentation(values, QuantileGrid(
+            np.linspace(0.01, 0.99, 10), np.linspace(0.01, 0.99, 60)))
         projected = isotonic_projection(rep)
-        assert monotonicity_violation_rate(projected).aggregate == 0.0
+        assert np.all(np.diff(projected.values, axis=2) >= 0)
         # projection only raises values, never lowers them
         assert np.all(projected.values >= rep.values - 1e-15)
+
+    def test_weight_two_matches_duplicated_rows(self):
+        model = random_field_model(2)
+        x = np.random.default_rng(21).normal(size=(30, 2))
+        w = np.where(np.arange(30) < 11, 2.0, 1.0)
+        weighted = monotonicity_violation_rate(model, x, w)
+        duplicated = monotonicity_violation_rate(model, np.vstack([x, x[:11]]))
+        assert weighted.aggregate > 0
+        assert weighted.aggregate == duplicated.aggregate
+        np.testing.assert_array_equal(weighted.per_profile,
+                                      duplicated.per_profile[:30])
+
+    def test_median_agreement_weight_two_matches_duplicated_rows(self):
+        class Bump:
+            """Base whose median pseudo-labels I[|x| > 1] no line separates."""
+
+            def predict_proba(self, features):
+                return 1.0 / (1.0 + np.exp(-3.0 * (features[:, 0] ** 2 - 1.0)))
+
+        x = np.random.default_rng(22).uniform(-2, 2, 200)[:, None]
+        y = (np.abs(x[:, 0]) > 1).astype(int)
+        heavy = x[:, 0] < 0
+        weighted = fit_quantile_model(
+            Dataset(x, y, 2, weights=np.where(heavy, 2.0, 1.0)), Bump(),
+            grid=SMALL_GRID)
+        duplicated = fit_quantile_model(
+            Dataset(np.vstack([x, x[heavy]]), np.concatenate([y, y[heavy]]), 2),
+            Bump(), grid=SMALL_GRID)
+        agreement = weighted.tasks[0].median_agreement
+        assert 0.5 < agreement < 1.0
+        assert agreement == pytest.approx(duplicated.tasks[0].median_agreement,
+                                          abs=1e-12)
+
+
+class TestRowBlocks:
+    """The reductions over tau, evaluated block by block, equal the same
+    reductions of the full ``represent`` tensor bit for bit."""
+
+    @pytest.mark.parametrize("class_count", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 7, 60])
+    def test_blocks_match_full_tensor(self, monkeypatch, class_count, rows):
+        model = random_field_model(class_count, seed=class_count)
+        x = np.random.default_rng(23).normal(size=(53, 2))
+        v = represent(model, x).values
+        drops = v[:, :, 1:] < v[:, :, :-1] - quantile._MONO_TOL
+        monkeypatch.setattr(quantile, "_BLOCK_BYTES",
+                            rows * 8 * class_count * model.grid.n_dense)
+        report = monotonicity_violation_rate(model, x)
+        assert report.aggregate == float(drops.mean())
+        np.testing.assert_array_equal(report.per_profile, drops.mean(axis=2))
+        np.testing.assert_array_equal(model_class_probabilities(model, x),
+                                      np.mean(v >= 0, axis=2))
+
+    def test_monotonicity_pass_never_holds_the_full_tensor(self):
+        model = random_field_model(2, n_dense=1000)
+        x = np.random.default_rng(24).normal(size=(2000, 2))
+        full_bytes = 2000 * 2 * 1000 * 8
+        tracemalloc.start()
+        try:
+            monotonicity_violation_rate(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_bytes
 
 
 class TestCrossCorrelation:

@@ -14,7 +14,6 @@ from .calibration import (
     corrupt_features,
     corruption_sweep,
     ece,
-    isotonic_apply,
     isotonic_fit,
     model_class_probabilities,
     msp_confidence,
@@ -84,7 +83,6 @@ from .quantile import (
 from .shift import (
     Transform,
     TransformEstimate,
-    apply_transform,
     estimate_transform,
     matching_objective,
 )

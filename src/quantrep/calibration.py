@@ -14,7 +14,7 @@ from scipy.special import expit as sigmoid
 
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig, fit_weighted_logistic
-from .quantile import QuantileModel, _row_blocks
+from .quantile import QuantileModel, _resolve_bases, _row_blocks
 
 
 def _logit(p, eps=1e-12):
@@ -188,10 +188,6 @@ def isotonic_fit(scores, correctness) -> IsotonicMap:
     return IsotonicMap(s[block_starts], np.asarray(vals))
 
 
-def isotonic_apply(scores, iso_map: IsotonicMap):
-    return iso_map(scores)
-
-
 # ---------------------------------------------------------------------------
 # corruption sweep
 # ---------------------------------------------------------------------------
@@ -254,22 +250,22 @@ def _evaluate_stream(probabilities, labels, m, binning):
 
 
 def _base_probabilities(base, features, k):
-    if hasattr(base, "predict_proba"):
-        p = np.asarray(base.predict_proba(features), dtype=np.float64)
-        if p.ndim == 1:
-            if k != 2:
-                raise ValidationError("single base classifier requires k=2")
-            return np.column_stack([1.0 - p, p])
-        return p
-    cols = [np.asarray(b.predict_proba(features), dtype=np.float64) for b in base]
-    return np.column_stack(cols)
+    """(n, k) base probabilities: (1 - p, p) from the one binary base for
+    k = 2, the one-vs-rest columns side by side otherwise."""
+    bases, _ = _resolve_bases(base, k)
+    p = np.column_stack([np.asarray(b.predict_proba(features), dtype=np.float64)
+                         for b in bases])
+    return np.column_stack([1.0 - p, p]) if k == 2 else p
 
 
 def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
                      severities, m=5, binning="quantile", seed=0,
                      corrections=True) -> MetricsReport:
     """Accuracy and ECE per severity for the quantile-probability path
-    (QUANT) and the base-classifier max-probability path (MSP).
+    (QUANT) and the base-classifier max-probability path (MSP). ``base``
+    is what ``fit_quantile_model`` takes: one binary classifier (alone or
+    in a list) for two classes, one one-vs-rest classifier per class
+    otherwise.
 
     When ``corrections`` is on, Platt and isotonic maps are fit on the
     clean data's QUANT confidence stream and re-applied to the corrupted

@@ -75,14 +75,17 @@ def _write_run_meta(out_dir, timings):
     })
 
 
-def _resolve(args, defaults, keys):
+def _load_config(args):
+    if not args.config:
+        return {}
+    with open(args.config, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _resolve(args, defaults, config):
     """Sentinel-None flags fall back to --config values, then defaults."""
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
     resolved = {}
-    for key in keys:
+    for key in defaults:
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             resolved[key] = flag
@@ -139,10 +142,26 @@ def _write_matrix_csv(path, matrix, header=None):
                              for v in row])
 
 
+def _reject_unused_gen_keys(args, config):
+    """Flags and --config keys of another kind raise rather than go unread;
+    a ``resolved_config.json`` (which echoes subcommand and kind) reruns."""
+    kind_keys = GEN_DEFAULTS[args.kind].keys()
+    other = sorted({key for d in GEN_DEFAULTS.values() for key in d} - kind_keys)
+    echoed = {"subcommand": "gen-data", "kind": args.kind}
+    unused = ["--" + key.replace("_", "-") for key in other
+              if getattr(args, key) is not None]
+    unused += [f"config key {key!r}" for key in config
+               if key not in kind_keys and echoed.get(key) != config[key]]
+    if unused:
+        raise ValidationError(f"gen-data {args.kind} does not use {', '.join(unused)}")
+
+
 def cmd_gen_data(args):
     kind = args.kind
     defaults = GEN_DEFAULTS[kind]
-    cfg = _resolve(args, defaults, defaults.keys())
+    config = _load_config(args)
+    _reject_unused_gen_keys(args, config)
+    cfg = _resolve(args, defaults, config)
     os.makedirs(args.out, exist_ok=True)
 
     t_start = time.perf_counter()
@@ -179,7 +198,7 @@ def cmd_gen_data(args):
 
 
 def cmd_fit_quantile(args):
-    cfg = _resolve(args, FIT_DEFAULTS, FIT_DEFAULTS.keys())
+    cfg = _resolve(args, FIT_DEFAULTS, _load_config(args))
     os.makedirs(args.out, exist_ok=True)
     t_start = time.perf_counter()
     dataset = load_dataset(args.data)
@@ -314,10 +333,9 @@ def cmd_calib_eval(args):
     model = load_model(os.path.join(args.model, "model.json"))
     bases = _load_bases(os.path.join(args.model, "base.json"))
     data = load_dataset(args.data)
-    base = bases[0] if len(bases) == 1 else bases
     t_load = time.perf_counter()
 
-    report = corruption_sweep(model, base, data, corruption, severities,
+    report = corruption_sweep(model, bases, data, corruption, severities,
                               m=int(bins), binning=binning, seed=seed)
     t_sweep = time.perf_counter()
     report.to_csv(os.path.join(args.out, "sweep.csv"))

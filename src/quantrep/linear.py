@@ -121,9 +121,8 @@ def logistic_gradient(features, labels01, sample_weights, weights, bias, l2_reg)
     return grad_w, grad_b
 
 
-def _constant_classifier(label_value):
-    bias = _DEGENERATE_LOGIT if label_value == 1 else -_DEGENERATE_LOGIT
-    return None, bias
+def _constant_bias(label_value):
+    return _DEGENERATE_LOGIT if label_value == 1 else -_DEGENERATE_LOGIT
 
 
 def _validate_fit_inputs(features, labels01, sample_weights):
@@ -185,8 +184,8 @@ def fit_weighted_logistic(features, labels01, sample_weights=None,
 
     uniq = np.unique(labels01)
     if uniq.size == 1:
-        _, bias = _constant_classifier(int(uniq[0]))
-        return LinearClassifier(np.zeros(d), bias, degenerate=True)
+        return LinearClassifier(np.zeros(d), _constant_bias(int(uniq[0])),
+                                degenerate=True)
 
     def objective(theta):
         return logistic_objective(features, labels01, sample_weights,
@@ -225,8 +224,8 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None,
 
     uniq = np.unique(labels01)
     if uniq.size == 1:
-        _, bias = _constant_classifier(int(uniq[0]))
-        return LinearClassifier(np.zeros(d), bias, degenerate=True)
+        return LinearClassifier(np.zeros(d), _constant_bias(int(uniq[0])),
+                                degenerate=True)
 
     sign = np.where(labels01 == 1, -1.0, 1.0)
 

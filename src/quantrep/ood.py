@@ -10,8 +10,8 @@ from scipy.spatial.distance import cdist
 
 from .datasets import Dataset
 from .errors import UndefinedMetricError, ValidationError
-from .linear import FitConfig, fit_weighted_logistic
-from .quantile import QuantileModel, fit_quantile_model
+from .linear import FitConfig
+from .quantile import QuantileModel, fit_base_classifiers, fit_quantile_model
 
 DEFAULT_LOF_K = 20
 
@@ -192,7 +192,8 @@ def random_label_quantile_model(features, n_pseudo_classes=2,
     With labels carrying no signal, the anchor classifiers trace the
     geometry of the feature distribution itself, which makes the resulting
     representations usable for marking arbitrary data regions as
-    in-distribution.
+    in-distribution. The bases and tasks follow the rule of any fit: one
+    for two pseudo-classes, one-vs-rest otherwise.
     """
     features = np.asarray(features, dtype=np.float64)
     if n_pseudo_classes < 2:
@@ -203,9 +204,5 @@ def random_label_quantile_model(features, n_pseudo_classes=2,
     rng = np.random.default_rng(seed)
     pseudo = rng.integers(0, n_pseudo_classes, features.shape[0])
     dataset = Dataset(features, pseudo, n_pseudo_classes)
-    bases = [
-        fit_weighted_logistic(features, (pseudo == c).astype(np.int64),
-                              config=fit_config)
-        for c in range(n_pseudo_classes)
-    ]
-    return fit_quantile_model(dataset, bases, fit_config=fit_config)
+    return fit_quantile_model(dataset, fit_base_classifiers(dataset, fit_config),
+                              fit_config=fit_config)

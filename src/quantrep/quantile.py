@@ -8,11 +8,11 @@ the base classifier's probabilities therefore yields the pseudo-labels
 that the classifier at any other quantile must fit, with no constraint on
 how the base classifier itself was trained.
 
-A fitted model holds, per one-vs-rest task, 100 anchor classifiers on a
-tau grid plus a dense coefficient field obtained by natural cubic spline
-interpolation. Logits (not probabilities) are stored throughout, and all
-stored classifiers carry unit L2 coefficient norm so their logits are
-comparable.
+A fitted model holds, per one-vs-rest task (class 1 alone for binary data,
+see ``represent``), 100 anchor classifiers on a tau grid plus a dense
+coefficient field obtained by natural cubic spline interpolation. Logits
+(not probabilities) are stored throughout, and all stored classifiers
+carry unit L2 coefficient norm so their logits are comparable.
 """
 
 import json
@@ -195,15 +195,15 @@ def _natural_spline_second_derivs(x, y):
     return m
 
 
-def interpolate_coefficients(anchor_taus, anchor_rows, dense_taus):
+def interpolate_coefficients(anchors, anchor_rows, dense):
     """Natural cubic spline per coefficient column, exact at the anchors.
 
     ``anchor_rows`` has one row per anchor tau. Dense taus outside the
     anchor range raise (no extrapolation).
     """
-    x = _as_float_array(anchor_taus)
+    x = _as_float_array(anchors)
     y = _as_float_array(anchor_rows)
-    t = _as_float_array(dense_taus)
+    t = _as_float_array(dense)
     if y.ndim == 1:
         y = y[:, None]
     if x.ndim != 1 or x.size < 4:
@@ -232,10 +232,9 @@ def interpolate_coefficients(anchor_taus, anchor_rows, dense_taus):
 
 @dataclass
 class QuantileTask:
-    """One one-vs-rest binary task: anchors plus the dense coefficient field."""
+    """One stored task: anchors on the model's grid plus the dense field."""
 
     class_id: int
-    anchor_taus: np.ndarray
     anchor_classifiers: list
     dense_coefficients: np.ndarray  # (n_dense, d+1)
     median_agreement: float = float("nan")
@@ -258,13 +257,27 @@ class QuantileTask:
         return np.matmul(padded, self.dense_coefficients.T, out=out)
 
 
+def _task_classes(k):
+    """The classes whose task a k-class model stores: class 1 alone for
+    binary data (class 0 is its mirror in ``represent``), else every class."""
+    return [1] if k == 2 else list(range(k))
+
+
+def _check_binary_grid(class_count, grid):
+    """The binary mirror reads the dense grid reversed as 1 - tau (to 1e-12)."""
+    dense = grid.dense
+    if class_count == 2 and np.max(np.abs(dense + dense[::-1] - 1.0)) > 1e-12:
+        raise ValidationError(
+            "a binary model needs a dense tau grid symmetric about 1/2 "
+            f"(tau_min + tau_max = 1), got [{dense[0]:g}, {dense[-1]:g}]")
+
+
 @dataclass
 class QuantileModel:
-    """Per-class anchor classifiers over the tau grid plus the interpolated
-    dense coefficient field.
-
-    For binary problems a single task (the positive class) is stored; the
-    class-0 field is its negated, tau-reflected mirror.
+    """The tasks ``_task_classes`` names, each with anchor classifiers over
+    the tau grid and the interpolated dense coefficient field. A binary
+    model's class-0 field is the negated, tau-reflected class-1 field, so
+    its dense grid must be symmetric about 1/2. Other layouts raise.
     """
 
     grid: QuantileGrid
@@ -272,9 +285,13 @@ class QuantileModel:
     class_count: int
     feature_dim: int
 
-    @property
-    def single_task_binary(self):
-        return self.class_count == 2 and len(self.tasks) == 1
+    def __post_init__(self):
+        stored = [t.class_id for t in self.tasks]
+        if stored != _task_classes(self.class_count):
+            raise ValidationError(
+                f"a {self.class_count}-class model stores the tasks of classes "
+                f"{_task_classes(self.class_count)}, got {stored}")
+        _check_binary_grid(self.class_count, self.grid)
 
 
 @dataclass
@@ -294,29 +311,24 @@ class QuantileRepresentation:
 
 
 def _resolve_bases(base, k):
-    if hasattr(base, "predict_proba"):
-        bases = [base]
-    else:
-        bases = list(base)
-    if len(bases) == 1 and k == 2:
-        return bases, [1], True
-    if len(bases) == k:
-        return bases, list(range(k)), False
-    raise ValidationError(
-        f"need 1 base classifier (binary) or {k} one-vs-rest base classifiers, "
-        f"got {len(bases)}")
+    """The base classifiers, one per task of ``_task_classes(k)``, and those ids."""
+    bases = [base] if hasattr(base, "predict_proba") else list(base)
+    class_ids = _task_classes(k)
+    if len(bases) != len(class_ids):
+        raise ValidationError(f"need {len(class_ids)} base classifier(s) for "
+                              f"{k} classes, got {len(bases)}")
+    return bases, class_ids
 
 
 def fit_base_classifiers(dataset, fit_config: FitConfig | None = None):
-    """Plain logistic base classifiers: a single binary task for k=2,
-    one-vs-rest otherwise. The dataset's sample weights apply; no class
+    """Plain logistic base classifiers, one per task the model will store
+    (``_task_classes``). The dataset's sample weights apply; no class
     weighting, which enters later, on the per-quantile pseudo-datasets."""
     fit_config = fit_config or FitConfig()
-    positives = [1] if dataset.k == 2 else range(dataset.k)
     return [fit_weighted_logistic(dataset.features,
                                   (dataset.labels == c).astype(np.int64),
                                   dataset.weights, config=fit_config)
-            for c in positives]
+            for c in _task_classes(dataset.k)]
 
 
 def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileModel:
@@ -328,11 +340,13 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
     logistic classifier, and normalize it. The dense coefficient field then
     comes from cubic interpolation across anchors. Each task's median
     agreement (median anchor vs base at 0.5) is weighted by the sample
-    weights. Deterministic for a fixed config.
+    weights. Deterministic for a fixed config. Binary data takes one base
+    and a grid symmetric about 1/2, both checked before any fit.
     """
     grid = grid or QuantileGrid()
     fit_config = fit_config or FitConfig()
-    bases, class_ids, _ = _resolve_bases(base, dataset.k)
+    bases, class_ids = _resolve_bases(base, dataset.k)
+    _check_binary_grid(dataset.k, grid)
     features = dataset.features
 
     tasks = []
@@ -363,8 +377,8 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
         agreement = float(np.average(
             (median_clf.decision(features) >= 0) == (probs > 0.5),
             weights=dataset.weights))
-        tasks.append(QuantileTask(class_id, grid.anchors.copy(), anchors,
-                                  dense, median_agreement=agreement))
+        tasks.append(QuantileTask(class_id, anchors, dense,
+                                  median_agreement=agreement))
     return QuantileModel(grid, tasks, dataset.k, features.shape[1])
 
 
@@ -372,9 +386,9 @@ def represent(model: QuantileModel, features) -> QuantileRepresentation:
     """Evaluate the dense logit field at each sample; the per-sample
     reductions over tau run it on row blocks (``_row_blocks``).
 
-    Output shape is (n, class_count, n_dense). For a single-task binary
-    model the class-0 slice is the class-1 slice negated and reflected in
-    tau, which keeps every per-class profile nondecreasing in its own tau.
+    Output shape is (n, class_count, n_dense). For a binary model the
+    class-0 slice is the class-1 slice negated and reflected in tau, which
+    keeps every per-class profile nondecreasing in its own tau.
     """
     features = _as_float_array(features)
     if features.ndim == 1:
@@ -386,7 +400,7 @@ def represent(model: QuantileModel, features) -> QuantileRepresentation:
     n = features.shape[0]
     values = np.empty((n, model.class_count, model.grid.n_dense))
     # logits go straight into their slices: no temporaries per call
-    if model.single_task_binary:
+    if model.class_count == 2:
         model.tasks[0].logits(features, out=values[:, 1, :])
         np.negative(values[:, 1, ::-1], out=values[:, 0, :])
     else:
@@ -404,7 +418,7 @@ def metric_factor(model: QuantileModel):
     flattened representation distance equals ||(x_i - x_j) L||. Distance
     computations on ``features @ L`` therefore match those on
     ``represent(...).flattened()`` without building the (n, k, n_dense)
-    tensor. A single-task binary model counts twice: its class-0 slice is
+    tensor. A binary model's one task counts twice: its class-0 slice is
     the mirrored class-1 slice, whose Gram matrix is the same. Eigenvalues
     are clipped at 0, so rank-deficient fields are handled.
     """
@@ -413,7 +427,7 @@ def metric_factor(model: QuantileModel):
     for task in model.tasks:
         w = task.dense_coefficients[:, :d]
         gram += w.T @ w
-    if model.single_task_binary:
+    if model.class_count == 2:
         gram *= 2.0
     eigvals, eigvecs = np.linalg.eigh(gram)
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
@@ -539,10 +553,10 @@ def save_model(model: QuantileModel, out_dir, name="model"):
 def load_model(model_path) -> QuantileModel:
     """Read a model written by ``save_model``.
 
-    The schema version, the task count, the sidecar shape and the sidecar
-    size are checked against the model file, and the sidecar values against
-    ``interpolate_coefficients`` of the stored anchors (to 1e-12); any
-    mismatch or missing field raises ``ValidationError``.
+    The schema version, the sidecar shape and size are checked against the
+    model file, the sidecar values against the spline through the stored
+    anchors (to 1e-12), and the tasks and grid as :class:`QuantileModel`
+    does; any mismatch or missing field raises ``ValidationError``.
     """
     with open(model_path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -564,11 +578,9 @@ def load_model(model_path) -> QuantileModel:
                  for t in obj["tasks"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed model file {model_path}: {exc!r}") from exc
-    n_tasks = len(tasks)
-    if n_tasks != class_count and not (class_count == 2 and n_tasks == 1):
-        raise ValidationError(
-            f"model has {n_tasks} tasks for {class_count} classes")
-    expected = (n_tasks, grid.n_dense, feature_dim + 1)
+    if not (isinstance(class_count, int) and isinstance(feature_dim, int)):
+        raise ValidationError(f"class_count and feature_dim in {model_path} must be integers")
+    expected = (len(tasks), grid.n_dense, feature_dim + 1)
     if shape != expected:
         raise ValidationError(
             f"dense_shape {list(shape)} does not match the model {list(expected)}")
@@ -595,7 +607,6 @@ def load_model(model_path) -> QuantileModel:
                 f"class {class_id}")
     return QuantileModel(
         grid,
-        [QuantileTask(class_id, grid.anchors.copy(), anchors, dense[i],
-                      median_agreement=agreement)
+        [QuantileTask(class_id, anchors, dense[i], median_agreement=agreement)
          for i, (class_id, anchors, agreement) in enumerate(tasks)],
         class_count, feature_dim)

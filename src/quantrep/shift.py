@@ -25,13 +25,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig
-from .quantile import (
-    QuantileGrid,
-    QuantileModel,
-    QuantileTask,
-    fit_base_classifiers,
-    fit_quantile_model,
-)
+from .quantile import QuantileGrid, QuantileModel, fit_base_classifiers, fit_quantile_model
 
 _MAX_CONDITION = 1e8
 _ANGLE_STEP = math.radians(1.0)  # rotation scan; also the tie detector's grid
@@ -110,47 +104,31 @@ class Transform:
                            "offset": self.offset.tolist()}}
 
 
-def apply_transform(transform: Transform, features):
-    return transform.apply(features)
-
-
-def _stored_tasks(model, other):
-    """The model's stored tasks. A single-task binary model compared with a
-    model that stores both classes also gets its class-0 task: the negated,
-    tau-reflected class-1 field, the slice ``represent`` mirrors.
-
-    When both models store a single binary task, the mirrored slices have
-    the same mean absolute gap as the stored ones, so they are skipped.
-    """
-    if model.single_task_binary and not other.single_task_binary:
-        (task,) = model.tasks
-        mirror = QuantileTask(0, task.anchor_taus, [],
-                              -task.dense_coefficients[::-1])
-        return [mirror, task]
-    return model.tasks
-
-
 class FieldGap:
     """The matching objective of one pair of models on one t1 sample, as a
     function of the inverse transform.
 
-    The t1 logits are computed once. Each call writes the t0 logits at the
-    mapped-back samples into one (tasks, n, n_dense) buffer owned by this
-    evaluator and returns the mean of |t0 - t1| over it; two evaluators
-    never share a buffer.
+    The two models must share class count and dense grid, so their stored
+    tasks pair up. The t1 logits are computed once. Each call writes the t0
+    logits at the mapped-back samples into one (tasks, n, n_dense) buffer
+    owned by this evaluator and returns the mean of |t0 - t1| over it; two
+    evaluators never share a buffer.
+
+    For binary models this is also the mean over the whole representations:
+    the class-0 slice ``represent`` mirrors is the class-1 slice negated and
+    reversed in tau, so its absolute gaps are the stored task's, reordered.
     """
 
     def __init__(self, model_t0: QuantileModel, model_t1: QuantileModel,
                  samples_t1):
-        self._samples = np.asarray(samples_t1, dtype=np.float64)
-        self._tasks = _stored_tasks(model_t0, model_t1)
-        tasks1 = _stored_tasks(model_t1, model_t0)
-        if (len(self._tasks) != len(tasks1)
-                or model_t0.grid.n_dense != model_t1.grid.n_dense):
+        if (model_t0.class_count != model_t1.class_count
+                or not np.array_equal(model_t0.grid.dense, model_t1.grid.dense)):
             raise ValidationError("the two models must share grid and class count")
-        shape = (len(tasks1), self._samples.shape[0], model_t1.grid.n_dense)
+        self._samples = np.asarray(samples_t1, dtype=np.float64)
+        self._tasks = model_t0.tasks
+        shape = (len(model_t1.tasks), self._samples.shape[0], model_t1.grid.n_dense)
         self._logits1 = np.empty(shape)
-        for k, task in enumerate(tasks1):
+        for k, task in enumerate(model_t1.tasks):
             task.logits(self._samples, out=self._logits1[k])
         self._buf = np.empty(shape)
 
@@ -166,9 +144,10 @@ class FieldGap:
 
 def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
                        inv_transform: Transform, samples_t1):
-    """Mean over samples, classes, and dense taus of the absolute logit gap
-    between the old model at the mapped-back point and the new model at the
-    point itself. Zero when both pictures agree exactly."""
+    """Mean over samples, stored tasks and dense taus of the absolute logit
+    gap between the old model at the mapped-back point and the new model at
+    the point itself (see :class:`FieldGap`). Zero when both pictures agree
+    exactly."""
     return FieldGap(model_t0, model_t1, samples_t1)(inv_transform)
 
 

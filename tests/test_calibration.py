@@ -31,7 +31,7 @@ def linear_1d_model(dense_coefficients):
     dense = np.asarray(dense_coefficients, dtype=np.float64)
     grid = QuantileGrid(np.linspace(0.0005, 0.9995, 10),
                         np.linspace(0.0005, 0.9995, dense.shape[0]))
-    return QuantileModel(grid, [QuantileTask(1, grid.anchors, [], dense)], 2, 1)
+    return QuantileModel(grid, [QuantileTask(1, [], dense)], 2, 1)
 
 
 class TestQuantileProbability:

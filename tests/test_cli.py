@@ -86,6 +86,34 @@ class TestGenData:
             main(["gen-data", "two-moons"])
         assert exc.value.code == 2
 
+    def test_flag_of_another_kind_exit_2(self, tmp_path, capsys):
+        rc = main(["gen-data", "two-moons", "--out", str(tmp_path / "g"),
+                   "--centers", "9,9,9,9", "--dim", "7", "--n", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        for flag in ("--centers", "--dim", "--n"):
+            assert flag in err
+
+    def test_config_key_of_another_kind_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_per_class": 25, "dim": 3}))
+        rc = main(["gen-data", "two-moons", "--out", str(tmp_path / "c"),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "'dim'" in capsys.readouterr().err
+
+    def test_resolved_config_reruns_as_config(self, tmp_path):
+        assert main(["gen-data", "gaussian-pair", "--out", str(tmp_path / "a"),
+                     "--n-per-class", "30", "--seed", "4"]) == 0
+        resolved = tmp_path / "a" / "resolved_config.json"
+        assert main(["gen-data", "gaussian-pair", "--out", str(tmp_path / "b"),
+                     "--config", str(resolved)]) == 0
+        assert read(tmp_path / "a" / "data.csv") == read(tmp_path / "b" / "data.csv")
+        # the echoed kind names the kind the file was made for
+        assert main(["gen-data", "two-moons", "--out", str(tmp_path / "c"),
+                     "--config", str(resolved)]) == 2
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_per_class": 25, "seed": 4}))
@@ -167,6 +195,25 @@ class TestFitQuantile:
         assert manifest["monotonicity_violation_rate"] < 0.01
         assert manifest["median_agreement"][0] >= 0.99
 
+    def test_two_base_classifiers_for_binary_data_exit_2(self, tmp_path, moons_dir,
+                                                           capsys):
+        base = tmp_path / "base.json"
+        clf = {"weights": [1.0, -1.0], "bias": 0.0, "normalized": False}
+        base.write_text(json.dumps({"classifiers": [clf, clf]}))
+        rc = main(["fit-quantile", "--data", str(moons_dir / "id.csv"),
+                   "--base-model", str(base), "--out", str(tmp_path / "f"),
+                   "--anchors", "12", "--dense", "60"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_asymmetric_tau_range_on_binary_data_exit_2(self, tmp_path, moons_dir,
+                                                         capsys):
+        rc = main(["fit-quantile", "--data", str(moons_dir / "id.csv"),
+                   "--out", str(tmp_path / "f"), "--tau-min", "0.05",
+                   "--tau-max", "0.9"])
+        assert rc == 2
+        assert "symmetric" in capsys.readouterr().err
+
     def test_fit_failure_exit_3(self, tmp_path, moons_dir, monkeypatch):
         import quantrep.quantile as q
 
@@ -205,7 +252,7 @@ class TestOodEval:
 
     @pytest.mark.parametrize("damage", ["truncated-sidecar", "changed-sidecar-value",
                                         "schema-version", "task-count",
-                                        "missing-field"])
+                                        "class-count-type", "missing-field"])
     def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
@@ -221,6 +268,8 @@ class TestOodEval:
             meta["schema_version"] = 99
         elif damage == "task-count":
             meta["tasks"] = meta["tasks"] * 3
+        elif damage == "class-count-type":
+            meta["class_count"] = "2"
         else:
             del meta["dense_shape"]
         meta_path.write_text(json.dumps(meta))

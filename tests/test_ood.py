@@ -216,6 +216,12 @@ class TestRandomLabelModel:
         with pytest.raises(ValidationError):
             random_label_quantile_model(np.zeros((3, 2)), 2)
 
+    @pytest.mark.parametrize("classes,stored", [(2, [1]), (3, [0, 1, 2])])
+    def test_stores_the_tasks_of_any_fit(self, classes, stored):
+        x = np.random.default_rng(8).normal(size=(60, 2))
+        model = random_label_quantile_model(x, classes, seed=1)
+        assert [t.class_id for t in model.tasks] == stored
+
 
 class TestMetricPath:
     """LOF on features @ metric_factor(model) equals LOF on the flattened
@@ -234,7 +240,7 @@ class TestMetricPath:
         train, ood = gen_two_moons(100, 0.25, 40, (8.3, 2.0), seed=31)
         base = fit_base_classifiers(train)
         model = fit_quantile_model(train, base[0], grid=self.GRID)
-        assert model.single_task_binary
+        assert len(model.tasks) == 1
         test_id, _ = gen_two_moons(50, 0.25, 1, (8.3, 2.0), seed=32)
         queries = np.vstack([test_id.features, ood.features])
         self._assert_same_lof(model, train.features, queries)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -95,9 +96,9 @@ class TestFitQuantileModel:
         model = fit_quantile_model(ds, base, grid=SMALL_GRID)
         task = model.tasks[0]
         from quantrep import interpolate_coefficients
-        at_anchors = interpolate_coefficients(task.anchor_taus,
+        at_anchors = interpolate_coefficients(model.grid.anchors,
                                               task.anchor_coefficients(),
-                                              task.anchor_taus)
+                                              model.grid.anchors)
         assert np.abs(at_anchors - task.anchor_coefficients()).max() < 1e-9
 
     def test_median_anchor_agrees_with_base(self):
@@ -111,6 +112,32 @@ class TestFitQuantileModel:
         base = fit_base_classifiers(ds, FitConfig())[0]
         with pytest.raises(ValidationError):
             fit_quantile_model(ds, [base, base, base], grid=SMALL_GRID)
+
+    def test_two_bases_for_binary_data_rejected(self):
+        # binary data has one task; class 0 is its mirror, not a second fit
+        ds = separable_1d(seed=7)
+        bases = [LinearClassifier(np.array([-1.0]), 0.0),
+                 LinearClassifier(np.array([1.0]), 0.0)]
+        with pytest.raises(ValidationError, match="1 base classifier"):
+            fit_quantile_model(ds, bases, grid=SMALL_GRID)
+
+    def test_binary_fit_needs_a_symmetric_dense_grid(self):
+        # the class-0 mirror reads tau as 1 - tau: on [0.05, 0.9] it would
+        # put class 0's profile at the wrong quantiles
+        grid = QuantileGrid(np.linspace(0.05, 0.9, 10), np.linspace(0.05, 0.9, 40))
+        ds = separable_1d(seed=7)
+        with pytest.raises(ValidationError, match="symmetric"):
+            fit_quantile_model(ds, LinearClassifier(np.array([1.0]), 0.0), grid=grid)
+        rng = np.random.default_rng(7)
+        three = Dataset(rng.normal(size=(90, 2)), np.repeat(np.arange(3), 30), 3)
+        model = fit_quantile_model(three, fit_base_classifiers(three), grid=grid)
+        assert [t.class_id for t in model.tasks] == [0, 1, 2]
+
+    def test_binary_model_with_two_tasks_rejected(self):
+        dense = np.zeros((SMALL_GRID.n_dense, 2))
+        with pytest.raises(ValidationError, match="stores the tasks"):
+            QuantileModel(SMALL_GRID, [QuantileTask(0, [], dense),
+                                       QuantileTask(1, [], dense)], 2, 1)
 
 
 class TestRepresent:
@@ -165,7 +192,7 @@ def linear_1d_model(dense_coefficients):
     dense = np.asarray(dense_coefficients, dtype=np.float64)
     grid = QuantileGrid(np.linspace(0.01, 0.99, 10),
                         np.linspace(0.01, 0.99, dense.shape[0]))
-    return QuantileModel(grid, [QuantileTask(1, grid.anchors, [], dense)], 2, 1)
+    return QuantileModel(grid, [QuantileTask(1, [], dense)], 2, 1)
 
 
 def random_field_model(class_count, n_dense=200, d=2, seed=0):
@@ -174,7 +201,7 @@ def random_field_model(class_count, n_dense=200, d=2, seed=0):
     rng = np.random.default_rng(seed)
     grid = QuantileGrid(np.linspace(0.01, 0.99, 10), np.linspace(0.01, 0.99, n_dense))
     ids = [1] if class_count == 2 else range(class_count)
-    tasks = [QuantileTask(c, grid.anchors, [], rng.normal(size=(n_dense, d + 1)))
+    tasks = [QuantileTask(c, [], rng.normal(size=(n_dense, d + 1)))
              for c in ids]
     return QuantileModel(grid, tasks, class_count, d)
 
@@ -340,6 +367,23 @@ class TestSerialization:
         rep_a = represent(model, ds.features[:7])
         rep_b = represent(back, ds.features[:7])
         np.testing.assert_array_equal(rep_a.values, rep_b.values)
+
+    @pytest.mark.parametrize("field,value", [("class_count", 3),
+                                             ("class_id", 0)])
+    def test_load_rejects_another_task_layout(self, tmp_path, field, value):
+        ds = separable_1d(n=50, seed=19)
+        model = fit_quantile_model(ds, fit_base_classifiers(ds)[0], grid=SMALL_GRID)
+        path = save_model(model, tmp_path)
+        with open(path) as fh:
+            obj = json.load(fh)
+        if field == "class_count":
+            obj["class_count"] = value
+        else:
+            obj["tasks"][0]["class_id"] = value
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        with pytest.raises(ValidationError, match="stores the tasks"):
+            load_model(path)
 
     def test_sidecar_is_little_endian_float64(self, tmp_path):
         ds = separable_1d(n=50, seed=19)

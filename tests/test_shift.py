@@ -10,10 +10,8 @@ from quantrep import (
     FitConfig,
     Transform,
     ValidationError,
-    apply_transform,
     estimate_transform,
     fit_quantile_model,
-    fit_weighted_logistic,
     gen_gaussian_pair,
     matching_objective,
 )
@@ -35,11 +33,11 @@ class TestTransform:
     def test_identity(self):
         t = Transform("orthogonal-2d", angle=0.0)
         x = np.random.default_rng(0).normal(size=(10, 2))
-        np.testing.assert_allclose(apply_transform(t, x), x, atol=1e-15)
+        np.testing.assert_allclose(t.apply(x), x, atol=1e-15)
 
     def test_quarter_turn(self):
         t = Transform("orthogonal-2d", angle=math.pi / 2)
-        out = apply_transform(t, np.array([[1.0, 0.0]]))
+        out = t.apply(np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(out, [[0.0, 1.0]], atol=1e-12)
 
     def test_orthogonality_invariant(self):
@@ -174,16 +172,11 @@ class TestFieldGap:
             matching_objective(three_class_pair[0], m1,
                                Transform("orthogonal-2d", angle=0.3), x)
 
-    def test_two_task_binary_model_matches_represent(self, binary_pair):
-        # a binary model fitted with one base per class stores both tasks;
-        # against a single-task model the objective compares whole
-        # representations, class-0 mirror included
-        m0, _, x = binary_pair
-        data = gen_gaussian_pair(CENTERS, STDS, 300, seed=12)
-        bases = [fit_weighted_logistic(data.features, (data.labels == c).astype(int),
-                                       config=FC) for c in (0, 1)]
-        m1 = fit_quantile_model(data, bases, grid=GRID, fit_config=FC)
-        assert len(m1.tasks) == 2
+    def test_binary_objective_matches_represent(self, binary_pair):
+        # the objective runs over the one stored task; the class-0 mirror in
+        # the whole representation has the same absolute gaps, reordered
+        m0, m1, x = binary_pair
+        assert len(m0.tasks) == len(m1.tasks) == 1
         for tr in random_transforms(14, 5):
             ref = float(np.mean(np.abs(represent(m0, tr.apply_inverse(x)).values
                                        - represent(m1, x).values)))

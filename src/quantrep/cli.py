@@ -32,6 +32,7 @@ from .linear import FitConfig, LinearClassifier
 from .ood import DEFAULT_LOF_K, lof_scores, ood_metrics
 from .quantile import (
     QuantileGrid,
+    _resolve_bases,
     coefficient_cross_correlation,
     fit_base_classifiers,
     fit_quantile_model,
@@ -123,12 +124,12 @@ def _load_bases(path):
     return [LinearClassifier.from_json_dict(c) for c in obj["classifiers"]]
 
 
-def _base_logit_matrix(bases, features):
-    """Per-class base logits; a single binary base expands to (-z, z)."""
-    if len(bases) == 1:
-        z = bases[0].decision(features)
-        return np.column_stack([-z, z])
-    return np.column_stack([b.decision(features) for b in bases])
+def _base_logit_matrix(bases, features, k):
+    """Per-class base logits of ``k`` classes; the one binary base expands
+    to (-z, z). The bases must match the model's tasks (``_resolve_bases``)."""
+    bases, _ = _resolve_bases(bases, k)
+    z = np.column_stack([b.decision(features) for b in bases])
+    return np.column_stack([-z, z]) if k == 2 else z
 
 
 def _write_matrix_csv(path, matrix, header=None):
@@ -218,6 +219,8 @@ def cmd_fit_quantile(args):
                     for t in model.tasks]
     degenerate = [sum(c.degenerate for c in t.anchor_classifiers)
                   for t in model.tasks]
+    iterations = [sum(c.iterations for c in t.anchor_classifiers)
+                  for t in model.tasks]
     if sum(nonconverged):
         print(f"warning: {sum(nonconverged)} anchor fits did not meet the "
               f"stopping rule (tol={fit_config.tol:g} relative to the total "
@@ -238,6 +241,7 @@ def cmd_fit_quantile(args):
         "monotonicity_violation_rate": mono.aggregate,
         "median_agreement": [t.median_agreement for t in model.tasks],
         "nonconverged_anchors": nonconverged,
+        "anchor_iterations": iterations,
         "degenerate_anchors": degenerate,
     })
     _write_run_meta(args.out, {"base_fit": t_base - t_start,
@@ -282,8 +286,8 @@ def cmd_ood_eval(args):
     quant_scores = lof_scores(train.features @ factor, queries @ factor, k=k)
     t_quant = time.perf_counter()
 
-    ref_base = _base_logit_matrix(bases, train.features)
-    query_base = _base_logit_matrix(bases, queries)
+    ref_base = _base_logit_matrix(bases, train.features, model.class_count)
+    query_base = _base_logit_matrix(bases, queries, model.class_count)
     base_scores = lof_scores(ref_base, query_base, k=k)
     t_base = time.perf_counter()
 

@@ -1,12 +1,14 @@
 """Weighted binary linear classifiers.
 
-Every fit runs scipy's L-BFGS-B. Both losses are sums over samples, so
-the stopping rule scales with them: a fit has converged when the
-gradient's L2 norm is at most ``tol * max(1, sum of sample weights)``
-(``n`` for the unweighted sigmoid-MAE fit), checked at the returned
-point, and ``max_iter`` caps the L-BFGS iterations. Logistic fits start
-from the zero vector or a warm start (the objective is convex); the
-sigmoid-MAE fit is non-convex and uses seeded Gaussian multi-start.
+Every fit runs scipy's L-BFGS-B on one loss callable that returns the
+value and the gradient from a single ``features @ weights`` product. Both
+losses are sums over samples, so the stopping rule scales with them: a fit
+has converged when the gradient's L2 norm is at most
+``tol * max(1, sum of sample weights)`` (``n`` for the unweighted
+sigmoid-MAE fit), checked at the returned point, and ``max_iter`` caps the
+L-BFGS iterations, whose count each fit records. Logistic fits start from
+the zero vector or a warm start (the objective is convex); the sigmoid-MAE
+fit is non-convex and uses seeded Gaussian multi-start.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,8 @@ class LinearClassifier:
     """Weight vector plus bias for one binary task.
 
     When ``normalized`` is set, the L2 norm of the concatenated
-    (weights, bias) vector is 1. ``converged`` and ``degenerate`` are fit
+    (weights, bias) vector is 1. ``converged``, ``degenerate`` and
+    ``iterations`` (L-BFGS iterations, 0 for a degenerate fit) are fit
     diagnostics and are not serialized.
     """
 
@@ -35,6 +38,7 @@ class LinearClassifier:
     normalized: bool = False
     converged: bool = True
     degenerate: bool = False
+    iterations: int = 0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -100,25 +104,22 @@ def normalize_l2(clf: LinearClassifier) -> LinearClassifier:
     if nrm == 0.0:
         raise DegenerateClassifierError("cannot normalize an all-zero classifier")
     return LinearClassifier(clf.weights / nrm, clf.bias / nrm, normalized=True,
-                            converged=clf.converged, degenerate=clf.degenerate)
+                            converged=clf.converged, degenerate=clf.degenerate,
+                            iterations=clf.iterations)
 
 
-def logistic_objective(features, labels01, sample_weights, weights, bias, l2_reg):
-    """Sum_i w_i * logloss_i + (l2_reg/2) * ||weights||^2 (bias unpenalized)."""
-    z = features @ weights + bias
-    # log(1 + exp(-|z|)) + max(-yz, 0) form, stable for large |z|
-    y = labels01
-    per = np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (1 - y)
-    return float(np.sum(sample_weights * per) + 0.5 * l2_reg * np.dot(weights, weights))
-
-
-def logistic_gradient(features, labels01, sample_weights, weights, bias, l2_reg):
-    """Gradient of :func:`logistic_objective` w.r.t. (weights, bias)."""
-    z = features @ weights + bias
+def _logistic_loss(theta, features, labels01, sample_weights, l2_reg):
+    """Sum_i w_i * log(1 + exp(-s_i z_i)) + (l2_reg/2) * ||weights||^2 with
+    s_i = 2 y_i - 1 and z = features @ weights + bias (bias unpenalized), and
+    its gradient w.r.t. theta = (weights, bias), from one product."""
+    weights = theta[:-1]
+    z = features @ weights + theta[-1]
+    # log(1 + exp(-|z|)) + max(-sz, 0) form, stable for large |z|
+    per = np.logaddexp(0.0, np.where(labels01 == 1, -z, z))
     resid = sample_weights * (sigmoid(z) - labels01)
-    grad_w = features.T @ resid + l2_reg * weights
-    grad_b = float(np.sum(resid))
-    return grad_w, grad_b
+    value = float(np.sum(sample_weights * per) + 0.5 * l2_reg * np.dot(weights, weights))
+    return value, np.concatenate([features.T @ resid + l2_reg * weights,
+                                  [float(np.sum(resid))]])
 
 
 def _constant_bias(label_value):
@@ -147,22 +148,23 @@ def _validate_fit_inputs(features, labels01, sample_weights):
     return features, labels01, sample_weights
 
 
-def _minimize(objective, gradient, theta0, total_weight, config):
-    """L-BFGS-B from ``theta0``, capped at ``config.max_iter`` iterations.
+def _minimize(loss, theta0, total_weight, config):
+    """L-BFGS-B on ``loss(theta) -> (value, gradient)`` from ``theta0``,
+    capped at ``config.max_iter`` iterations.
 
-    Converged means ||gradient||_2 <= tol * max(1, total_weight) at the
-    returned point, tested here rather than read from scipy. The
-    projected-gradient stop is set so that it implies this test
-    (||g||_2 <= sqrt(d+1) ||g||_inf), and the relative-reduction stop is
-    off, so scipy does not end a fit that has not met it.
+    Returns ``(theta, value, converged, iterations)``. Converged means
+    ||gradient||_2 <= tol * max(1, total_weight) at the returned point,
+    tested here rather than read from scipy. The projected-gradient stop is
+    set so that it implies this test (||g||_2 <= sqrt(d+1) ||g||_inf), and
+    the relative-reduction stop is off, so scipy does not end a fit that has
+    not met it.
     """
     bound = config.tol * max(1.0, total_weight)
-    res = minimize(lambda t: (objective(t), gradient(t)), theta0, jac=True,
-                   method="L-BFGS-B",
+    res = minimize(loss, theta0, jac=True, method="L-BFGS-B",
                    options={"maxiter": config.max_iter, "ftol": 0.0,
                             "gtol": bound / np.sqrt(theta0.size)})
-    theta = res.x
-    return theta, bool(np.linalg.norm(gradient(theta)) <= bound)
+    value, grad = loss(res.x)
+    return res.x, value, bool(np.linalg.norm(grad) <= bound), int(res.nit)
 
 
 def fit_weighted_logistic(features, labels01, sample_weights=None,
@@ -187,26 +189,13 @@ def fit_weighted_logistic(features, labels01, sample_weights=None,
         return LinearClassifier(np.zeros(d), _constant_bias(int(uniq[0])),
                                 degenerate=True)
 
-    def objective(theta):
-        return logistic_objective(features, labels01, sample_weights,
-                                  theta[:d], theta[d], config.l2_reg)
-
-    def gradient(theta):
-        gw, gb = logistic_gradient(features, labels01, sample_weights,
-                                   theta[:d], theta[d], config.l2_reg)
-        return np.concatenate([gw, [gb]])
-
     theta0 = np.zeros(d + 1) if warm_start is None else np.asarray(
         warm_start, dtype=np.float64)
-    theta, converged = _minimize(objective, gradient, theta0,
-                                 float(np.sum(sample_weights)), config)
-    return LinearClassifier(theta[:d], theta[d], converged=converged)
-
-
-def sigmoid_mae_objective(features, labels01, weights, bias):
-    """Mean absolute error of sigmoid predictions, sum_i |y_i - sigmoid(z_i)|."""
-    p = sigmoid(features @ weights + bias)
-    return float(np.sum(np.abs(labels01 - p)))
+    theta, _, converged, iterations = _minimize(
+        lambda t: _logistic_loss(t, features, labels01, sample_weights, config.l2_reg),
+        theta0, float(np.sum(sample_weights)), config)
+    return LinearClassifier(theta[:d], theta[d], converged=converged,
+                            iterations=iterations)
 
 
 def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None,
@@ -216,7 +205,8 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None,
     The objective is non-convex with flat saturated plateaus, so the best
     of several starts is returned: zero, ``n_restarts`` seeded Gaussian
     draws, and the logistic solution (whose separator is almost always in
-    the right basin).
+    the right basin). ``converged`` and ``iterations`` are the returned
+    start's.
     """
     config = config or FitConfig()
     features, labels01, _ = _validate_fit_inputs(features, labels01, None)
@@ -229,15 +219,12 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None,
 
     sign = np.where(labels01 == 1, -1.0, 1.0)
 
-    def objective(theta):
-        return sigmoid_mae_objective(features, labels01, theta[:d], theta[d])
-
-    def gradient(theta):
+    def loss(theta):
         # d/dz |y - sigmoid(z)| = sign * sigmoid'(z) with sign = -1 for y=1
-        z = features @ theta[:d] + theta[d]
-        s = sigmoid(z)
+        s = sigmoid(features @ theta[:d] + theta[d])
         r = sign * s * (1.0 - s)
-        return np.concatenate([features.T @ r, [float(np.sum(r))]])
+        return (float(np.sum(np.abs(labels01 - s))),
+                np.concatenate([features.T @ r, [float(np.sum(r))]]))
 
     rng = np.random.default_rng(config.seed)
     starts = [np.zeros(d + 1)]
@@ -246,11 +233,11 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None,
     for _ in range(n_restarts):
         starts.append(rng.normal(0.0, init_std, d + 1))
 
-    best_theta, best_val, best_conv = None, np.inf, False
+    best = (None, np.inf, False, 0)
     for theta0 in starts:
-        theta, converged = _minimize(objective, gradient, theta0,
-                                     features.shape[0], config)
-        val = objective(theta)
-        if val < best_val:
-            best_theta, best_val, best_conv = theta, val, converged
-    return LinearClassifier(best_theta[:d], best_theta[d], converged=best_conv)
+        fit = _minimize(loss, theta0, features.shape[0], config)
+        if fit[1] < best[1]:
+            best = fit
+    theta, _, converged, iterations = best
+    return LinearClassifier(theta[:d], theta[d], converged=converged,
+                            iterations=iterations)

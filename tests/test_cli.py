@@ -149,12 +149,16 @@ class TestFitQuantile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["nonconverged_anchors"] == [0]
         assert manifest["degenerate_anchors"][0] >= 0
+        assert manifest["anchor_iterations"][0] > 12 - manifest["degenerate_anchors"][0]
 
         out = run_fit(tmp_path, "capped", moons_dir / "id.csv", ("--max-iter", "1"))
         err = capsys.readouterr().err
         assert err.count("warning") == 1
         assert "did not meet the stopping rule" in err
-        assert json.loads((out / "manifest.json").read_text())["nonconverged_anchors"][0] > 0
+        capped = json.loads((out / "manifest.json").read_text())
+        assert capped["nonconverged_anchors"][0] > 0
+        # one L-BFGS iteration per fitted anchor, none for a one-class anchor
+        assert 0 < capped["anchor_iterations"][0] <= 12 - capped["degenerate_anchors"][0]
 
     def test_rerun_byte_identical_results(self, tmp_path, moons_dir):
         a = run_fit(tmp_path, "da", moons_dir / "id.csv")
@@ -291,6 +295,23 @@ class TestOodEval:
                    "--test-ood", str(tmp_path / "l" / "data.csv"),
                    "--out", str(tmp_path / "ood")])
         assert rc == 2
+
+    def test_base_json_task_mismatch_exit_2(self, tmp_path, moons_dir, capsys):
+        # a binary model takes one base classifier; three must not be scored
+        model = run_fit(tmp_path, "m", moons_dir / "id.csv")
+        base = json.loads((model / "base.json").read_text())
+        base["classifiers"] = base["classifiers"] * 3
+        (model / "base.json").write_text(json.dumps(base))
+        rc = main(["ood-eval", "--model", str(model),
+                   "--train", str(moons_dir / "id.csv"),
+                   "--test-id", str(moons_dir / "id.csv"),
+                   "--test-ood", str(moons_dir / "ood.csv"),
+                   "--out", str(tmp_path / "ood")])
+        assert rc == 2
+        assert "base classifier" in capsys.readouterr().err
+        assert not (tmp_path / "ood" / "metrics.json").exists()
+        assert main(["calib-eval", "--model", str(model), "--data", str(moons_dir / "id.csv"),
+                     "--out", str(tmp_path / "calib")]) == 2
 
     def test_missing_inputs_exit_2(self, tmp_path, moons_dir):
         rc = main(["ood-eval", "--model", str(tmp_path / "absent"),

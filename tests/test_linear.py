@@ -13,11 +13,7 @@ from quantrep import (
     normalize_l2,
 )
 from quantrep.datasets import LatentModelSpec, gen_latent_binary
-from quantrep.linear import (
-    logistic_gradient,
-    logistic_objective,
-    sigmoid_mae_objective,
-)
+from quantrep.linear import _logistic_loss
 from quantrep.quantile import fit_base_classifiers, fit_quantile_model
 
 from oracles import finite_difference_gradient
@@ -63,8 +59,8 @@ class TestWeightedLogistic:
         w = rng.uniform(0.5, 3.0, n)
         clf = fit_weighted_logistic(x, y, w, FitConfig(l2_reg=l2_reg, tol=tol))
         assert clf.converged
-        gw, gb = logistic_gradient(x, y, w, clf.weights, clf.bias, l2_reg)
-        assert np.linalg.norm(np.append(gw, gb)) <= tol * max(1.0, w.sum())
+        _, grad = _logistic_loss(clf.coefficients(), x, y, w, l2_reg)
+        assert np.linalg.norm(grad) <= tol * max(1.0, w.sum())
 
     def test_iteration_cap_reports_nonconvergence(self):
         rng = np.random.default_rng(6)
@@ -98,7 +94,7 @@ class TestWeightedLogistic:
             mid = (t1 + t2) / 2
 
             def obj(t):
-                return logistic_objective(x, y, w, t[:3], t[3], 0.05)
+                return _logistic_loss(t, x, y, w, 0.05)[0]
 
             assert obj(mid) <= (obj(t1) + obj(t2)) / 2 + 1e-10
 
@@ -109,14 +105,49 @@ class TestWeightedLogistic:
         w = rng.uniform(0.5, 2.0, 20)
 
         def obj(t):
-            return logistic_objective(x, y, w, t[:3], t[3], 0.05)
+            return _logistic_loss(t, x, y, w, 0.05)[0]
 
         for _ in range(100):
             theta = rng.normal(0, 1.5, size=4)
-            gw, gb = logistic_gradient(x, y, w, theta[:3], theta[3], 0.05)
-            grad = np.concatenate([gw, [gb]])
+            _, grad = _logistic_loss(theta, x, y, w, 0.05)
             fd = finite_difference_gradient(obj, theta)
             assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
+
+    def test_value_matches_independent_sum(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(50, 3))
+        y = rng.integers(0, 2, 50)
+        w = rng.uniform(0.5, 2.0, 50)
+        for _ in range(20):
+            theta = rng.normal(0, 1.0, size=4)
+            s = 2.0 * y - 1.0
+            z = x @ theta[:3] + theta[3]
+            ref = sum(wi * np.log1p(np.exp(-si * zi)) for wi, si, zi in zip(w, s, z))
+            ref += 0.5 * 0.05 * float(theta[:3] @ theta[:3])
+            assert _logistic_loss(theta, x, y, w, 0.05)[0] == pytest.approx(ref, rel=1e-12)
+
+    def test_value_at_large_logits_is_hinge_limit(self):
+        # log(1 + exp(-sz)) -> max(0, -sz) once |z| is large; exp would overflow
+        x = np.array([[1.0], [-1.0], [2.0], [-3.0]])
+        y = np.array([1, 1, 0, 0])
+        w = np.array([1.0, 2.0, 0.5, 1.5])
+        theta = np.array([1000.0, 3.0])
+        z = x[:, 0] * theta[0] + theta[1]
+        hinge = np.maximum(0.0, -(2.0 * y - 1.0) * z)
+        value, grad = _logistic_loss(theta, x, y, w, 1e-4)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        assert value == pytest.approx(float(w @ hinge) + 0.5e-4 * 1000.0 ** 2, rel=1e-15)
+
+    def test_iterations_recorded(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(100, 2))
+        y = (x[:, 0] + rng.normal(0, 1.0, 100) > 0).astype(int)
+        clf = fit_weighted_logistic(x, y)
+        assert clf.iterations > 0
+        assert normalize_l2(clf).iterations == clf.iterations
+        assert "iterations" not in clf.to_json_dict()
+        assert fit_weighted_logistic(x, y, config=FitConfig(max_iter=1)).iterations == 1
+        assert fit_weighted_logistic(x, np.ones(100)).iterations == 0
 
 
 class TestDecision:
@@ -204,14 +235,14 @@ class TestSigmoidMae:
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0, 0, 1, 1])
         clf = fit_sigmoid_mae(x, y, FitConfig(max_iter=3000, tol=1e-12))
-        mae = sigmoid_mae_objective(x, y, clf.weights, clf.bias) / len(y)
+        mae = np.abs(y - clf.predict_proba(x)).sum() / len(y)
         assert mae < 0.01
 
     def test_all_ones_drives_sigmoid_to_one(self):
         x = np.array([[0.3], [0.7]])
         y = np.array([1, 1])
         clf = fit_sigmoid_mae(x, y)
-        mae = sigmoid_mae_objective(x, y, clf.weights, clf.bias) / len(y)
+        mae = np.abs(y - clf.predict_proba(x)).sum() / len(y)
         assert mae < 0.01
         assert clf.predict_proba(x).min() > 0.99
 
@@ -219,10 +250,10 @@ class TestSigmoidMae:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(12, 1))
         y = rng.integers(0, 2, 12)
-        w = rng.normal(size=1)
-        b = rng.normal()
-        a = sigmoid_mae_objective(x, y, w, b)
-        bb = sigmoid_mae_objective(x, 1 - y, -w, -b)
+        clf = LinearClassifier(rng.normal(size=1), rng.normal())
+        flipped = LinearClassifier(-clf.weights, -clf.bias)
+        a = np.abs(y - clf.predict_proba(x)).sum()
+        bb = np.abs((1 - y) - flipped.predict_proba(x)).sum()
         assert a == pytest.approx(bb, abs=1e-12)
 
 

@@ -43,7 +43,6 @@ from .errors import (
 from .linear import (
     FitConfig,
     LinearClassifier,
-    decision,
     fit_sigmoid_mae,
     fit_weighted_logistic,
     normalize_l2,

@@ -43,18 +43,6 @@ class ReliabilityTable:
     mean_confidence: np.ndarray
     accuracy: np.ndarray
 
-    def rows(self):
-        out = []
-        for i in range(self.counts.shape[0]):
-            out.append({
-                "bin_lo": float(self.edges[i]),
-                "bin_hi": float(self.edges[i + 1]),
-                "count": int(self.counts[i]),
-                "mean_confidence": None if self.counts[i] == 0 else float(self.mean_confidence[i]),
-                "accuracy": None if self.counts[i] == 0 else float(self.accuracy[i]),
-            })
-        return out
-
 
 def _bin_indices(confidences, m, binning):
     if binning == "equal-width":
@@ -242,11 +230,10 @@ class MetricsReport:
                 [r.ece for r in rows])
 
 
-def _evaluate_stream(probabilities, labels, m, binning):
+def _stream(probabilities, labels):
+    """MSP confidence of each row and whether its argmax is the label (0/1)."""
     confidence, predicted = msp_confidence(probabilities)
-    correct = (predicted == labels).astype(np.float64)
-    value, _ = ece(confidence, correct, m=m, binning=binning)
-    return float(correct.mean()), value
+    return confidence, (predicted == labels).astype(np.float64)
 
 
 def _base_probabilities(base, features, k):
@@ -259,54 +246,43 @@ def _base_probabilities(base, features, k):
 
 
 def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
-                     severities, m=5, binning="quantile", seed=0,
-                     corrections=True) -> MetricsReport:
-    """Accuracy and ECE per severity for the quantile-probability path
-    (QUANT) and the base-classifier max-probability path (MSP). ``base``
-    is what ``fit_quantile_model`` takes: one binary classifier (alone or
-    in a list) for two classes, one one-vs-rest classifier per class
-    otherwise.
+                     severities, m=5, binning="quantile", seed=0) -> MetricsReport:
+    """Accuracy and ECE per severity, one row each, in this order, for the
+    quantile probabilities (QUANT), the base classifier's maximum
+    probability (MSP), and QUANT through a Platt and an isotonic map
+    (QUANT+platt, QUANT+isotonic). ``base`` is what ``fit_quantile_model``
+    takes: one binary classifier for two classes, one per class otherwise.
 
-    When ``corrections`` is on, Platt and isotonic maps are fit on the
-    clean data's QUANT confidence stream and re-applied to the corrupted
-    confidences at every severity (QUANT+platt, QUANT+isotonic). The maps
-    adjust confidences only, so accuracy matches the QUANT rows.
+    Both maps are fit once, on the clean QUANT stream, and re-applied at
+    every severity; they adjust confidences only, so their accuracy is
+    QUANT's. ``severities`` must be nonempty, ascending, finite and >= 0.
     """
-    severities = list(severities)
+    severities = [float(s) for s in severities]
+    if not severities or not all(math.isfinite(s) and s >= 0 for s in severities):
+        raise ValidationError("severities must be a nonempty list of finite, nonnegative values")
     if any(s2 < s1 for s1, s2 in zip(severities, severities[1:])):
         raise ValidationError("severities must be sorted ascending")
     features = clean_data.features
     labels = clean_data.labels
     k = model.class_count
 
-    platt_map, iso_map = None, None
-    if corrections:
-        clean_probs = model_class_probabilities(model, features)
-        conf, predicted = msp_confidence(clean_probs)
-        correct = (predicted == labels).astype(np.float64)
-        # Platt consumes logit-scale scores so a calibrated stream maps to
-        # a near-identity correction
-        platt_map = platt_fit(_logit(conf), correct)
-        iso_map = isotonic_fit(conf, correct)
+    conf, correct = _stream(model_class_probabilities(model, features), labels)
+    # Platt consumes logit-scale scores so a calibrated stream maps to a
+    # near-identity correction
+    platt_map = platt_fit(_logit(conf), correct)
+    iso_map = isotonic_fit(conf, correct)
 
     report = MetricsReport()
     for severity in severities:
         x = corrupt_features(features, corruption, severity, seed=seed)
-        quant_probs = model_class_probabilities(model, x)
-        msp_probs = _base_probabilities(base, x, k)
-
-        acc, val = _evaluate_stream(quant_probs, labels, m, binning)
-        report.rows.append(SweepRow(float(severity), "QUANT", acc, val))
-        msp_acc, msp_val = _evaluate_stream(msp_probs, labels, m, binning)
-        report.rows.append(SweepRow(float(severity), "MSP", msp_acc, msp_val))
-
-        if corrections:
-            conf, predicted = msp_confidence(quant_probs)
-            correct = (predicted == labels).astype(np.float64)
-            for method, mapped in (
-                ("QUANT+platt", np.clip(platt_apply(_logit(conf), platt_map), 0.0, 1.0)),
-                ("QUANT+isotonic", np.clip(iso_map(conf), 0.0, 1.0)),
-            ):
-                value, _ = ece(mapped, correct, m=m, binning=binning)
-                report.rows.append(SweepRow(float(severity), method, acc, value))
+        conf, correct = _stream(model_class_probabilities(model, x), labels)
+        msp_conf, msp_correct = _stream(_base_probabilities(base, x, k), labels)
+        for method, confidence, hits in (
+            ("QUANT", conf, correct),
+            ("MSP", msp_conf, msp_correct),
+            ("QUANT+platt", np.clip(platt_apply(_logit(conf), platt_map), 0.0, 1.0), correct),
+            ("QUANT+isotonic", np.clip(iso_map(conf), 0.0, 1.0), correct),
+        ):
+            value, _ = ece(confidence, hits, m=m, binning=binning)
+            report.rows.append(SweepRow(severity, method, float(hits.mean()), value))
     return report

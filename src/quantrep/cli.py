@@ -98,7 +98,10 @@ def _resolve(args, defaults, config):
 
 
 def _parse_floats(text, expect=None):
-    vals = [float(v) for v in str(text).split(",") if v != ""]
+    try:
+        vals = [float(v) for v in str(text).split(",") if v != ""]
+    except ValueError as exc:
+        raise ValidationError(f"expected comma-separated numbers: {exc}") from exc
     if expect is not None and len(vals) != expect:
         raise ValidationError(f"expected {expect} comma-separated values, got {len(vals)}")
     return vals
@@ -255,26 +258,33 @@ def _require(path, what):
         raise ValidationError(f"missing {what}: {path!r}")
 
 
+def _load_input(path, what, subcommand, model):
+    """An evaluation dataset of the model's feature dimension. The evaluation
+    subcommands have no use for per-sample weights, so a weight column,
+    which would go unread, is a validation error too."""
+    dataset = load_dataset(path)
+    if dataset.weights is not None:
+        raise ValidationError(f"{subcommand} does not use per-sample weights, "
+                              f"but {what} file {path} has a weight column")
+    if dataset.d != model.feature_dim:
+        raise ValidationError(f"{what} feature dimension {dataset.d} does not "
+                              f"match model dimension {model.feature_dim}")
+    return dataset
+
+
 def cmd_ood_eval(args):
     for p, what in ((args.model, "model dir"), (args.train, "train data"),
                     (args.test_id, "test-id data"), (args.test_ood, "test-ood data")):
         _require(p, what)
     os.makedirs(args.out, exist_ok=True)
-    k = args.k if args.k is not None else DEFAULT_LOF_K
-    seed = args.seed if args.seed is not None else 0
 
     t_start = time.perf_counter()
     model = load_model(os.path.join(args.model, "model.json"))
     bases = _load_bases(os.path.join(args.model, "base.json"))
-    train = load_dataset(args.train)
-    test_id = load_dataset(args.test_id)
-    test_ood = load_dataset(args.test_ood)
+    train = _load_input(args.train, "train", "ood-eval", model)
+    test_id = _load_input(args.test_id, "test-id", "ood-eval", model)
+    test_ood = _load_input(args.test_ood, "test-ood", "ood-eval", model)
     t_load = time.perf_counter()
-    for ds, what in ((train, "train"), (test_id, "test-id"), (test_ood, "test-ood")):
-        if ds.d != model.feature_dim:
-            raise ValidationError(
-                f"{what} feature dimension {ds.d} does not match model "
-                f"dimension {model.feature_dim}")
 
     queries = np.vstack([test_id.features, test_ood.features])
     is_id = np.concatenate([np.ones(test_id.n, dtype=bool),
@@ -283,12 +293,12 @@ def cmd_ood_eval(args):
     # LOF on the flattened representations equals LOF on features @ L
     # (see metric_factor); the (n, k, n_dense) tensor is never built
     factor = metric_factor(model)
-    quant_scores = lof_scores(train.features @ factor, queries @ factor, k=k)
+    quant_scores = lof_scores(train.features @ factor, queries @ factor, k=args.k)
     t_quant = time.perf_counter()
 
     ref_base = _base_logit_matrix(bases, train.features, model.class_count)
     query_base = _base_logit_matrix(bases, queries, model.class_count)
-    base_scores = lof_scores(ref_base, query_base, k=k)
+    base_scores = lof_scores(ref_base, query_base, k=args.k)
     t_base = time.perf_counter()
 
     results = {
@@ -305,14 +315,14 @@ def cmd_ood_eval(args):
                          "tnr_at_tpr95", "detection_accuracy"])
         for det in ("baseline", "quantile-rep"):
             m = results[det]
-            writer.writerow([det, dataset_name, seed, _FMT % m["auroc"],
+            writer.writerow([det, dataset_name, args.seed, _FMT % m["auroc"],
                              _FMT % m["tnr_at_tpr95"],
                              _FMT % m["detection_accuracy"]])
     _write_json(os.path.join(args.out, "resolved_config.json"), {
         "subcommand": "ood-eval", "model": os.path.abspath(args.model),
         "train": os.path.abspath(args.train),
         "test_id": os.path.abspath(args.test_id),
-        "test_ood": os.path.abspath(args.test_ood), "k": k, "seed": seed,
+        "test_ood": os.path.abspath(args.test_ood), "k": args.k, "seed": args.seed,
     })
     _write_run_meta(args.out, {"load": t_load - t_start,
                                "quantile_rep_lof": t_quant - t_load,
@@ -326,28 +336,23 @@ def cmd_calib_eval(args):
     for p, what in ((args.model, "model dir"), (args.data, "data")):
         _require(p, what)
     os.makedirs(args.out, exist_ok=True)
-    severities = _parse_floats(args.severities if args.severities is not None
-                               else "0,0.25,0.5,1.0,1.5,2.0")
-    corruption = args.corruption or "gaussian-noise"
-    bins = args.bins if args.bins is not None else 5
-    binning = args.binning or "quantile"
-    seed = args.seed if args.seed is not None else 0
+    severities = _parse_floats(args.severities)
 
     t_start = time.perf_counter()
     model = load_model(os.path.join(args.model, "model.json"))
     bases = _load_bases(os.path.join(args.model, "base.json"))
-    data = load_dataset(args.data)
+    data = _load_input(args.data, "data", "calib-eval", model)
     t_load = time.perf_counter()
 
-    report = corruption_sweep(model, bases, data, corruption, severities,
-                              m=int(bins), binning=binning, seed=seed)
+    report = corruption_sweep(model, bases, data, args.corruption, severities,
+                              m=args.bins, binning=args.binning, seed=args.seed)
     t_sweep = time.perf_counter()
     report.to_csv(os.path.join(args.out, "sweep.csv"))
     _write_json(os.path.join(args.out, "resolved_config.json"), {
         "subcommand": "calib-eval", "model": os.path.abspath(args.model),
         "data": os.path.abspath(args.data), "severities": severities,
-        "corruption": corruption, "bins": int(bins), "binning": binning,
-        "seed": seed,
+        "corruption": args.corruption, "bins": args.bins, "binning": args.binning,
+        "seed": args.seed,
     })
     _write_run_meta(args.out, {"load": t_load - t_start,
                                "sweep": t_sweep - t_load,
@@ -397,18 +402,16 @@ def cmd_shift_match(args):
     for p, what in ((args.data_t0, "t0 data"), (args.data_t1, "t1 data")):
         _require(p, what)
     os.makedirs(args.out, exist_ok=True)
-    family = args.family or "orthogonal-2d"
-    seed = args.seed if args.seed is not None else 0
 
     t_start = time.perf_counter()
     data_t0 = load_dataset(args.data_t0)
     data_t1 = load_dataset(args.data_t1)
     t_load = time.perf_counter()
-    fit_config = FitConfig(seed=seed)
+    fit_config = FitConfig(seed=args.seed)
     bases0 = fit_base_classifiers(data_t0, fit_config)
     model_t0 = fit_quantile_model(data_t0, bases0, fit_config=fit_config)
     t_fit = time.perf_counter()
-    est = estimate_transform(family, model_t0, data_t1, fit_config=fit_config)
+    est = estimate_transform(args.family, model_t0, data_t1, fit_config=fit_config)
     t_estimate = time.perf_counter()
 
     obj = est.transform.to_json_dict()
@@ -420,16 +423,15 @@ def cmd_shift_match(args):
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "true_angle", "estimated_angle", "objective"])
-        est_angle = (math.degrees(est.transform.angle)
-                     if family == "orthogonal-2d" else "")
-        writer.writerow([seed,
+        writer.writerow([args.seed,
                          "" if args.true_angle is None else _FMT % args.true_angle,
-                         _FMT % est_angle if est_angle != "" else "",
+                         (_FMT % math.degrees(est.transform.angle)
+                          if args.family == "orthogonal-2d" else ""),
                          _FMT % est.objective])
     _write_json(os.path.join(args.out, "resolved_config.json"), {
         "subcommand": "shift-match", "data_t0": os.path.abspath(args.data_t0),
-        "data_t1": os.path.abspath(args.data_t1), "family": family,
-        "seed": seed,
+        "data_t1": os.path.abspath(args.data_t1), "family": args.family,
+        "seed": args.seed,
     })
     _write_run_meta(args.out, {"load": t_load - t_start,
                                "fit_t0": t_fit - t_load,
@@ -487,20 +489,20 @@ def build_parser():
     p.add_argument("--test-id", required=True)
     p.add_argument("--test-ood", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--k", type=int, default=DEFAULT_LOF_K)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ood_eval)
 
     p = sub.add_parser("calib-eval", help="accuracy/ECE corruption sweep")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--severities")
-    p.add_argument("--corruption",
+    p.add_argument("--severities", default="0,0.25,0.5,1.0,1.5,2.0")
+    p.add_argument("--corruption", default="gaussian-noise",
                    choices=["gaussian-noise", "feature-scaling", "feature-shift"])
-    p.add_argument("--bins", type=int)
-    p.add_argument("--binning", choices=["equal-width", "quantile"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--bins", type=int, default=5)
+    p.add_argument("--binning", default="quantile", choices=["equal-width", "quantile"])
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_calib_eval)
 
     p = sub.add_parser("xcorr", help="feature cross-correlation diagnostic")
@@ -513,9 +515,9 @@ def build_parser():
     p.add_argument("--data-t0", required=True)
     p.add_argument("--data-t1", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--family", choices=["orthogonal-2d", "affine"])
+    p.add_argument("--family", default="orthogonal-2d", choices=["orthogonal-2d", "affine"])
     p.add_argument("--true-angle", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_shift_match)
     return parser
 

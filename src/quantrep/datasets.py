@@ -4,7 +4,8 @@ CSV schema: header ``f0,...,f{d-1},label[,weight][,posterior]``.
 JSONL schema: one object per row with keys ``features`` (array),
 ``label`` (int), optional ``weight`` and ``posterior``.
 
-All generators are pure functions of (parameters, seed).
+All generators are pure functions of (parameters, seed). The latent-score
+generator draws its features uniformly on [-3, 3]^d.
 """
 
 import json
@@ -318,28 +319,18 @@ def gen_gaussian_pair(centers, stds, n_per_class=500, seed=0):
     return Dataset(feats, labels, 2)
 
 
-_DEFAULT_SAMPLER = {"kind": "uniform", "low": -3.0, "high": 3.0}
-
-
-def gen_latent_binary(spec: LatentModelSpec, n, feature_sampler=None, seed=0):
-    """Draw (x, y) from the latent model z = g(x) + eps(x), y = I[z >= 0].
+def gen_latent_binary(spec: LatentModelSpec, n, seed=0):
+    """Draw (x, y) from the latent model z = g(x) + eps(x), y = I[z >= 0],
+    with features drawn uniformly on [-3, 3]^d.
 
     The returned dataset carries the analytic posterior P(y=1|x) so the
-    generating model can serve as an oracle base classifier. Features
-    default to uniform draws on [-3, 3]^d.
+    generating model can serve as an oracle base classifier.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    sampler = dict(_DEFAULT_SAMPLER if feature_sampler is None else feature_sampler)
     d = spec.g_coefficients.shape[0]
     rng = np.random.default_rng(seed)
-    kind = sampler.get("kind", "uniform")
-    if kind == "uniform":
-        feats = rng.uniform(sampler.get("low", -3.0), sampler.get("high", 3.0), (n, d))
-    elif kind == "gaussian":
-        feats = rng.normal(sampler.get("mean", 0.0), sampler.get("std", 1.0), (n, d))
-    else:
-        raise ConfigError(f"unsupported feature sampler: {kind!r}")
+    feats = rng.uniform(-3.0, 3.0, (n, d))
     eps = rng.normal(0.0, 1.0, n) * spec.noise_sigma(feats)
     z = spec.latent_mean(feats) + eps
     labels = (z >= 0).astype(np.int64)

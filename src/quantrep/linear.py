@@ -22,6 +22,10 @@ from .errors import DegenerateClassifierError, ValidationError
 # Logit assigned to the observed class when a fit sees a single label.
 _DEGENERATE_LOGIT = 25.0
 
+# Seeded Gaussian starts of the sigmoid-MAE fit and their standard deviation.
+_MAE_RESTARTS = 5
+_MAE_INIT_STD = 0.1
+
 
 @dataclass
 class LinearClassifier:
@@ -45,7 +49,16 @@ class LinearClassifier:
         self.bias = float(self.bias)
 
     def decision(self, features):
-        return decision(self, features)
+        """Raw logits weights @ x + bias per row."""
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim == 1:
+            features = features[None, :]
+        if features.shape[1] != self.weights.shape[0]:
+            raise ValidationError(
+                f"feature dimension {features.shape[1]} does not match classifier "
+                f"dimension {self.weights.shape[0]}"
+            )
+        return features @ self.weights + self.bias
 
     def predict_proba(self, features):
         return sigmoid(self.decision(features))
@@ -82,19 +95,6 @@ class FitConfig:
             raise ValidationError("max_iter must be at least 1")
         if self.l2_reg < 0:
             raise ValidationError("l2_reg must be nonnegative")
-
-
-def decision(clf: LinearClassifier, features):
-    """Raw logits weights @ x + bias per row."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features[None, :]
-    if features.shape[1] != clf.weights.shape[0]:
-        raise ValidationError(
-            f"feature dimension {features.shape[1]} does not match classifier "
-            f"dimension {clf.weights.shape[0]}"
-        )
-    return features @ clf.weights + clf.bias
 
 
 def normalize_l2(clf: LinearClassifier) -> LinearClassifier:
@@ -198,13 +198,12 @@ def fit_weighted_logistic(features, labels01, sample_weights=None,
                             iterations=iterations)
 
 
-def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None,
-                    n_restarts=5, init_std=0.1) -> LinearClassifier:
+def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None) -> LinearClassifier:
     """Minimize sum_i |y_i - sigmoid(w @ x_i + b)| by multi-start L-BFGS-B.
 
     The objective is non-convex with flat saturated plateaus, so the best
-    of several starts is returned: zero, ``n_restarts`` seeded Gaussian
-    draws, and the logistic solution (whose separator is almost always in
+    of several starts is returned: zero, five seeded Gaussian draws
+    (standard deviation 0.1), and the logistic solution (whose separator is almost always in
     the right basin). ``converged`` and ``iterations`` are the returned
     start's.
     """
@@ -230,8 +229,8 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None,
     starts = [np.zeros(d + 1)]
     logistic = fit_weighted_logistic(features, labels01, config=config)
     starts.append(logistic.coefficients())
-    for _ in range(n_restarts):
-        starts.append(rng.normal(0.0, init_std, d + 1))
+    for _ in range(_MAE_RESTARTS):
+        starts.append(rng.normal(0.0, _MAE_INIT_STD, d + 1))
 
     best = (None, np.inf, False, 0)
     for theta0 in starts:

@@ -176,10 +176,11 @@ def detection_accuracy(scores, is_id):
     return float(correct[boundary].max() / n)
 
 
-def ood_metrics(scores, is_id, tpr_target=0.95):
+def ood_metrics(scores, is_id):
+    """AUROC, TNR at 95% TPR and detection accuracy of one detector."""
     return {
         "auroc": auroc(scores, is_id),
-        "tnr_at_tpr95": tnr_at_tpr(scores, is_id, tpr_target),
+        "tnr_at_tpr95": tnr_at_tpr(scores, is_id, 0.95),
         "detection_accuracy": detection_accuracy(scores, is_id),
     }
 

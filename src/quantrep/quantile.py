@@ -517,10 +517,12 @@ def raw_feature_correlation(features):
 # serialization: model.json + little-endian float64 sidecar for the dense field
 # ---------------------------------------------------------------------------
 
-def save_model(model: QuantileModel, out_dir, name="model"):
+def save_model(model: QuantileModel, out_dir):
+    """Write ``model.json`` and the dense-field sidecar it names in
+    ``dense_file``, ``model_dense.bin``; returns the ``model.json`` path."""
     os.makedirs(out_dir, exist_ok=True)
     dense = np.stack([t.dense_coefficients for t in model.tasks])
-    bin_name = f"{name}_dense.bin"
+    bin_name = "model_dense.bin"
     with open(os.path.join(out_dir, bin_name), "wb") as fh:
         fh.write(np.ascontiguousarray(dense, dtype="<f8").tobytes())
     obj = {
@@ -543,7 +545,7 @@ def save_model(model: QuantileModel, out_dir, name="model"):
         "dense_file": bin_name,
         "dense_shape": list(dense.shape),
     }
-    path = os.path.join(out_dir, f"{name}.json")
+    path = os.path.join(out_dir, "model.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")

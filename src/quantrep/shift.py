@@ -25,7 +25,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig
-from .quantile import QuantileGrid, QuantileModel, fit_base_classifiers, fit_quantile_model
+from .quantile import QuantileModel, fit_base_classifiers, fit_quantile_model
 
 _MAX_CONDITION = 1e8
 _ANGLE_STEP = math.radians(1.0)  # rotation scan; also the tie detector's grid
@@ -35,10 +35,12 @@ _TIE_TOL = 1e-6                  # near-optimum reporting threshold
 
 @dataclass
 class Transform:
-    """A member of a parametric transform family.
+    """A member of a parametric transform family, x -> A x + b.
 
-    orthogonal-2d: rotation by ``angle`` radians, optionally composed with
-    a reflection (y-axis sign flip applied first). affine: x -> A x + b.
+    orthogonal-2d: A is the rotation by ``angle`` radians, optionally after
+    a reflection (y-axis sign flip), and b = 0. affine: A = ``matrix``, b =
+    ``offset`` (zeros when omitted). Construction stores A in ``matrix``, b
+    in ``offset`` and A's inverse: A transposed for a rotation, else inv(A).
     """
 
     family: str
@@ -50,49 +52,39 @@ class Transform:
     def __post_init__(self):
         if self.family == "orthogonal-2d":
             self.angle = float(self.angle)
+            c, s = math.cos(self.angle), math.sin(self.angle)
+            self.matrix = np.array([[c, -s], [s, c]])
+            if self.reflect:
+                self.matrix = self.matrix @ np.diag([1.0, -1.0])
+            self.offset = np.zeros(2)
+            self._inverse = self.matrix.T
         elif self.family == "affine":
             self.matrix = np.asarray(self.matrix, dtype=np.float64)
             d = self.matrix.shape[0]
             if self.matrix.shape != (d, d):
                 raise ValidationError("affine matrix must be square")
-            if self.offset is None:
-                self.offset = np.zeros(d)
-            self.offset = np.asarray(self.offset, dtype=np.float64)
+            self.offset = (np.zeros(d) if self.offset is None
+                           else np.asarray(self.offset, dtype=np.float64))
             if np.linalg.cond(self.matrix) >= _MAX_CONDITION:
                 raise ValidationError("affine matrix is not invertible enough")
+            self._inverse = np.linalg.inv(self.matrix)
         else:
             raise ConfigError(f"unknown transform family: {self.family!r}")
 
-    def _rotation(self):
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        rot = np.array([[c, -s], [s, c]])
-        if self.reflect:
-            rot = rot @ np.diag([1.0, -1.0])
-        return rot
-
     def forward_matrix(self):
-        if self.family == "orthogonal-2d":
-            return self._rotation()
         return self.matrix
 
-    def apply(self, features):
+    def _check(self, features):
         features = np.asarray(features, dtype=np.float64)
-        m = self.forward_matrix()
-        if features.shape[1] != m.shape[0]:
+        if features.shape[1] != self.matrix.shape[0]:
             raise ValidationError("feature dimension does not match transform")
-        out = features @ m.T
-        if self.family == "affine":
-            out = out + self.offset
-        return out
+        return features
+
+    def apply(self, features):
+        return self._check(features) @ self.matrix.T + self.offset
 
     def apply_inverse(self, features):
-        features = np.asarray(features, dtype=np.float64)
-        m = self.forward_matrix()
-        if features.shape[1] != m.shape[0]:
-            raise ValidationError("feature dimension does not match transform")
-        if self.family == "orthogonal-2d":
-            return features @ m  # inverse of an orthogonal matrix is its transpose
-        return (features - self.offset) @ np.linalg.inv(self.matrix).T
+        return (self._check(features) - self.offset) @ self._inverse.T
 
     def to_json_dict(self):
         if self.family == "orthogonal-2d":
@@ -241,10 +233,9 @@ def _estimate_affine(gap, model_t0, d):
 
 
 def estimate_transform(family, model_t0: QuantileModel, data_t1,
-                       fit_config: FitConfig | None = None,
-                       grid: QuantileGrid | None = None):
-    """Fit a quantile model on the newer labeled epoch, then minimize the
-    matching objective over the chosen family.
+                       fit_config: FitConfig | None = None):
+    """Fit a quantile model on the newer labeled epoch, on ``model_t0``'s
+    grid, then minimize the matching objective over the chosen family.
 
     Returns a :class:`TransformEstimate` whose ``near_ties`` lists grid
     members indistinguishable from the optimum; a nonempty list signals a
@@ -253,19 +244,16 @@ def estimate_transform(family, model_t0: QuantileModel, data_t1,
     rank deficient (see :class:`TransformEstimate`).
     """
     fit_config = fit_config or FitConfig()
-    grid = grid or model_t0.grid
-
     bases1 = fit_base_classifiers(data_t1, fit_config)
-    model_t1 = fit_quantile_model(data_t1, bases1, grid=grid, fit_config=fit_config)
+    model_t1 = fit_quantile_model(data_t1, bases1, grid=model_t0.grid,
+                                  fit_config=fit_config)
 
     samples = data_t1.features
     gap = FieldGap(model_t0, model_t1, samples)
     if family == "orthogonal-2d":
         if samples.shape[1] != 2:
             raise ConfigError("orthogonal-2d requires 2-d features")
-        est = _estimate_orthogonal(gap)
-    elif family == "affine":
-        est = _estimate_affine(gap, model_t0, samples.shape[1])
-    else:
-        raise ConfigError(f"unknown transform family: {family!r}")
-    return est
+        return _estimate_orthogonal(gap)
+    if family == "affine":
+        return _estimate_affine(gap, model_t0, samples.shape[1])
+    raise ConfigError(f"unknown transform family: {family!r}")

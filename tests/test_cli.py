@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import quantrep
-from quantrep import load_dataset
+from quantrep import Dataset, load_dataset, save_dataset
 from quantrep.cli import main
 from quantrep.errors import DegenerateClassifierError
 
@@ -44,6 +44,14 @@ def run_fit(tmp_path, tag, data, extra=()):
     return out
 
 
+def write_weighted(tmp_path, source):
+    """A copy of a dataset file with a weight column (all weights 2)."""
+    ds = load_dataset(source)
+    path = tmp_path / "weighted.csv"
+    save_dataset(Dataset(ds.features, ds.labels, ds.k, weights=np.full(ds.n, 2.0)), path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def moons_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("moons")
@@ -51,6 +59,12 @@ def moons_dir(tmp_path_factory):
                "--n-per-class", "60", "--ood-n", "30", "--seed", "7"])
     assert rc == 0
     return root / "a"
+
+
+@pytest.fixture(scope="module")
+def moons_model(tmp_path_factory, moons_dir):
+    """A model fitted on the moons ID data, for tests that only read it."""
+    return run_fit(tmp_path_factory.mktemp("moons_model"), "m", moons_dir / "id.csv")
 
 
 class TestGenData:
@@ -313,6 +327,29 @@ class TestOodEval:
         assert main(["calib-eval", "--model", str(model), "--data", str(moons_dir / "id.csv"),
                      "--out", str(tmp_path / "calib")]) == 2
 
+    def test_defaults_in_resolved_config(self, tmp_path, moons_dir, moons_model):
+        out = tmp_path / "ood"
+        assert main(["ood-eval", "--model", str(moons_model),
+                     "--train", str(moons_dir / "id.csv"),
+                     "--test-id", str(moons_dir / "id.csv"),
+                     "--test-ood", str(moons_dir / "ood.csv"),
+                     "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert (resolved["k"], resolved["seed"]) == (20, 0)
+
+    @pytest.mark.parametrize("flag", ["--train", "--test-id", "--test-ood"])
+    def test_weighted_input_exit_2(self, tmp_path, moons_dir, moons_model, flag, capsys):
+        weighted = write_weighted(tmp_path, moons_dir / "id.csv")
+        files = {"--train": moons_dir / "id.csv", "--test-id": moons_dir / "id.csv",
+                 "--test-ood": moons_dir / "ood.csv", flag: weighted}
+        rc = main(["ood-eval", "--model", str(moons_model),
+                   *[arg for name, path in files.items() for arg in (name, str(path))],
+                   "--out", str(tmp_path / "ood")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ood-eval" in err and str(weighted) in err
+        assert not (tmp_path / "ood" / "metrics.json").exists()
+
     def test_missing_inputs_exit_2(self, tmp_path, moons_dir):
         rc = main(["ood-eval", "--model", str(tmp_path / "absent"),
                    "--train", str(moons_dir / "id.csv"),
@@ -349,6 +386,38 @@ class TestCalibEval:
         assert float(q_row["accuracy"]) == pytest.approx(acc, abs=1e-15)
         assert float(q_row["ece"]) == pytest.approx(val, abs=1e-15)
         assert_run_meta(out, {"load", "sweep"})
+
+    def test_defaults_in_resolved_config(self, tmp_path, moons_dir, moons_model):
+        out = tmp_path / "cal"
+        assert main(["calib-eval", "--model", str(moons_model),
+                     "--data", str(moons_dir / "id.csv"), "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["severities"] == [0, 0.25, 0.5, 1, 1.5, 2]
+        assert (resolved["corruption"], resolved["bins"], resolved["binning"],
+                resolved["seed"]) == ("gaussian-noise", 5, "quantile", 0)
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["method"] for r in rows[:4]] == ["QUANT", "MSP", "QUANT+platt",
+                                                   "QUANT+isotonic"]
+        assert len(rows) == 4 * 6
+
+    @pytest.mark.parametrize("severities", ["", "0,nan", "0,inf", "-0.5,1", "0,abc"])
+    def test_bad_severities_exit_2(self, tmp_path, moons_dir, moons_model, severities, capsys):
+        rc = main(["calib-eval", "--model", str(moons_model),
+                   "--data", str(moons_dir / "id.csv"), "--out", str(tmp_path / "cal"),
+                   f"--severities={severities}"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "cal" / "sweep.csv").exists()
+
+    def test_weighted_data_exit_2(self, tmp_path, moons_dir, moons_model, capsys):
+        weighted = write_weighted(tmp_path, moons_dir / "id.csv")
+        rc = main(["calib-eval", "--model", str(moons_model), "--data", str(weighted),
+                   "--out", str(tmp_path / "cal")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "calib-eval" in err and str(weighted) in err
+        assert not (tmp_path / "cal" / "sweep.csv").exists()
 
 
 class TestXcorr:
@@ -388,6 +457,18 @@ class TestShiftMatch:
         assert rows[0]["true_angle"] == "0"
         assert rows[0]["estimated_angle"] != ""
         assert_run_meta(out, {"load", "fit_t0", "estimate"})
+
+    def test_defaults_in_resolved_config(self, tmp_path):
+        for tag, seed in (("t0", "2"), ("t1", "3")):
+            assert main(["gen-data", "gaussian-pair", "--out", str(tmp_path / tag),
+                         "--n-per-class", "40", "--seed", seed]) == 0
+        out = tmp_path / "sm"
+        assert main(["shift-match", "--data-t0", str(tmp_path / "t0" / "data.csv"),
+                     "--data-t1", str(tmp_path / "t1" / "data.csv"),
+                     "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert (resolved["family"], resolved["seed"]) == ("orthogonal-2d", 0)
+        assert json.loads((out / "estimate.json").read_text())["family"] == "orthogonal-2d"
 
     def test_affine_on_separable_pair_not_identifiable(self, tmp_path):
         # two well-separated gaussians: every anchor has the same direction,

@@ -7,7 +7,6 @@ from quantrep import (
     FitConfig,
     LinearClassifier,
     ValidationError,
-    decision,
     fit_sigmoid_mae,
     fit_weighted_logistic,
     normalize_l2,
@@ -169,7 +168,7 @@ class TestDecision:
     def test_dimension_mismatch(self):
         clf = LinearClassifier(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValidationError):
-            decision(clf, np.zeros((3, 3)))
+            clf.decision(np.zeros((3, 3)))
 
 
 class TestNormalize:

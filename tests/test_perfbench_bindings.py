@@ -52,6 +52,32 @@ def test_oracle_imports_exist():
         assert hasattr(importlib.import_module(module), name), (module, name)
 
 
+def test_oracle_calls_match_library_signatures():
+    # every call the oracle makes to a name it imports from quantrep must
+    # bind to the current signature: an option deleted from the library
+    # fails here rather than in a benchmark run
+    tree = ast.parse((PERFBENCH / "oracle.py").read_text(encoding="utf-8"))
+    targets = {alias.asname or alias.name: getattr(importlib.import_module(node.module),
+                                                   alias.name)
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("quantrep")
+               for alias in node.names}
+    keywords = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in targets:
+            names = [kw.arg for kw in node.keywords]
+            # a *args or **kwargs call could not be checked
+            assert None not in names and not any(
+                isinstance(arg, ast.Starred) for arg in node.args), ast.unparse(node)
+            inspect.signature(targets[node.func.id]).bind_partial(
+                *node.args, **dict.fromkeys(names))
+            keywords.update(f"{node.func.id}({name}=)" for name in names)
+    assert {"fit_quantile_model(grid=)", "fit_quantile_model(fit_config=)",
+            "FitConfig(seed=)", "Transform(angle=)", "Transform(reflect=)",
+            "Transform(matrix=)", "Transform(offset=)"} <= keywords
+
+
 @pytest.mark.parametrize("family, params", [
     ("orthogonal-2d", {"angle_deg": 30.0, "reflect": True}),
     ("affine", {"matrix": [[1.1, 0.2], [-0.1, 0.9]], "offset": [0.3, -0.4]}),

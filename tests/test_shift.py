@@ -51,11 +51,30 @@ class TestTransform:
     @pytest.mark.parametrize("family,kwargs", [
         ("orthogonal-2d", {"angle": 1.234, "reflect": True}),
         ("affine", {"matrix": [[1.2, 0.3], [-0.4, 0.9]], "offset": [0.5, -1.0]}),
+        ("orthogonal-2d", {"angle": -2.5}),
+        ("affine", {"matrix": [[0.8, -0.2], [0.1, 1.3]]}),
     ])
     def test_apply_then_inverse_is_identity(self, family, kwargs):
         t = Transform(family, **kwargs)
         x = np.random.default_rng(2).normal(size=(30, 2))
         np.testing.assert_allclose(t.apply_inverse(t.apply(x)), x, atol=1e-10)
+        np.testing.assert_allclose(t.apply(t.apply_inverse(x)), x, atol=1e-10)
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_rotation_inverse_is_the_transpose_bitwise(self, reflect):
+        t = Transform("orthogonal-2d", angle=0.7, reflect=reflect)
+        r = t.forward_matrix()
+        x = np.random.default_rng(3).normal(size=(50, 2))
+        np.testing.assert_array_equal(t.apply(x), x @ r.T)
+        np.testing.assert_array_equal(t.apply_inverse(x), x @ r)
+        np.testing.assert_array_equal(t.offset, [0.0, 0.0])
+
+    def test_affine_maps_match_the_closed_forms_bitwise(self):
+        a, b = np.array([[1.2, 0.3], [-0.4, 0.9]]), np.array([0.5, -1.0])
+        t = Transform("affine", matrix=a, offset=b)
+        x = np.random.default_rng(4).normal(size=(50, 2))
+        np.testing.assert_array_equal(t.apply(x), x @ a.T + b)
+        np.testing.assert_array_equal(t.apply_inverse(x), (x - b) @ np.linalg.inv(a).T)
 
     def test_singular_affine_rejected(self):
         with pytest.raises(ValidationError):
@@ -69,6 +88,8 @@ class TestTransform:
         t = Transform("orthogonal-2d", angle=0.3)
         with pytest.raises(ValidationError):
             t.apply(np.zeros((4, 3)))
+        with pytest.raises(ValidationError):
+            t.apply_inverse(np.zeros((4, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +228,7 @@ class TestEstimateTransform:
         truth = Transform("orthogonal-2d", angle=true_angle)
         fresh = gen_gaussian_pair(CENTERS, STDS, 300, seed=7)
         data_t1 = Dataset(truth.apply(fresh.features), fresh.labels, 2)
-        est = estimate_transform("orthogonal-2d", model, data_t1,
-                                 fit_config=FC, grid=GRID)
+        est = estimate_transform("orthogonal-2d", model, data_t1, fit_config=FC)
         err = abs((math.degrees(est.transform.angle) - 123.0 + 180) % 360 - 180)
         assert not est.transform.reflect
         assert err < 5.0
@@ -216,8 +236,7 @@ class TestEstimateTransform:
     def test_identity_recovery(self, t0_model):
         data, model = t0_model
         fresh = gen_gaussian_pair(CENTERS, STDS, 300, seed=8)
-        est = estimate_transform("orthogonal-2d", model, fresh,
-                                 fit_config=FC, grid=GRID)
+        est = estimate_transform("orthogonal-2d", model, fresh, fit_config=FC)
         err = abs((math.degrees(est.transform.angle) + 180) % 360 - 180)
         assert not est.transform.reflect
         assert err < 5.0
@@ -246,15 +265,14 @@ class TestEstimateTransform:
                                      d1.features)
         assert abs(obj_pos - obj_neg) <= 1e-6
 
-        est = estimate_transform("orthogonal-2d", model, d1,
-                                 fit_config=FitConfig(), grid=GRID)
+        est = estimate_transform("orthogonal-2d", model, d1, fit_config=FitConfig())
         assert not est.identifiable
         assert len(est.near_ties) > 0
 
     def test_affine_identity_recovery(self, t0_model):
         data, model = t0_model
         fresh = gen_gaussian_pair(CENTERS, STDS, 300, seed=9)
-        est = estimate_transform("affine", model, fresh, fit_config=FC, grid=GRID)
+        est = estimate_transform("affine", model, fresh, fit_config=FC)
         np.testing.assert_allclose(est.transform.matrix, np.eye(2), atol=0.3)
         np.testing.assert_allclose(est.transform.offset, 0.0, atol=0.3)
 
@@ -266,7 +284,7 @@ class TestEstimateTransform:
         d0, fresh = three_class(0, 150), three_class(1, 150)
         d1 = Dataset(truth.apply(fresh.features), fresh.labels, 3)
         m0 = fit_model(d0, grid=grid)
-        est = estimate_transform("affine", m0, d1, fit_config=FC, grid=grid)
+        est = estimate_transform("affine", m0, d1, fit_config=FC)
         assert est.identifiable
         np.testing.assert_allclose(est.transform.matrix, truth.matrix, atol=0.3)
         np.testing.assert_allclose(est.transform.offset, truth.offset, atol=0.3)
@@ -289,4 +307,4 @@ class TestEstimateTransform:
         model = fit_quantile_model(ds, fit_base_classifiers(ds, FitConfig()),
                                    grid=grid, fit_config=FitConfig())
         with pytest.raises(ConfigError):
-            estimate_transform("orthogonal-2d", model, ds, grid=grid)
+            estimate_transform("orthogonal-2d", model, ds)

@@ -28,7 +28,6 @@ from .datasets import (
     gen_latent_binary,
     gen_two_moons,
     load_dataset,
-    one_hot,
     save_dataset,
 )
 from .errors import (
@@ -48,7 +47,6 @@ from .linear import (
     normalize_l2,
 )
 from .ood import (
-    OodScores,
     auroc,
     detection_accuracy,
     lof_scores,
@@ -69,7 +67,6 @@ from .quantile import (
     fit_base_classifiers,
     fit_quantile_model,
     interpolate_coefficients,
-    isotonic_projection,
     load_model,
     metric_factor,
     modified_labels,

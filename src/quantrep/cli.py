@@ -80,20 +80,32 @@ def _load_config(args):
     if not args.config:
         return {}
     with open(args.config, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValidationError(f"config file {args.config} does not hold a JSON object")
+    return config
 
 
 def _resolve(args, defaults, config):
-    """Sentinel-None flags fall back to --config values, then defaults."""
+    """Sentinel-None flags fall back to --config values, then defaults. Each
+    default has the type its flag declares; a numeric config value is read
+    through that type, as its flag would read it from the command line."""
     resolved = {}
-    for key in defaults:
+    for key, default in defaults.items():
         flag = getattr(args, key.replace("-", "_"), None)
         if flag is not None:
             resolved[key] = flag
-        elif key in config:
+        elif key not in config:
+            resolved[key] = default
+        elif isinstance(default, str):
             resolved[key] = config[key]
         else:
-            resolved[key] = defaults[key]
+            kind = type(default)
+            try:
+                resolved[key] = kind(str(config[key]))
+            except ValueError as exc:
+                raise ValidationError(f"config key {key!r} must be {kind.__name__}, "
+                                      f"got {config[key]!r}") from exc
     return resolved
 
 
@@ -108,13 +120,13 @@ def _parse_floats(text, expect=None):
 
 
 def _fit_config(cfg):
-    return FitConfig(l2_reg=cfg["l2_reg"], max_iter=int(cfg["max_iter"]),
-                     tol=cfg["tol"], seed=int(cfg["seed"]))
+    return FitConfig(l2_reg=cfg["l2_reg"], max_iter=cfg["max_iter"],
+                     tol=cfg["tol"], seed=cfg["seed"])
 
 
 def _grid(cfg):
-    return QuantileGrid(np.linspace(cfg["tau_min"], cfg["tau_max"], int(cfg["anchors"])),
-                        np.linspace(cfg["tau_min"], cfg["tau_max"], int(cfg["dense"])))
+    return QuantileGrid(np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["anchors"]),
+                        np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["dense"]))
 
 
 def _save_bases(path, bases):
@@ -171,22 +183,22 @@ def cmd_gen_data(args):
     t_start = time.perf_counter()
     if kind == "two-moons":
         center = _parse_floats(cfg["ood_center"], 2)
-        id_ds, ood_ds = gen_two_moons(int(cfg["n_per_class"]), float(cfg["noise"]),
-                                      int(cfg["ood_n"]), center, int(cfg["seed"]))
+        id_ds, ood_ds = gen_two_moons(cfg["n_per_class"], cfg["noise"], cfg["ood_n"],
+                                      center, cfg["seed"])
         outputs = {"id.csv": id_ds, "ood.csv": ood_ds}
     elif kind == "gaussian-pair":
         centers = np.asarray(_parse_floats(cfg["centers"], 4)).reshape(2, 2)
         stds = np.asarray(_parse_floats(cfg["stds"], 4)).reshape(2, 2)
-        ds = gen_gaussian_pair(centers, stds, int(cfg["n_per_class"]), int(cfg["seed"]))
+        ds = gen_gaussian_pair(centers, stds, cfg["n_per_class"], cfg["seed"])
         outputs = {"data.csv": ds}
     else:
         g = np.asarray(_parse_floats(cfg["g"]))
-        if g.shape[0] != int(cfg["dim"]):
+        if g.shape[0] != cfg["dim"]:
             raise ValidationError("g coefficient count must equal --dim")
         scale = _parse_floats(cfg["noise_scale"])
-        spec = LatentModelSpec(g, float(cfg["g_intercept"]), cfg["noise_kind"],
+        spec = LatentModelSpec(g, cfg["g_intercept"], cfg["noise_kind"],
                                scale[0] if len(scale) == 1 else tuple(scale))
-        ds = gen_latent_binary(spec, int(cfg["n"]), seed=int(cfg["seed"]))
+        ds = gen_latent_binary(spec, cfg["n"], seed=cfg["seed"])
         outputs = {"data.csv": ds}
     t_generate = time.perf_counter()
     for name, ds in outputs.items():
@@ -237,8 +249,8 @@ def cmd_fit_quantile(args):
     _write_json(os.path.join(args.out, "resolved_config.json"), resolved)
     _write_json(os.path.join(args.out, "manifest.json"), {
         "schema_version": 1,
-        "seed": int(cfg["seed"]),
-        "grid": {"n_anchor": int(cfg["anchors"]), "n_dense": int(cfg["dense"]),
+        "seed": cfg["seed"],
+        "grid": {"n_anchor": cfg["anchors"], "n_dense": cfg["dense"],
                  "tau_min": cfg["tau_min"], "tau_max": cfg["tau_max"]},
         "data": {"n": dataset.n, "d": dataset.d, "k": dataset.k},
         "monotonicity_violation_rate": mono.aggregate,
@@ -366,7 +378,7 @@ def cmd_xcorr(args):
     os.makedirs(args.out, exist_ok=True)
     t_start = time.perf_counter()
     model = load_model(os.path.join(args.model, "model.json"))
-    data = load_dataset(args.data)
+    data = _load_input(args.data, "data", "xcorr", model)
     t_load = time.perf_counter()
 
     quant = coefficient_cross_correlation(model)

@@ -1,14 +1,12 @@
 """Dataset containers, file I/O, and synthetic generators.
 
-CSV schema: header ``f0,...,f{d-1},label[,weight][,posterior]``.
-JSONL schema: one object per row with keys ``features`` (array),
-``label`` (int), optional ``weight`` and ``posterior``.
+Datasets are CSV files with the header
+``f0,...,f{d-1},label[,weight][,posterior]``.
 
 All generators are pure functions of (parameters, seed). The latent-score
 generator draws its features uniformly on [-3, 3]^d.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,43 +133,7 @@ class LatentOracle:
         return self.spec.posterior(features)
 
 
-def one_hot(labels, k):
-    """Encode integer labels as an n x k binary indicator matrix."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValidationError(f"labels must lie in [0, {k})")
-    out = np.zeros((labels.shape[0], k), dtype=np.int64)
-    out[np.arange(labels.shape[0]), labels] = 1
-    return out
-
-
-def save_dataset(dataset: Dataset, path, format="csv"):
-    if format == "csv":
-        _save_csv(dataset, path)
-    elif format == "jsonl":
-        _save_jsonl(dataset, path)
-    else:
-        raise ConfigError(f"unsupported format: {format!r}")
-
-
-def load_dataset(path, format="csv", num_classes=None):
-    """Load a dataset file; ``num_classes`` caps the allowed label range.
-
-    Without ``num_classes`` the class count is inferred as max(label)+1
-    (at least 2).
-    """
-    if format == "csv":
-        features, labels, weights, posterior = _load_csv(path)
-    elif format == "jsonl":
-        features, labels, weights, posterior = _load_jsonl(path)
-    else:
-        raise ConfigError(f"unsupported format: {format!r}")
-    if num_classes is None:
-        num_classes = max(int(labels.max(initial=1)) + 1, 2)
-    return Dataset(features, labels, num_classes, weights=weights, posterior=posterior)
-
-
-def _save_csv(dataset, path):
+def save_dataset(dataset: Dataset, path):
     cols = [f"f{j}" for j in range(dataset.d)] + ["label"]
     if dataset.weights is not None:
         cols.append("weight")
@@ -187,6 +149,13 @@ def _save_csv(dataset, path):
             if dataset.posterior is not None:
                 row.append(_FLOAT_FMT % dataset.posterior[i])
             fh.write(",".join(row) + "\n")
+
+
+def load_dataset(path):
+    """Load a dataset CSV file; the class count is max(label)+1, at least 2."""
+    features, labels, weights, posterior = _load_csv(path)
+    num_classes = max(int(labels.max(initial=1)) + 1, 2)
+    return Dataset(features, labels, num_classes, weights=weights, posterior=posterior)
 
 
 def _load_csv(path):
@@ -221,50 +190,6 @@ def _load_csv(path):
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
     features = np.asarray(feats, dtype=np.float64).reshape(len(labels), d)
-    return (
-        features,
-        np.asarray(labels, dtype=np.int64),
-        np.asarray(weights) if weights else None,
-        np.asarray(posts) if posts else None,
-    )
-
-
-def _save_jsonl(dataset, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(dataset.n):
-            obj = {
-                "features": [float(_FLOAT_FMT % v) for v in dataset.features[i]],
-                "label": int(dataset.labels[i]),
-            }
-            if dataset.weights is not None:
-                obj["weight"] = float(_FLOAT_FMT % dataset.weights[i])
-            if dataset.posterior is not None:
-                obj["posterior"] = float(_FLOAT_FMT % dataset.posterior[i])
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def _load_jsonl(path):
-    feats, labels, weights, posts = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                feats.append([float(v) for v in obj["features"]])
-                labels.append(int(obj["label"]))
-                if "weight" in obj:
-                    weights.append(float(obj["weight"]))
-                if "posterior" in obj:
-                    posts.append(float(obj["posterior"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-    if weights and len(weights) != len(labels):
-        raise ParseError("weight present on some rows only")
-    if posts and len(posts) != len(labels):
-        raise ParseError("posterior present on some rows only")
-    features = np.asarray(feats, dtype=np.float64)
     return (
         features,
         np.asarray(labels, dtype=np.int64),

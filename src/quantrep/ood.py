@@ -3,8 +3,6 @@
 Scores follow one convention throughout: higher means more in-distribution.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
@@ -22,19 +20,8 @@ _LRD_EPS = 1e-12
 # Distance entries per k-NN chunk (8 MB of float64).
 _CHUNK_ELEMS = 1 << 20
 
-
-@dataclass
-class OodScores:
-    scores: np.ndarray
-    is_id: np.ndarray
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.is_id = np.asarray(self.is_id, dtype=bool)
-        if self.scores.shape != self.is_id.shape:
-            raise ValidationError("scores and is_id must have equal length")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValidationError("scores must be finite")
+# The ID acceptance rate at which ``tnr_at_tpr`` reads the OOD rejection rate.
+_TPR_LEVEL = 0.95
 
 
 def _k_nearest(points, reference, k, exclude_self):
@@ -118,31 +105,21 @@ def auroc(scores, is_id):
     n_neg = is_id.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both ID and OOD samples")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    # midranks: average rank within each tie group
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # midranks: a tie group of c scores ending at 1-based rank r ranks r - (c-1)/2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     pos_rank_sum = float(ranks[is_id].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def tnr_at_tpr(scores, is_id, tpr_target=0.95):
-    """True-negative rate at the largest threshold keeping TPR >= target.
+def tnr_at_tpr(scores, is_id):
+    """True-negative rate at the largest threshold keeping TPR >= 95%.
 
     A sample is accepted as ID when its score >= threshold, so the chosen
-    threshold attains the smallest TPR at or above the target.
+    threshold attains the smallest TPR at or above 95%.
     """
     scores = np.asarray(scores, dtype=np.float64)
     is_id = np.asarray(is_id, dtype=bool)
-    if not (0 < tpr_target <= 1):
-        raise ValidationError("tpr_target must lie in (0,1]")
     id_scores = scores[is_id]
     ood_scores = scores[~is_id]
     if id_scores.size == 0 or ood_scores.size == 0:
@@ -150,7 +127,7 @@ def tnr_at_tpr(scores, is_id, tpr_target=0.95):
     candidates = np.unique(scores)[::-1]
     for thr in candidates:
         tpr = np.mean(id_scores >= thr)
-        if tpr >= tpr_target:
+        if tpr >= _TPR_LEVEL:
             return float(np.mean(ood_scores < thr))
     return float(np.mean(ood_scores < candidates[-1]))
 
@@ -180,7 +157,7 @@ def ood_metrics(scores, is_id):
     """AUROC, TNR at 95% TPR and detection accuracy of one detector."""
     return {
         "auroc": auroc(scores, is_id),
-        "tnr_at_tpr95": tnr_at_tpr(scores, is_id, 0.95),
+        "tnr_at_tpr95": tnr_at_tpr(scores, is_id),
         "detection_accuracy": detection_accuracy(scores, is_id),
     }
 

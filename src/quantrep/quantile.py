@@ -169,10 +169,6 @@ class QuantileGrid:
             raise ValidationError("dense grid must lie within the anchor range")
 
     @property
-    def n_anchor(self):
-        return self.anchors.shape[0]
-
-    @property
     def n_dense(self):
         return self.dense.shape[0]
 
@@ -413,14 +409,14 @@ def metric_factor(model: QuantileModel):
     """Factor L (d x d) with L Lᵀ = M = Σ_tasks WᵀW, W the dense field
     without its bias column.
 
-    Without the isotonic projection a representation is affine in the
-    features, so rep(x_i) - rep(x_j) = W (x_i - x_j) per task and the
-    flattened representation distance equals ||(x_i - x_j) L||. Distance
-    computations on ``features @ L`` therefore match those on
-    ``represent(...).flattened()`` without building the (n, k, n_dense)
-    tensor. A binary model's one task counts twice: its class-0 slice is
-    the mirrored class-1 slice, whose Gram matrix is the same. Eigenvalues
-    are clipped at 0, so rank-deficient fields are handled.
+    A representation is affine in the features, so rep(x_i) - rep(x_j) =
+    W (x_i - x_j) per task and the flattened representation distance equals
+    ||(x_i - x_j) L||. Distance computations on ``features @ L`` therefore
+    match those on ``represent(...).flattened()`` without building the
+    (n, k, n_dense) tensor. A binary model's one task counts twice: its
+    class-0 slice is the mirrored class-1 slice, whose Gram matrix is the
+    same. Eigenvalues are clipped at 0, so rank-deficient fields are
+    handled.
     """
     d = model.feature_dim
     gram = np.zeros((d, d))
@@ -468,13 +464,6 @@ def monotonicity_violation_rate(model: QuantileModel, features,
     pairs = model.class_count * (model.grid.n_dense - 1)
     aggregate = float((w @ counts.sum(axis=1)) / (w.sum() * pairs))
     return MonotonicityReport(aggregate, counts / (model.grid.n_dense - 1))
-
-
-def isotonic_projection(rep: QuantileRepresentation) -> QuantileRepresentation:
-    """Optional nondecreasing projection of each profile along tau
-    (running maximum). Off by default everywhere; anchors are trained
-    independently and monotonicity is normally only measured."""
-    return QuantileRepresentation(np.maximum.accumulate(rep.values, axis=2), rep.grid)
 
 
 # ---------------------------------------------------------------------------

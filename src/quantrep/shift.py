@@ -71,9 +71,6 @@ class Transform:
         else:
             raise ConfigError(f"unknown transform family: {self.family!r}")
 
-    def forward_matrix(self):
-        return self.matrix
-
     def _check(self, features):
         features = np.asarray(features, dtype=np.float64)
         if features.shape[1] != self.matrix.shape[0]:

@@ -57,6 +57,27 @@ def lof_bruteforce(reference, queries, k):
     return out
 
 
+def auroc_midrank_loop(scores, is_id):
+    """Rank-sum AUROC with midranks assigned by walking each tie group of
+    the sorted scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    is_id = np.asarray(is_id, dtype=bool)
+    n_pos = int(is_id.sum())
+    n_neg = is_id.size - n_pos
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    pos_rank_sum = float(ranks[is_id].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def auroc_pairwise(scores, is_id):
     """AUROC by enumerating every (ID, OOD) pair; ties count one half."""
     scores = np.asarray(scores, dtype=np.float64)

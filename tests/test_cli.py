@@ -9,7 +9,7 @@ import pytest
 
 import quantrep
 from quantrep import Dataset, load_dataset, save_dataset
-from quantrep.cli import main
+from quantrep.cli import FIT_DEFAULTS, GEN_DEFAULTS, build_parser, main
 from quantrep.errors import DegenerateClassifierError
 
 
@@ -128,6 +128,23 @@ class TestGenData:
         assert main(["gen-data", "two-moons", "--out", str(tmp_path / "c"),
                      "--config", str(resolved)]) == 2
 
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_per_class": None}))
+        rc = main(["gen-data", "two-moons", "--out", str(tmp_path / "c"),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "'n_per_class'" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "id.csv").exists()
+
+    def test_config_that_is_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([["n_per_class", 25]]))
+        rc = main(["gen-data", "two-moons", "--out", str(tmp_path / "c"),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert str(cfg) in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_per_class": 25, "seed": 4}))
@@ -139,6 +156,18 @@ class TestGenData:
         assert resolved["seed"] == 9           # flag wins
         ds = load_dataset(tmp_path / "c" / "id.csv")
         assert ds.n == 50
+
+
+
+def test_defaults_have_their_flag_types():
+    # _resolve reads a --config value through the type of its default
+    subparsers = next(a.choices for a in build_parser()._actions
+                      if isinstance(a.choices, dict))
+    for command, defaults in [("fit-quantile", FIT_DEFAULTS),
+                              *(("gen-data", d) for d in GEN_DEFAULTS.values())]:
+        types = {a.dest: a.type or str for a in subparsers[command]._actions}
+        for key, default in defaults.items():
+            assert types[key] is type(default), (command, key)
 
 
 class TestFitQuantile:
@@ -184,6 +213,15 @@ class TestFitQuantile:
         rc = main(["fit-quantile", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, moons_dir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"anchors": "x"}))
+        rc = main(["fit-quantile", "--data", str(moons_dir / "id.csv"),
+                   "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert rc == 2
+        assert "'anchors'" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "model.json").exists()
 
     def test_defaults_complete_quickly(self, tmp_path, moons_dir):
         import time
@@ -434,6 +472,32 @@ class TestXcorr:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1  # d=2 -> one off-diagonal pair
         assert_run_meta(out, {"load", "correlation"})
+
+    @pytest.mark.parametrize("data_dim, model_dim", [(3, 2), (2, 3)])
+    def test_data_dimension_mismatch_exit_2(self, tmp_path, data_dim, model_dim, capsys):
+        rng = np.random.default_rng(3)
+        paths = {}
+        for dim in (data_dim, model_dim):
+            paths[dim] = tmp_path / f"d{dim}.csv"
+            save_dataset(Dataset(rng.normal(size=(40, dim)), np.arange(40) % 2, 2),
+                         paths[dim])
+        model = run_fit(tmp_path, "m", paths[model_dim])
+        out = tmp_path / "xc"
+        rc = main(["xcorr", "--model", str(model), "--data", str(paths[data_dim]),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "dimension" in capsys.readouterr().err
+        assert not (out / "scatter_pairs.csv").exists()
+
+    def test_weighted_data_exit_2(self, tmp_path, moons_dir, moons_model, capsys):
+        weighted = write_weighted(tmp_path, moons_dir / "id.csv")
+        out = tmp_path / "xc"
+        rc = main(["xcorr", "--model", str(moons_model), "--data", str(weighted),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "xcorr" in err and str(weighted) in err
+        assert not (out / "scatter_pairs.csv").exists()
 
 
 class TestShiftMatch:

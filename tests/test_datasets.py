@@ -10,7 +10,6 @@ from quantrep import (
     gen_latent_binary,
     gen_two_moons,
     load_dataset,
-    one_hot,
     save_dataset,
 )
 
@@ -44,7 +43,7 @@ class TestFileIO:
         assert (ds.n, ds.d, ds.k) == (3, 2, 2)
         assert ds.labels.tolist() == [0, 1, 1]
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("fmt", ["csv"])
     def test_round_trip_identity(self, tmp_path, fmt):
         rng = np.random.default_rng(7)
         ds = Dataset(rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-8, 8, (20, 3)),
@@ -52,18 +51,12 @@ class TestFileIO:
                      weights=rng.uniform(0.1, 5.0, 20),
                      posterior=rng.uniform(0.01, 0.99, 20))
         path = tmp_path / f"d.{fmt}"
-        save_dataset(ds, path, format=fmt)
-        back = load_dataset(path, format=fmt, num_classes=4)
+        save_dataset(ds, path)
+        back = load_dataset(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.weights, ds.weights)
         np.testing.assert_array_equal(back.posterior, ds.posterior)
-
-    def test_label_exceeding_declared_classes(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,label\n0.5,0\n1.0,2\n")
-        with pytest.raises(ValidationError):
-            load_dataset(path, num_classes=2)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -183,20 +176,3 @@ class TestLatentBinary:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.posterior, b.posterior)
-
-
-class TestOneHot:
-    def test_definition(self):
-        np.testing.assert_array_equal(one_hot([0, 1], 2), [[1, 0], [0, 1]])
-
-    def test_degenerate_single_class(self):
-        np.testing.assert_array_equal(one_hot([0, 0, 0], 1), [[1], [1], [1]])
-
-    def test_row_sums(self):
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, 5, 100)
-        assert np.all(one_hot(labels, 5).sum(axis=1) == 1)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            one_hot([0, 3], 3)

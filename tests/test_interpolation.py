@@ -56,7 +56,7 @@ class TestInterpolation:
 class TestGridInvariants:
     def test_defaults_match_declared_values(self):
         grid = QuantileGrid()
-        assert grid.n_anchor == 100
+        assert grid.anchors.size == 100
         assert grid.n_dense == 1000
         assert grid.anchors[0] == pytest.approx(0.01)
         assert grid.anchors[-1] == pytest.approx(0.99)

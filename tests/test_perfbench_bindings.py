@@ -87,8 +87,32 @@ def test_oracle_transform_constructors(family, params):
     x = np.array([[1.0, 2.0], [-0.5, 0.25]])
     if family == "orthogonal-2d":
         c, s = math.cos(math.radians(30.0)), math.sin(math.radians(30.0))
-        np.testing.assert_allclose(tr.forward_matrix(), [[c, s], [s, -c]], atol=1e-15)
+        np.testing.assert_allclose(tr.matrix, [[c, s], [s, -c]], atol=1e-15)
     else:
         np.testing.assert_array_equal(tr.matrix, params["matrix"])
         np.testing.assert_array_equal(tr.offset, params["offset"])
     np.testing.assert_allclose(tr.apply_inverse(tr.apply(x)), x, atol=1e-12)
+
+
+def test_cli_writes_every_file_the_benchmark_checks(tmp_path):
+    # every subcommand runs once at the workloads' tiny sizes and passes
+    # perfbench's own result-file check: a dropped or malformed result file
+    # fails here rather than in a benchmark run
+    from quantrep.cli import main
+    workloads = _load("workloads")
+    ran = set()
+
+    def run(step):
+        assert main(step.argv) == 0, step.argv
+        assert workloads.check_files(step) == [], step.argv
+        ran.add(step.subcommand)
+
+    for name, workload in workloads.WORKLOADS.items():
+        wl = workload(1, "tiny")
+        inputs, out = str(tmp_path / name / "inputs"), str(tmp_path / name / "out")
+        for argv in wl.generate(inputs):
+            run(workloads.Step("gen", argv, inputs))
+        wl.derive(inputs)
+        for step in wl.steps(inputs, out):
+            run(step)
+    assert ran == set(workloads.OUTPUTS)

@@ -21,7 +21,7 @@ from quantrep import (
     save_model,
 )
 from quantrep import quantile
-from quantrep.quantile import QuantileRepresentation, QuantileTask, fit_base_classifiers
+from quantrep.quantile import QuantileTask, fit_base_classifiers
 
 from oracles import pearson_pair
 
@@ -223,17 +223,6 @@ class TestMonotonicity:
         report = monotonicity_violation_rate(model, ds.features)
         assert report.aggregate < 0.01
         assert report.per_profile.shape == (ds.n, 2)
-
-    def test_isotonic_projection_removes_violations(self):
-        from quantrep import isotonic_projection
-        rng = np.random.default_rng(20)
-        values = np.cumsum(rng.normal(size=(8, 1, 60)), axis=2)
-        rep = QuantileRepresentation(values, QuantileGrid(
-            np.linspace(0.01, 0.99, 10), np.linspace(0.01, 0.99, 60)))
-        projected = isotonic_projection(rep)
-        assert np.all(np.diff(projected.values, axis=2) >= 0)
-        # projection only raises values, never lowers them
-        assert np.all(projected.values >= rep.values - 1e-15)
 
     def test_weight_two_matches_duplicated_rows(self):
         model = random_field_model(2)

@@ -45,7 +45,7 @@ class TestTransform:
         for _ in range(10):
             t = Transform("orthogonal-2d", angle=rng.uniform(0, 2 * math.pi),
                           reflect=bool(rng.integers(0, 2)))
-            m = t.forward_matrix()
+            m = t.matrix
             np.testing.assert_allclose(m.T @ m, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("family,kwargs", [
@@ -63,7 +63,7 @@ class TestTransform:
     @pytest.mark.parametrize("reflect", [False, True])
     def test_rotation_inverse_is_the_transpose_bitwise(self, reflect):
         t = Transform("orthogonal-2d", angle=0.7, reflect=reflect)
-        r = t.forward_matrix()
+        r = t.matrix
         x = np.random.default_rng(3).normal(size=(50, 2))
         np.testing.assert_array_equal(t.apply(x), x @ r.T)
         np.testing.assert_array_equal(t.apply_inverse(x), x @ r)

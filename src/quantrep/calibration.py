@@ -5,7 +5,6 @@ The probabilities reduce the representation over tau one row block at a
 time (``quantile._row_blocks``); the full tensor is never built.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -212,16 +211,6 @@ class MetricsReport:
     """Plot-ready series for the corruption sweep."""
 
     rows: list = field(default_factory=list)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["severity", "method", "accuracy", "ece"])
-            for r in self.rows:
-                writer.writerow([
-                    "%.17g" % r.severity, r.method,
-                    "%.17g" % r.accuracy, "%.17g" % r.ece,
-                ])
 
     def series(self, method):
         rows = sorted((r for r in self.rows if r.method == method),

@@ -66,6 +66,16 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _write_csv(path, rows):
+    """A result table, one list of cells per row: a float is written as
+    ``%.17g``, NaN and None as an empty cell, any other value as text."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(
+            ["" if v is None or (isinstance(v, float) and math.isnan(v))
+             else _FMT % v if isinstance(v, float) else v for v in row]
+            for row in rows)
+
+
 def _write_run_meta(out_dir, timings):
     """Stage timings (seconds) and the peak resident set size of this
     process: the wall-clock data kept out of the byte-identical files."""
@@ -86,10 +96,17 @@ def _load_config(args):
     return config
 
 
-def _resolve(args, defaults, config):
+def _resolve(args, defaults, config, echoed):
     """Sentinel-None flags fall back to --config values, then defaults. Each
     default has the type its flag declares; a numeric config value is read
-    through that type, as its flag would read it from the command line."""
+    through that type, as its flag would read it from the command line. Any
+    other config key raises rather than go unread, except the ``echoed`` keys
+    that a ``resolved_config.json`` adds; one with a value must hold it."""
+    unused = [repr(key) for key in config if key not in defaults
+              and (key not in echoed or echoed[key] not in (None, config[key]))]
+    if unused:
+        raise ValidationError(f"{echoed['subcommand']} does not use config key(s) "
+                              f"{', '.join(unused)} in {args.config}")
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key.replace("-", "_"), None)
@@ -136,7 +153,10 @@ def _save_bases(path, bases):
 def _load_bases(path):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return [LinearClassifier.from_json_dict(c) for c in obj["classifiers"]]
+    try:
+        return [LinearClassifier.from_json_dict(c) for c in obj["classifiers"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed base model file {path}: {exc!r}") from exc
 
 
 def _base_logit_matrix(bases, features, k):
@@ -147,37 +167,21 @@ def _base_logit_matrix(bases, features, k):
     return np.column_stack([-z, z]) if k == 2 else z
 
 
-def _write_matrix_csv(path, matrix, header=None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow(["" if (isinstance(v, float) and math.isnan(v))
-                             else (_FMT % v if isinstance(v, float) else v)
-                             for v in row])
-
-
-def _reject_unused_gen_keys(args, config):
-    """Flags and --config keys of another kind raise rather than go unread;
-    a ``resolved_config.json`` (which echoes subcommand and kind) reruns."""
+def _reject_unused_gen_flags(args):
+    """Flags of another kind raise rather than go unread."""
     kind_keys = GEN_DEFAULTS[args.kind].keys()
     other = sorted({key for d in GEN_DEFAULTS.values() for key in d} - kind_keys)
-    echoed = {"subcommand": "gen-data", "kind": args.kind}
     unused = ["--" + key.replace("_", "-") for key in other
               if getattr(args, key) is not None]
-    unused += [f"config key {key!r}" for key in config
-               if key not in kind_keys and echoed.get(key) != config[key]]
     if unused:
         raise ValidationError(f"gen-data {args.kind} does not use {', '.join(unused)}")
 
 
 def cmd_gen_data(args):
     kind = args.kind
-    defaults = GEN_DEFAULTS[kind]
-    config = _load_config(args)
-    _reject_unused_gen_keys(args, config)
-    cfg = _resolve(args, defaults, config)
+    _reject_unused_gen_flags(args)
+    cfg = _resolve(args, GEN_DEFAULTS[kind], _load_config(args),
+                   {"subcommand": "gen-data", "kind": kind})
     os.makedirs(args.out, exist_ok=True)
 
     t_start = time.perf_counter()
@@ -214,7 +218,8 @@ def cmd_gen_data(args):
 
 
 def cmd_fit_quantile(args):
-    cfg = _resolve(args, FIT_DEFAULTS, _load_config(args))
+    cfg = _resolve(args, FIT_DEFAULTS, _load_config(args),
+                   {"subcommand": "fit-quantile", "data": None, "base_model": None})
     os.makedirs(args.out, exist_ok=True)
     t_start = time.perf_counter()
     dataset = load_dataset(args.data)
@@ -320,16 +325,10 @@ def cmd_ood_eval(args):
     t_metrics = time.perf_counter()
     _write_json(os.path.join(args.out, "metrics.json"), results)
     dataset_name = os.path.splitext(os.path.basename(args.test_ood))[0]
-    with open(os.path.join(args.out, "metrics.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detector", "dataset", "seed", "auroc",
-                         "tnr_at_tpr95", "detection_accuracy"])
-        for det in ("baseline", "quantile-rep"):
-            m = results[det]
-            writer.writerow([det, dataset_name, args.seed, _FMT % m["auroc"],
-                             _FMT % m["tnr_at_tpr95"],
-                             _FMT % m["detection_accuracy"]])
+    _write_csv(os.path.join(args.out, "metrics.csv"), [
+        ["detector", "dataset", "seed", "auroc", "tnr_at_tpr95", "detection_accuracy"],
+        *([det, dataset_name, args.seed, m["auroc"], m["tnr_at_tpr95"],
+           m["detection_accuracy"]] for det, m in results.items())])
     _write_json(os.path.join(args.out, "resolved_config.json"), {
         "subcommand": "ood-eval", "model": os.path.abspath(args.model),
         "train": os.path.abspath(args.train),
@@ -359,7 +358,9 @@ def cmd_calib_eval(args):
     report = corruption_sweep(model, bases, data, args.corruption, severities,
                               m=args.bins, binning=args.binning, seed=args.seed)
     t_sweep = time.perf_counter()
-    report.to_csv(os.path.join(args.out, "sweep.csv"))
+    _write_csv(os.path.join(args.out, "sweep.csv"), [
+        ["severity", "method", "accuracy", "ece"],
+        *([r.severity, r.method, r.accuracy, r.ece] for r in report.rows)])
     _write_json(os.path.join(args.out, "resolved_config.json"), {
         "subcommand": "calib-eval", "model": os.path.abspath(args.model),
         "data": os.path.abspath(args.data), "severities": severities,
@@ -385,21 +386,11 @@ def cmd_xcorr(args):
     raw = raw_feature_correlation(data.features)
     t_corr = time.perf_counter()
     d = raw.shape[0]
-    _write_matrix_csv(os.path.join(args.out, "xcorr_quantile.csv"),
-                      [[float(v) for v in row] for row in quant])
-    _write_matrix_csv(os.path.join(args.out, "xcorr_raw.csv"),
-                      [[float(v) for v in row] for row in raw])
-    with open(os.path.join(args.out, "scatter_pairs.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "raw_corr", "quantile_corr"])
-        for i in range(d):
-            for j in range(i + 1, d):
-                writer.writerow([
-                    i, j,
-                    "" if math.isnan(raw[i, j]) else _FMT % raw[i, j],
-                    "" if math.isnan(quant[i, j]) else _FMT % quant[i, j],
-                ])
+    _write_csv(os.path.join(args.out, "xcorr_quantile.csv"), quant)
+    _write_csv(os.path.join(args.out, "xcorr_raw.csv"), raw)
+    _write_csv(os.path.join(args.out, "scatter_pairs.csv"), [
+        ["i", "j", "raw_corr", "quantile_corr"],
+        *([i, j, raw[i, j], quant[i, j]] for i in range(d) for j in range(i + 1, d))])
     _write_json(os.path.join(args.out, "resolved_config.json"), {
         "subcommand": "xcorr", "model": os.path.abspath(args.model),
         "data": os.path.abspath(args.data),
@@ -431,15 +422,11 @@ def cmd_shift_match(args):
                 "identifiable": est.identifiable,
                 "near_ties": [t.to_json_dict() for t in est.near_ties]})
     _write_json(os.path.join(args.out, "estimate.json"), obj)
-    with open(os.path.join(args.out, "report.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "true_angle", "estimated_angle", "objective"])
-        writer.writerow([args.seed,
-                         "" if args.true_angle is None else _FMT % args.true_angle,
-                         (_FMT % math.degrees(est.transform.angle)
-                          if args.family == "orthogonal-2d" else ""),
-                         _FMT % est.objective])
+    _write_csv(os.path.join(args.out, "report.csv"), [
+        ["seed", "true_angle", "estimated_angle", "objective"],
+        [args.seed, args.true_angle,
+         math.degrees(est.transform.angle) if args.family == "orthogonal-2d" else None,
+         est.objective]])
     _write_json(os.path.join(args.out, "resolved_config.json"), {
         "subcommand": "shift-match", "data_t0": os.path.abspath(args.data_t0),
         "data_t1": os.path.abspath(args.data_t1), "family": args.family,

@@ -125,11 +125,11 @@ def tnr_at_tpr(scores, is_id):
     if id_scores.size == 0 or ood_scores.size == 0:
         raise UndefinedMetricError("TNR@TPR needs both ID and OOD samples")
     candidates = np.unique(scores)[::-1]
-    for thr in candidates:
-        tpr = np.mean(id_scores >= thr)
-        if tpr >= _TPR_LEVEL:
-            return float(np.mean(ood_scores < thr))
-    return float(np.mean(ood_scores < candidates[-1]))
+    # TPR at each candidate from one search of the sorted ID scores; the
+    # smallest candidate gives TPR 1, so a threshold is always found
+    at_or_above = id_scores.size - np.searchsorted(np.sort(id_scores), candidates)
+    thr = candidates[np.argmax(at_or_above / id_scores.size >= _TPR_LEVEL)]
+    return float(np.mean(ood_scores < thr))
 
 
 def detection_accuracy(scores, is_id):

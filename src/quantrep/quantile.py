@@ -30,9 +30,6 @@ _MONO_TOL = 1e-9
 # a block and its temporaries then stay within a 2 MiB L2 cache: on a
 # 2-vCPU Xeon, 4 MiB blocks ran the 2 000-row moons passes about 2x slower
 _BLOCK_BYTES = 2**20
-# the sidecar is the spline through the stored anchors; on one machine it is
-# rebuilt bit for bit, the slack only absorbs another LAPACK build's rounding
-_SIDECAR_TOL = 1e-12
 _SCHEMA_VERSION = 1
 
 
@@ -327,6 +324,13 @@ def fit_base_classifiers(dataset, fit_config: FitConfig | None = None):
             for c in _task_classes(dataset.k)]
 
 
+def _dense_field(grid, anchors):
+    """The dense coefficient field of one task: the natural spline through
+    its anchor classifiers' coefficients, evaluated at the dense taus."""
+    return interpolate_coefficients(
+        grid.anchors, np.stack([c.coefficients() for c in anchors]), grid.dense)
+
+
 def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileModel:
     """Fit anchor classifiers for every (class, anchor tau) pseudo-dataset.
 
@@ -365,8 +369,7 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
                 anchors.append(normalize_l2(clf))
             except QuantrepError as exc:
                 raise FitError(str(exc), class_id=class_id, tau=float(tau)) from exc
-        coeffs = np.stack([c.coefficients() for c in anchors])
-        dense = interpolate_coefficients(grid.anchors, coeffs, grid.dense)
+        dense = _dense_field(grid, anchors)
 
         median_idx = int(np.argmin(np.abs(grid.anchors - 0.5)))
         median_clf = anchors[median_idx]
@@ -503,12 +506,17 @@ def raw_feature_correlation(features):
 
 
 # ---------------------------------------------------------------------------
-# serialization: model.json + little-endian float64 sidecar for the dense field
+# serialization: model.json, plus the dense field exported as a sidecar
 # ---------------------------------------------------------------------------
 
 def save_model(model: QuantileModel, out_dir):
-    """Write ``model.json`` and the dense-field sidecar it names in
-    ``dense_file``, ``model_dense.bin``; returns the ``model.json`` path."""
+    """Write ``model.json`` and ``model_dense.bin``, which it names in
+    ``dense_file``; returns the ``model.json`` path.
+
+    The sidecar holds the dense field as little-endian float64, shaped
+    ``dense_shape``. It is an export for other tools: ``load_model`` reads
+    ``model.json`` alone and rebuilds the field from the anchors.
+    """
     os.makedirs(out_dir, exist_ok=True)
     dense = np.stack([t.dense_coefficients for t in model.tasks])
     bin_name = "model_dense.bin"
@@ -542,12 +550,13 @@ def save_model(model: QuantileModel, out_dir):
 
 
 def load_model(model_path) -> QuantileModel:
-    """Read a model written by ``save_model``.
+    """Read a model written by ``save_model`` from ``model.json`` alone.
 
-    The schema version, the sidecar shape and size are checked against the
-    model file, the sidecar values against the spline through the stored
-    anchors (to 1e-12), and the tasks and grid as :class:`QuantileModel`
-    does; any mismatch or missing field raises ``ValidationError``.
+    Each task's dense field is the spline through its stored anchors
+    (``_dense_field``, as in the fit); ``model_dense.bin`` is not read. The
+    schema version, the width of every anchor, and the tasks and grid (as
+    :class:`QuantileModel` does) are checked; a missing or malformed field
+    or any mismatch raises ``ValidationError``.
     """
     with open(model_path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -557,47 +566,25 @@ def load_model(model_path) -> QuantileModel:
             raise ValidationError(
                 f"unsupported model schema_version {version!r} "
                 f"(expected {_SCHEMA_VERSION})")
-        grid = QuantileGrid(np.asarray(obj["grid"]["anchors"]),
-                            np.asarray(obj["grid"]["dense"]))
+        grid = QuantileGrid(np.asarray(obj["grid"]["anchors"], dtype=np.float64),
+                            np.asarray(obj["grid"]["dense"], dtype=np.float64))
         class_count, feature_dim = obj["class_count"], obj["feature_dim"]
-        shape = tuple(obj["dense_shape"])
-        dense_file = obj["dense_file"]
-        tasks = [(t["class_id"],
-                  [LinearClassifier.from_json_dict(c) for c in t["anchor_classifiers"]],
-                  float("nan") if t["median_agreement"] is None
-                  else t["median_agreement"])
-                 for t in obj["tasks"]]
-    except (KeyError, TypeError) as exc:
+        if not (isinstance(class_count, int) and isinstance(feature_dim, int)):
+            raise ValidationError(
+                f"class_count and feature_dim in {model_path} must be integers")
+        tasks = []
+        for t in obj["tasks"]:
+            anchors = [LinearClassifier.from_json_dict(c) for c in t["anchor_classifiers"]]
+            if any(c.weights.shape != (feature_dim,) for c in anchors):
+                raise ValidationError(
+                    f"an anchor of class {t['class_id']} in {model_path} does not "
+                    f"have feature_dim = {feature_dim} weights")
+            agreement = t["median_agreement"]
+            tasks.append(QuantileTask(
+                t["class_id"], anchors, _dense_field(grid, anchors),
+                median_agreement=float("nan") if agreement is None else agreement))
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model file {model_path}: {exc!r}") from exc
-    if not (isinstance(class_count, int) and isinstance(feature_dim, int)):
-        raise ValidationError(f"class_count and feature_dim in {model_path} must be integers")
-    expected = (len(tasks), grid.n_dense, feature_dim + 1)
-    if shape != expected:
-        raise ValidationError(
-            f"dense_shape {list(shape)} does not match the model {list(expected)}")
-    bin_path = os.path.join(os.path.dirname(model_path), dense_file)
-    with open(bin_path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) != 8 * int(np.prod(shape)):
-        raise ValidationError(
-            f"{bin_path} holds {len(raw)} bytes; dense_shape {list(shape)} "
-            "needs 8 per entry")
-    dense = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    for i, (class_id, anchors, _) in enumerate(tasks):
-        try:
-            rebuilt = interpolate_coefficients(
-                grid.anchors, np.stack([c.coefficients() for c in anchors]),
-                grid.dense)
-        except ValueError as exc:
-            raise ValidationError(
-                f"malformed anchors for class {class_id} in {model_path}: "
-                f"{exc}") from exc
-        if not np.allclose(dense[i], rebuilt, rtol=_SIDECAR_TOL, atol=_SIDECAR_TOL):
-            raise ValidationError(
-                f"{bin_path} does not match the spline through the anchors of "
-                f"class {class_id}")
-    return QuantileModel(
-        grid,
-        [QuantileTask(class_id, anchors, dense[i], median_agreement=agreement)
-         for i, (class_id, anchors, agreement) in enumerate(tasks)],
-        class_count, feature_dim)
+    return QuantileModel(grid, tasks, class_count, feature_dim)

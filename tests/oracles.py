@@ -111,8 +111,9 @@ def detection_accuracy_sweep(scores, is_id):
     return best
 
 
-def tnr_at_tpr_sweep(scores, is_id, tpr_target=0.95):
-    """Largest threshold with TPR >= target, by explicit descending sweep."""
+def tnr_at_tpr_loop(scores, is_id, tpr_target=0.95):
+    """Largest threshold with TPR >= target, by a descending sweep over the
+    unique scores that recounts the ID scores at each one."""
     scores = np.asarray(scores, dtype=np.float64)
     is_id = np.asarray(is_id, dtype=bool)
     for thr in np.unique(scores)[::-1]:

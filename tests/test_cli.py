@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -223,6 +224,26 @@ class TestFitQuantile:
         assert "'anchors'" in capsys.readouterr().err
         assert not (tmp_path / "x" / "model.json").exists()
 
+    def test_unknown_config_key_exit_2(self, tmp_path, moons_dir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"anchor": 7, "dense": 40}))
+        rc = main(["fit-quantile", "--data", str(moons_dir / "id.csv"),
+                   "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'anchor'" in err and "'dense'" not in err
+        assert not (tmp_path / "x" / "model.json").exists()
+
+    def test_resolved_config_reruns_as_config(self, tmp_path, moons_dir):
+        a = run_fit(tmp_path, "a", moons_dir / "id.csv", ("--tau-min", "0.05",
+                                                          "--tau-max", "0.95"))
+        b = tmp_path / "b"
+        assert main(["fit-quantile", "--data", str(moons_dir / "id.csv"), "--out", str(b),
+                     "--config", str(a / "resolved_config.json")]) == 0
+        for name in ("model.json", "model_dense.bin", "base.json", "manifest.json",
+                     "resolved_config.json"):
+            assert read(a / name) == read(b / name), name
+
     def test_defaults_complete_quickly(self, tmp_path, moons_dir):
         import time
         out = tmp_path / "full"
@@ -306,28 +327,26 @@ class TestOodEval:
         assert {r["detector"] for r in rows} == {"baseline", "quantile-rep"}
         assert_run_meta(out, {"load", "quantile_rep_lof", "baseline_lof", "metrics"})
 
-    @pytest.mark.parametrize("damage", ["truncated-sidecar", "changed-sidecar-value",
-                                        "schema-version", "task-count",
-                                        "class-count-type", "missing-field"])
+    @pytest.mark.parametrize("damage", ["schema-version", "task-count",
+                                        "class-count-type", "missing-field",
+                                        "weights-length", "bias-type"])
     def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
         meta = json.loads(meta_path.read_text())
-        if damage == "truncated-sidecar":
-            blob = (model / "model_dense.bin").read_bytes()
-            (model / "model_dense.bin").write_bytes(blob[:-8])
-        elif damage == "changed-sidecar-value":
-            dense = np.fromfile(model / "model_dense.bin", dtype="<f8")
-            dense[len(dense) // 2] += 0.5
-            dense.tofile(model / "model_dense.bin")
-        elif damage == "schema-version":
+        if damage == "schema-version":
             meta["schema_version"] = 99
         elif damage == "task-count":
             meta["tasks"] = meta["tasks"] * 3
         elif damage == "class-count-type":
             meta["class_count"] = "2"
+        elif damage == "missing-field":
+            del meta["grid"]
+        elif damage == "weights-length":
+            for c in meta["tasks"][0]["anchor_classifiers"]:
+                c["weights"].append(0.0)
         else:
-            del meta["dense_shape"]
+            meta["tasks"][0]["anchor_classifiers"][3]["bias"] = "x"
         meta_path.write_text(json.dumps(meta))
         rc = main(["ood-eval", "--model", str(model),
                    "--train", str(moons_dir / "id.csv"),
@@ -364,6 +383,22 @@ class TestOodEval:
         assert not (tmp_path / "ood" / "metrics.json").exists()
         assert main(["calib-eval", "--model", str(model), "--data", str(moons_dir / "id.csv"),
                      "--out", str(tmp_path / "calib")]) == 2
+
+    @pytest.mark.parametrize("damage", ["no-bias", "no-classifiers"])
+    def test_malformed_base_json_exit_2(self, tmp_path, moons_dir, damage, capsys):
+        model = run_fit(tmp_path, "m", moons_dir / "id.csv")
+        base = json.loads((model / "base.json").read_text())
+        if damage == "no-bias":
+            del base["classifiers"][0]["bias"]
+        else:
+            base = {"clf": []}
+        (model / "base.json").write_text(json.dumps(base))
+        data = str(moons_dir / "id.csv")
+        for argv in (["ood-eval", "--train", data, "--test-id", data,
+                      "--test-ood", str(moons_dir / "ood.csv")],
+                     ["calib-eval", "--data", data]):
+            assert main([*argv, "--model", str(model), "--out", str(tmp_path / argv[0])]) == 2
+            assert f"malformed base model file {model / 'base.json'}" in capsys.readouterr().err
 
     def test_defaults_in_resolved_config(self, tmp_path, moons_dir, moons_model):
         out = tmp_path / "ood"
@@ -498,6 +533,49 @@ class TestXcorr:
         err = capsys.readouterr().err
         assert "xcorr" in err and str(weighted) in err
         assert not (out / "scatter_pairs.csv").exists()
+
+
+    def test_constant_feature_gives_empty_cells(self, tmp_path, moons_dir):
+        # a zero column has no variance in the data, and its anchor weights
+        # stay 0, so its correlations are undefined in both tables
+        ds = load_dataset(moons_dir / "id.csv")
+        data = tmp_path / "flat.csv"
+        save_dataset(Dataset(np.column_stack([ds.features, np.zeros(ds.n)]),
+                             ds.labels, ds.k), data)
+        model = run_fit(tmp_path, "m", data)
+        out = tmp_path / "xc"
+        assert main(["xcorr", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 0
+        for name in ("xcorr_quantile.csv", "xcorr_raw.csv"):
+            rows = (out / name).read_text().splitlines()
+            assert [row.split(",")[2] for row in rows] == ["", "", ""], name
+            assert rows[2] == ",,"
+            assert all(cell != "" for row in rows[:2] for cell in row.split(",")[:2])
+        pairs = [row.split(",") for row in
+                 (out / "scatter_pairs.csv").read_text().splitlines()[1:]]
+        assert [p[:2] for p in pairs] == [["0", "1"], ["0", "2"], ["1", "2"]]
+        assert all(pairs[0][2:]) and pairs[1][2:] == pairs[2][2:] == ["", ""]
+
+
+def test_model_without_sidecar_gives_the_same_results(tmp_path, moons_dir, moons_model):
+    # model_dense.bin is an export: a model is read from its anchors alone
+    bare = tmp_path / "bare"
+    shutil.copytree(moons_model, bare)
+    (bare / "model_dense.bin").unlink()
+    data = str(moons_dir / "id.csv")
+    runs = {"ood-eval": (["--train", data, "--test-id", data,
+                          "--test-ood", str(moons_dir / "ood.csv")],
+                         ("metrics.json", "metrics.csv")),
+            "calib-eval": (["--data", data], ("sweep.csv",)),
+            "xcorr": (["--data", data],
+                      ("xcorr_quantile.csv", "xcorr_raw.csv", "scatter_pairs.csv"))}
+    for command, (argv, files) in runs.items():
+        for model in (moons_model, bare):
+            assert main([command, "--model", str(model), *argv,
+                         "--out", str(tmp_path / model.name / command)]) == 0
+        for name in files:
+            assert (read(tmp_path / moons_model.name / command / name)
+                    == read(tmp_path / "bare" / command / name)), (command, name)
 
 
 class TestShiftMatch:

@@ -23,7 +23,7 @@ from oracles import (
     auroc_pairwise,
     detection_accuracy_sweep,
     lof_bruteforce,
-    tnr_at_tpr_sweep,
+    tnr_at_tpr_loop,
 )
 
 
@@ -146,7 +146,17 @@ class TestTnrAtTpr:
         rng = np.random.default_rng(4)
         scores = rng.normal(size=120)
         is_id = rng.integers(0, 2, 120).astype(bool)
-        assert tnr_at_tpr(scores, is_id) == tnr_at_tpr_sweep(scores, is_id)
+        assert tnr_at_tpr(scores, is_id) == tnr_at_tpr_loop(scores, is_id)
+
+    def test_equals_loop_bitwise(self):
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            n = int(rng.integers(2, 400))
+            scores = (rng.integers(0, rng.integers(1, 20), n).astype(np.float64)
+                      if trial % 2 else rng.normal(size=n))
+            is_id = rng.integers(0, 2, n).astype(bool)
+            is_id[:2] = [True, False]
+            assert tnr_at_tpr(scores, is_id) == tnr_at_tpr_loop(scores, is_id)
 
 
 class TestDetectionAccuracy:

@@ -1,10 +1,13 @@
 """Command-line driver for end-to-end experiments.
 
-Single-invocation subcommands, all randomness seeded, every run writing
-its resolved configuration next to its results. Exit codes: 0 success,
-2 usage/validation error, 3 numerical failure. Result files are
-byte-identical across reruns with the same config; wall-clock timings go
-to ``run_meta.json``, which is the one file excluded from that guarantee.
+Single-invocation subcommands, all randomness seeded. Every subcommand
+follows one run protocol, kept by :func:`main`: it creates ``--out``,
+times the stages the subcommand names, and on success writes the values
+the subcommand ran with to ``resolved_config.json`` and the stage timings
+to ``run_meta.json``. Exit codes: 0 success, 2 usage/validation error, 3
+numerical failure. Result files are byte-identical across reruns with the
+same config; ``run_meta.json`` holds the wall-clock data and is the one
+file excluded from that guarantee.
 """
 
 import argparse
@@ -15,6 +18,7 @@ import os
 import resource
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .quantile import (
     raw_feature_correlation,
     save_model,
 )
-from .shift import estimate_transform
+from .shift import _check_search_inputs, estimate_transform
 
 _FMT = "%.17g"
 
@@ -56,8 +60,11 @@ GEN_DEFAULTS = {
                       "noise_scale": "1.0", "n": 5000, "dim": 1, "seed": 0},
 }
 
-FIT_DEFAULTS = {"anchors": 100, "dense": 1000, "tau_min": 0.01, "tau_max": 0.99,
-                "l2_reg": 1e-4, "max_iter": 1000, "tol": 1e-8, "seed": 0}
+# read from FitConfig and QuantileGrid, whose defaults shift-match fits with
+_DEFAULT_GRID = QuantileGrid()
+FIT_DEFAULTS = {"anchors": _DEFAULT_GRID.anchors.size, "dense": _DEFAULT_GRID.n_dense,
+                "tau_min": float(_DEFAULT_GRID.anchors[0]),
+                "tau_max": float(_DEFAULT_GRID.anchors[-1]), **asdict(FitConfig())}
 
 
 def _write_json(path, obj):
@@ -76,14 +83,18 @@ def _write_csv(path, rows):
             for row in rows)
 
 
-def _write_run_meta(out_dir, timings):
-    """Stage timings (seconds) and the peak resident set size of this
-    process: the wall-clock data kept out of the byte-identical files."""
-    _write_json(os.path.join(out_dir, "run_meta.json"), {
-        "timings_sec": timings,
-        # ru_maxrss is in KiB on Linux (in bytes on macOS)
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    })
+class _Stages:
+    """The stage clock of one run: ``stages(name)`` closes the stage named
+    ``name``, which began at the previous call or at the start of the run."""
+
+    def __init__(self):
+        self.start = self._last = time.perf_counter()
+        self.timings = {}
+
+    def __call__(self, name):
+        now = time.perf_counter()
+        self.timings[name] = now - self._last
+        self._last = now
 
 
 def _load_config(args):
@@ -96,16 +107,19 @@ def _load_config(args):
     return config
 
 
-def _resolve(args, defaults, config, echoed):
+def _resolve(args, defaults, echoed):
     """Sentinel-None flags fall back to --config values, then defaults. Each
     default has the type its flag declares; a numeric config value is read
     through that type, as its flag would read it from the command line. Any
-    other config key raises rather than go unread, except the ``echoed`` keys
-    that a ``resolved_config.json`` adds; one with a value must hold it."""
+    other config key raises rather than go unread, except the keys that a
+    ``resolved_config.json`` adds (``subcommand`` and the ``echoed`` ones);
+    one with a value must hold it."""
+    config = _load_config(args)
+    echoed = {"subcommand": args.command, **echoed}
     unused = [repr(key) for key in config if key not in defaults
               and (key not in echoed or echoed[key] not in (None, config[key]))]
     if unused:
-        raise ValidationError(f"{echoed['subcommand']} does not use config key(s) "
+        raise ValidationError(f"{args.command} does not use config key(s) "
                               f"{', '.join(unused)} in {args.config}")
     resolved = {}
     for key, default in defaults.items():
@@ -137,8 +151,7 @@ def _parse_floats(text, expect=None):
 
 
 def _fit_config(cfg):
-    return FitConfig(l2_reg=cfg["l2_reg"], max_iter=cfg["max_iter"],
-                     tol=cfg["tol"], seed=cfg["seed"])
+    return FitConfig(**{f.name: cfg[f.name] for f in fields(FitConfig)})
 
 
 def _grid(cfg):
@@ -177,14 +190,10 @@ def _reject_unused_gen_flags(args):
         raise ValidationError(f"gen-data {args.kind} does not use {', '.join(unused)}")
 
 
-def cmd_gen_data(args):
+def cmd_gen_data(args, stages):
     kind = args.kind
     _reject_unused_gen_flags(args)
-    cfg = _resolve(args, GEN_DEFAULTS[kind], _load_config(args),
-                   {"subcommand": "gen-data", "kind": kind})
-    os.makedirs(args.out, exist_ok=True)
-
-    t_start = time.perf_counter()
+    cfg = _resolve(args, GEN_DEFAULTS[kind], {"kind": kind})
     if kind == "two-moons":
         center = _parse_floats(cfg["ood_center"], 2)
         id_ds, ood_ds = gen_two_moons(cfg["n_per_class"], cfg["noise"], cfg["ood_n"],
@@ -204,36 +213,24 @@ def cmd_gen_data(args):
                                scale[0] if len(scale) == 1 else tuple(scale))
         ds = gen_latent_binary(spec, cfg["n"], seed=cfg["seed"])
         outputs = {"data.csv": ds}
-    t_generate = time.perf_counter()
+    stages("generate")
     for name, ds in outputs.items():
         save_dataset(ds, os.path.join(args.out, name))
-    t_save = time.perf_counter()
-
-    _write_json(os.path.join(args.out, "resolved_config.json"),
-                {"subcommand": "gen-data", "kind": kind, **cfg})
-    _write_run_meta(args.out, {"generate": t_generate - t_start,
-                               "save": t_save - t_generate,
-                               "total": time.perf_counter() - t_start})
-    return 0
+    stages("save")
+    return {"kind": kind, **cfg}
 
 
-def cmd_fit_quantile(args):
-    cfg = _resolve(args, FIT_DEFAULTS, _load_config(args),
-                   {"subcommand": "fit-quantile", "data": None, "base_model": None})
-    os.makedirs(args.out, exist_ok=True)
-    t_start = time.perf_counter()
-    dataset = load_dataset(args.data)
+def cmd_fit_quantile(args, stages):
+    cfg = _resolve(args, FIT_DEFAULTS, {"data": None, "base_model": None})
     fit_config = _fit_config(cfg)
     grid = _grid(cfg)
-
-    if args.base_model:
-        bases = _load_bases(args.base_model)
-    else:
-        bases = fit_base_classifiers(dataset, fit_config)
-    t_base = time.perf_counter()
+    dataset = load_dataset(args.data)
+    bases = (_load_bases(args.base_model) if args.base_model
+             else fit_base_classifiers(dataset, fit_config))
+    stages("base_fit")
 
     model = fit_quantile_model(dataset, bases, grid=grid, fit_config=fit_config)
-    t_fit = time.perf_counter()
+    stages("quantile_fit")
 
     nonconverged = [sum(not c.converged for c in t.anchor_classifiers)
                     for t in model.tasks]
@@ -248,10 +245,6 @@ def cmd_fit_quantile(args):
     mono = monotonicity_violation_rate(model, dataset.features, dataset.weights)
     save_model(model, args.out)
     _save_bases(os.path.join(args.out, "base.json"), bases)
-    resolved = {"subcommand": "fit-quantile", "data": os.path.abspath(args.data),
-                "base_model": args.base_model and os.path.abspath(args.base_model),
-                **cfg}
-    _write_json(os.path.join(args.out, "resolved_config.json"), resolved)
     _write_json(os.path.join(args.out, "manifest.json"), {
         "schema_version": 1,
         "seed": cfg["seed"],
@@ -264,15 +257,8 @@ def cmd_fit_quantile(args):
         "anchor_iterations": iterations,
         "degenerate_anchors": degenerate,
     })
-    _write_run_meta(args.out, {"base_fit": t_base - t_start,
-                               "quantile_fit": t_fit - t_base,
-                               "total": time.perf_counter() - t_start})
-    return 0
-
-
-def _require(path, what):
-    if not path or not os.path.exists(path):
-        raise ValidationError(f"missing {what}: {path!r}")
+    return {"data": os.path.abspath(args.data),
+            "base_model": args.base_model and os.path.abspath(args.base_model), **cfg}
 
 
 def _load_input(path, what, subcommand, model):
@@ -289,19 +275,13 @@ def _load_input(path, what, subcommand, model):
     return dataset
 
 
-def cmd_ood_eval(args):
-    for p, what in ((args.model, "model dir"), (args.train, "train data"),
-                    (args.test_id, "test-id data"), (args.test_ood, "test-ood data")):
-        _require(p, what)
-    os.makedirs(args.out, exist_ok=True)
-
-    t_start = time.perf_counter()
+def cmd_ood_eval(args, stages):
     model = load_model(os.path.join(args.model, "model.json"))
     bases = _load_bases(os.path.join(args.model, "base.json"))
     train = _load_input(args.train, "train", "ood-eval", model)
     test_id = _load_input(args.test_id, "test-id", "ood-eval", model)
     test_ood = _load_input(args.test_ood, "test-ood", "ood-eval", model)
-    t_load = time.perf_counter()
+    stages("load")
 
     queries = np.vstack([test_id.features, test_ood.features])
     is_id = np.concatenate([np.ones(test_id.n, dtype=bool),
@@ -311,111 +291,76 @@ def cmd_ood_eval(args):
     # (see metric_factor); the (n, k, n_dense) tensor is never built
     factor = metric_factor(model)
     quant_scores = lof_scores(train.features @ factor, queries @ factor, k=args.k)
-    t_quant = time.perf_counter()
+    stages("quantile_rep_lof")
 
     ref_base = _base_logit_matrix(bases, train.features, model.class_count)
     query_base = _base_logit_matrix(bases, queries, model.class_count)
     base_scores = lof_scores(ref_base, query_base, k=args.k)
-    t_base = time.perf_counter()
+    stages("baseline_lof")
 
     results = {
         "baseline": ood_metrics(base_scores, is_id),
         "quantile-rep": ood_metrics(quant_scores, is_id),
     }
-    t_metrics = time.perf_counter()
+    stages("metrics")
     _write_json(os.path.join(args.out, "metrics.json"), results)
     dataset_name = os.path.splitext(os.path.basename(args.test_ood))[0]
     _write_csv(os.path.join(args.out, "metrics.csv"), [
         ["detector", "dataset", "seed", "auroc", "tnr_at_tpr95", "detection_accuracy"],
         *([det, dataset_name, args.seed, m["auroc"], m["tnr_at_tpr95"],
            m["detection_accuracy"]] for det, m in results.items())])
-    _write_json(os.path.join(args.out, "resolved_config.json"), {
-        "subcommand": "ood-eval", "model": os.path.abspath(args.model),
-        "train": os.path.abspath(args.train),
-        "test_id": os.path.abspath(args.test_id),
-        "test_ood": os.path.abspath(args.test_ood), "k": args.k, "seed": args.seed,
-    })
-    _write_run_meta(args.out, {"load": t_load - t_start,
-                               "quantile_rep_lof": t_quant - t_load,
-                               "baseline_lof": t_base - t_quant,
-                               "metrics": t_metrics - t_base,
-                               "total": time.perf_counter() - t_start})
-    return 0
+    return {"model": os.path.abspath(args.model), "train": os.path.abspath(args.train),
+            "test_id": os.path.abspath(args.test_id),
+            "test_ood": os.path.abspath(args.test_ood), "k": args.k, "seed": args.seed}
 
 
-def cmd_calib_eval(args):
-    for p, what in ((args.model, "model dir"), (args.data, "data")):
-        _require(p, what)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_calib_eval(args, stages):
     severities = _parse_floats(args.severities)
-
-    t_start = time.perf_counter()
     model = load_model(os.path.join(args.model, "model.json"))
     bases = _load_bases(os.path.join(args.model, "base.json"))
     data = _load_input(args.data, "data", "calib-eval", model)
-    t_load = time.perf_counter()
+    stages("load")
 
     report = corruption_sweep(model, bases, data, args.corruption, severities,
                               m=args.bins, binning=args.binning, seed=args.seed)
-    t_sweep = time.perf_counter()
+    stages("sweep")
     _write_csv(os.path.join(args.out, "sweep.csv"), [
         ["severity", "method", "accuracy", "ece"],
         *([r.severity, r.method, r.accuracy, r.ece] for r in report.rows)])
-    _write_json(os.path.join(args.out, "resolved_config.json"), {
-        "subcommand": "calib-eval", "model": os.path.abspath(args.model),
-        "data": os.path.abspath(args.data), "severities": severities,
-        "corruption": args.corruption, "bins": args.bins, "binning": args.binning,
-        "seed": args.seed,
-    })
-    _write_run_meta(args.out, {"load": t_load - t_start,
-                               "sweep": t_sweep - t_load,
-                               "total": time.perf_counter() - t_start})
-    return 0
+    return {"model": os.path.abspath(args.model), "data": os.path.abspath(args.data),
+            "severities": severities, "corruption": args.corruption, "bins": args.bins,
+            "binning": args.binning, "seed": args.seed}
 
 
-def cmd_xcorr(args):
-    for p, what in ((args.model, "model dir"), (args.data, "data")):
-        _require(p, what)
-    os.makedirs(args.out, exist_ok=True)
-    t_start = time.perf_counter()
+def cmd_xcorr(args, stages):
     model = load_model(os.path.join(args.model, "model.json"))
     data = _load_input(args.data, "data", "xcorr", model)
-    t_load = time.perf_counter()
+    stages("load")
 
     quant = coefficient_cross_correlation(model)
     raw = raw_feature_correlation(data.features)
-    t_corr = time.perf_counter()
+    stages("correlation")
     d = raw.shape[0]
     _write_csv(os.path.join(args.out, "xcorr_quantile.csv"), quant)
     _write_csv(os.path.join(args.out, "xcorr_raw.csv"), raw)
     _write_csv(os.path.join(args.out, "scatter_pairs.csv"), [
         ["i", "j", "raw_corr", "quantile_corr"],
         *([i, j, raw[i, j], quant[i, j]] for i in range(d) for j in range(i + 1, d))])
-    _write_json(os.path.join(args.out, "resolved_config.json"), {
-        "subcommand": "xcorr", "model": os.path.abspath(args.model),
-        "data": os.path.abspath(args.data),
-    })
-    _write_run_meta(args.out, {"load": t_load - t_start,
-                               "correlation": t_corr - t_load,
-                               "total": time.perf_counter() - t_start})
-    return 0
+    return {"model": os.path.abspath(args.model), "data": os.path.abspath(args.data)}
 
 
-def cmd_shift_match(args):
-    for p, what in ((args.data_t0, "t0 data"), (args.data_t1, "t1 data")):
-        _require(p, what)
-    os.makedirs(args.out, exist_ok=True)
-
-    t_start = time.perf_counter()
+def cmd_shift_match(args, stages):
     data_t0 = load_dataset(args.data_t0)
     data_t1 = load_dataset(args.data_t1)
-    t_load = time.perf_counter()
+    # the search's input rules, checked before either model is fitted
+    _check_search_inputs(args.family, data_t0.d, data_t0.k, data_t1)
+    stages("load")
     fit_config = FitConfig(seed=args.seed)
     bases0 = fit_base_classifiers(data_t0, fit_config)
     model_t0 = fit_quantile_model(data_t0, bases0, fit_config=fit_config)
-    t_fit = time.perf_counter()
+    stages("fit_t0")
     est = estimate_transform(args.family, model_t0, data_t1, fit_config=fit_config)
-    t_estimate = time.perf_counter()
+    stages("estimate")
 
     obj = est.transform.to_json_dict()
     obj.update({"objective": est.objective,
@@ -427,16 +372,9 @@ def cmd_shift_match(args):
         [args.seed, args.true_angle,
          math.degrees(est.transform.angle) if args.family == "orthogonal-2d" else None,
          est.objective]])
-    _write_json(os.path.join(args.out, "resolved_config.json"), {
-        "subcommand": "shift-match", "data_t0": os.path.abspath(args.data_t0),
-        "data_t1": os.path.abspath(args.data_t1), "family": args.family,
-        "seed": args.seed,
-    })
-    _write_run_meta(args.out, {"load": t_load - t_start,
-                               "fit_t0": t_fit - t_load,
-                               "estimate": t_estimate - t_fit,
-                               "total": time.perf_counter() - t_start})
-    return 0
+    return {"data_t0": os.path.abspath(args.data_t0),
+            "data_t1": os.path.abspath(args.data_t1), "family": args.family,
+            "seed": args.seed}
 
 
 def build_parser():
@@ -522,10 +460,23 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand under the run protocol. A subcommand closes its
+    stages on the clock it is handed and returns the values it ran with;
+    only a run that succeeds writes ``resolved_config.json`` and
+    ``run_meta.json``."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        os.makedirs(args.out, exist_ok=True)
+        stages = _Stages()
+        resolved = args.func(args, stages)
+        _write_json(os.path.join(args.out, "resolved_config.json"),
+                    {"subcommand": args.command, **resolved})
+        _write_json(os.path.join(args.out, "run_meta.json"), {
+            "timings_sec": {**stages.timings, "total": time.perf_counter() - stages.start},
+            # ru_maxrss is in KiB on Linux (in bytes on macOS)
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        })
+        return 0
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

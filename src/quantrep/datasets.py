@@ -26,7 +26,8 @@ _P_HI = 1.0 - 1e-16
 
 @dataclass
 class Dataset:
-    """Feature matrix with integer class labels.
+    """Feature matrix with integer class labels, at least one row and one
+    feature column: the rule for every file read and every generator.
 
     ``weights`` are optional per-sample positive reals. ``posterior`` is the
     true P(y=1|x) when the data came from a synthetic latent model.
@@ -42,14 +43,18 @@ class Dataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
             raise ValidationError("features must be a 2-d matrix")
+        n, d = self.features.shape
+        if n == 0 or d == 0:
+            raise ValidationError("a dataset needs at least one row and one feature "
+                                  f"column, got {n} x {d}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.shape != (self.features.shape[0],):
+        if self.labels.shape != (n,):
             raise ValidationError("labels length must match feature rows")
         if not np.all(np.isfinite(self.features)):
             raise ValidationError("features contain non-finite values")
         if self.num_classes < 2:
             raise ValidationError("num_classes must be at least 2")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
+        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValidationError(
                 f"labels must lie in [0, {self.num_classes})"
             )

@@ -155,9 +155,10 @@ class QuantileGrid:
             self.dense = np.linspace(0.01, 0.99, 1000)
         self.anchors = _as_float_array(self.anchors)
         self.dense = _as_float_array(self.dense)
-        for name, arr in (("anchors", self.anchors), ("dense", self.dense)):
-            if arr.ndim != 1 or arr.size < 2:
-                raise ValidationError(f"{name} must be a 1-d grid with >= 2 points")
+        # the natural spline through the anchors needs at least four of them
+        for name, arr, least in (("anchors", self.anchors, 4), ("dense", self.dense, 2)):
+            if arr.ndim != 1 or arr.size < least:
+                raise ValidationError(f"{name} must be a 1-d grid with >= {least} points")
             if np.any(arr <= 0) or np.any(arr >= 1):
                 raise ValidationError(f"{name} must lie in the open interval (0,1)")
             if np.any(np.diff(arr) <= 0):

@@ -209,9 +209,6 @@ def _estimate_affine(gap, model_t0, d):
     below the objective at the true map. Candidates whose P is singular or
     has condition number at or above ``_MAX_CONDITION`` score ``inf``.
     """
-    if d > 10:
-        raise ConfigError("affine search supported for d <= 10")
-
     def forward(theta):
         inv_p = np.linalg.inv(theta[:d * d].reshape(d, d))
         return Transform("affine", matrix=inv_p, offset=-inv_p @ theta[d * d:])
@@ -229,6 +226,23 @@ def _estimate_affine(gap, model_t0, d):
                              rank_deficient=bool(np.linalg.matrix_rank(field_t0) < d))
 
 
+def _check_search_inputs(family, feature_dim, class_count, data_t1):
+    """The inputs a search over ``family`` takes: a t1 epoch with the t0
+    model's feature dimension and class count, 2-d features for rotations
+    and at most 10 for affine maps. Cheap, so callers run it before any fit."""
+    if (data_t1.d, data_t1.k) != (feature_dim, class_count):
+        raise ValidationError(f"t1 data has {data_t1.d} features and {data_t1.k} classes, "
+                              f"t0 has {feature_dim} and {class_count}")
+    if family == "orthogonal-2d":
+        if feature_dim != 2:
+            raise ConfigError("orthogonal-2d requires 2-d features")
+    elif family == "affine":
+        if feature_dim > 10:
+            raise ConfigError("affine search supported for d <= 10")
+    else:
+        raise ConfigError(f"unknown transform family: {family!r}")
+
+
 def estimate_transform(family, model_t0: QuantileModel, data_t1,
                        fit_config: FitConfig | None = None):
     """Fit a quantile model on the newer labeled epoch, on ``model_t0``'s
@@ -238,19 +252,16 @@ def estimate_transform(family, model_t0: QuantileModel, data_t1,
     members indistinguishable from the optimum; a nonempty list signals a
     non-identifiable (symmetric) construction rather than a unique answer.
     An affine estimate is also not identifiable when the t0 dense field is
-    rank deficient (see :class:`TransformEstimate`).
+    rank deficient (see :class:`TransformEstimate`). Inputs the family
+    cannot take raise before the t1 model is fitted.
     """
+    _check_search_inputs(family, model_t0.feature_dim, model_t0.class_count, data_t1)
     fit_config = fit_config or FitConfig()
     bases1 = fit_base_classifiers(data_t1, fit_config)
     model_t1 = fit_quantile_model(data_t1, bases1, grid=model_t0.grid,
                                   fit_config=fit_config)
 
-    samples = data_t1.features
-    gap = FieldGap(model_t0, model_t1, samples)
+    gap = FieldGap(model_t0, model_t1, data_t1.features)
     if family == "orthogonal-2d":
-        if samples.shape[1] != 2:
-            raise ConfigError("orthogonal-2d requires 2-d features")
         return _estimate_orthogonal(gap)
-    if family == "affine":
-        return _estimate_affine(gap, model_t0, samples.shape[1])
-    raise ConfigError(f"unknown transform family: {family!r}")
+    return _estimate_affine(gap, model_t0, data_t1.d)

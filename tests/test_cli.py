@@ -19,15 +19,6 @@ def read(path):
         return fh.read()
 
 
-def assert_run_meta(out, stages):
-    meta = json.loads((out / "run_meta.json").read_text())
-    assert set(meta) == {"timings_sec", "peak_rss_mb"}
-    assert set(meta["timings_sec"]) == {*stages, "total"}
-    assert all(v >= 0.0 for v in meta["timings_sec"].values())
-    assert meta["timings_sec"]["total"] > 0.0
-    assert meta["peak_rss_mb"] > 0.0
-
-
 def test_import_leaves_scipy_stats_unloaded():
     # importing scipy.stats would add about half a second to every CLI call
     src = os.path.dirname(os.path.dirname(quantrep.__file__))
@@ -68,6 +59,58 @@ def moons_model(tmp_path_factory, moons_dir):
     return run_fit(tmp_path_factory.mktemp("moons_model"), "m", moons_dir / "id.csv")
 
 
+@pytest.fixture(scope="module")
+def pair_files(tmp_path_factory):
+    """Two small gaussian-pair epochs, the t0 and t1 data of shift-match."""
+    root = tmp_path_factory.mktemp("pair")
+    for tag, seed in (("t0", "2"), ("t1", "3")):
+        assert main(["gen-data", "gaussian-pair", "--out", str(root / tag),
+                     "--n-per-class", "40", "--seed", seed]) == 0
+    return root / "t0" / "data.csv", root / "t1" / "data.csv"
+
+
+# the stages each subcommand closes, and the input flag that a failed run
+# below points at a file that does not exist
+RUN_STAGES = {
+    "gen-data": ({"generate", "save"}, "--config"),
+    "fit-quantile": ({"base_fit", "quantile_fit"}, "--data"),
+    "ood-eval": ({"load", "quantile_rep_lof", "baseline_lof", "metrics"}, "--test-ood"),
+    "calib-eval": ({"load", "sweep"}, "--data"),
+    "xcorr": ({"load", "correlation"}, "--data"),
+    "shift-match": ({"load", "fit_t0", "estimate"}, "--data-t1"),
+}
+
+
+@pytest.mark.parametrize("command", list(RUN_STAGES))
+def test_run_protocol(tmp_path, moons_dir, moons_model, pair_files, command):
+    data, model = str(moons_dir / "id.csv"), str(moons_model)
+    argv = {"gen-data": ["two-moons", "--n-per-class", "20", "--ood-n", "5"],
+            "fit-quantile": ["--data", data, "--anchors", "12", "--dense", "60"],
+            "ood-eval": ["--model", model, "--train", data, "--test-id", data,
+                         "--test-ood", str(moons_dir / "ood.csv")],
+            "calib-eval": ["--model", model, "--data", data, "--severities", "0,1"],
+            "xcorr": ["--model", model, "--data", data],
+            "shift-match": ["--data-t0", str(pair_files[0]),
+                            "--data-t1", str(pair_files[1])]}[command]
+    stages, input_flag = RUN_STAGES[command]
+    ok = tmp_path / "ok"
+    assert main([command, *argv, "--out", str(ok)]) == 0
+    assert json.loads((ok / "resolved_config.json").read_text())["subcommand"] == command
+    meta = json.loads((ok / "run_meta.json").read_text())
+    assert set(meta) == {"timings_sec", "peak_rss_mb"}
+    assert set(meta["timings_sec"]) == {*stages, "total"}
+    assert all(v >= 0.0 for v in meta["timings_sec"].values())
+    assert meta["timings_sec"]["total"] > 0.0
+    assert meta["peak_rss_mb"] > 0.0
+
+    # the last occurrence of a flag wins, so this names a missing input
+    failed = tmp_path / "failed"
+    assert main([command, *argv, "--out", str(failed),
+                 input_flag, str(tmp_path / "absent")]) == 2
+    assert not (failed / "resolved_config.json").exists()
+    assert not (failed / "run_meta.json").exists()
+
+
 class TestGenData:
     def test_two_moons_byte_identical_reruns(self, tmp_path):
         for tag in ("r1", "r2"):
@@ -76,7 +119,6 @@ class TestGenData:
             assert rc == 0
         for name in ("id.csv", "ood.csv", "resolved_config.json"):
             assert read(tmp_path / "r1" / name) == read(tmp_path / "r2" / name)
-        assert_run_meta(tmp_path / "r1", {"generate", "save"})
 
     def test_gaussian_pair_defaults(self, tmp_path):
         rc = main(["gen-data", "gaussian-pair", "--out", str(tmp_path / "g"),
@@ -160,6 +202,33 @@ class TestGenData:
 
 
 
+def test_fit_defaults_follow_the_library():
+    # FIT_DEFAULTS is read from FitConfig and QuantileGrid, not restated:
+    # with other library defaults the CLI resolves those
+    src = os.path.dirname(os.path.dirname(quantrep.__file__))
+    code = """if True:
+        import dataclasses, json
+        import numpy as np
+        import quantrep.linear, quantrep.quantile
+        quantrep.linear.FitConfig = dataclasses.make_dataclass(
+            "FitConfig", [("l2_reg", float, 0.5), ("max_iter", int, 7),
+                          ("tol", float, 1e-3), ("seed", int, 3)])
+        class Grid(quantrep.quantile.QuantileGrid):
+            def __post_init__(self):
+                self.anchors = np.linspace(0.2, 0.8, 9)
+                self.dense = np.linspace(0.2, 0.8, 30)
+                super().__post_init__()
+        quantrep.quantile.QuantileGrid = Grid
+        from quantrep.cli import FIT_DEFAULTS
+        print(json.dumps(FIT_DEFAULTS, sort_keys=True))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"anchors": 9, "dense": 30, "tau_min": 0.2,
+                                       "tau_max": 0.8, "l2_reg": 0.5, "max_iter": 7,
+                                       "tol": 1e-3, "seed": 3}
+
+
 def test_defaults_have_their_flag_types():
     # _resolve reads a --config value through the type of its default
     subparsers = next(a.choices for a in build_parser()._actions
@@ -185,7 +254,6 @@ class TestFitQuantile:
         # correspondingly looser than with the default grid
         assert manifest["median_agreement"][0] >= 0.9
         assert "timings" not in json.dumps(manifest)
-        assert_run_meta(out, {"base_fit", "quantile_fit"})
 
     def test_manifest_counts_anchor_diagnostics(self, tmp_path, moons_dir, capsys):
         out = run_fit(tmp_path, "conv", moons_dir / "id.csv")
@@ -291,6 +359,21 @@ class TestFitQuantile:
         assert rc == 2
         assert "symmetric" in capsys.readouterr().err
 
+    def test_three_anchors_exit_2_before_any_fit(self, tmp_path, moons_dir, monkeypatch,
+                                                  capsys):
+        # the spline needs four anchors: the grid says so before a fit runs
+        import quantrep.quantile as q
+
+        fits = []
+        fit = q.fit_weighted_logistic
+        monkeypatch.setattr(q, "fit_weighted_logistic",
+                            lambda *args, **kwargs: fits.append(1) or fit(*args, **kwargs))
+        rc = main(["fit-quantile", "--data", str(moons_dir / "id.csv"),
+                   "--out", str(tmp_path / "f"), "--anchors", "3", "--dense", "20"])
+        assert rc == 2
+        assert ">= 4 points" in capsys.readouterr().err
+        assert fits == []
+
     def test_fit_failure_exit_3(self, tmp_path, moons_dir, monkeypatch):
         import quantrep.quantile as q
 
@@ -325,7 +408,6 @@ class TestOodEval:
         with open(out / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["detector"] for r in rows} == {"baseline", "quantile-rep"}
-        assert_run_meta(out, {"load", "quantile_rep_lof", "baseline_lof", "metrics"})
 
     @pytest.mark.parametrize("damage", ["schema-version", "task-count",
                                         "class-count-type", "missing-field",
@@ -458,7 +540,6 @@ class TestCalibEval:
         q_row = [r for r in clean if r["method"] == "QUANT"][0]
         assert float(q_row["accuracy"]) == pytest.approx(acc, abs=1e-15)
         assert float(q_row["ece"]) == pytest.approx(val, abs=1e-15)
-        assert_run_meta(out, {"load", "sweep"})
 
     def test_defaults_in_resolved_config(self, tmp_path, moons_dir, moons_model):
         out = tmp_path / "cal"
@@ -506,7 +587,6 @@ class TestXcorr:
         with open(out / "scatter_pairs.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1  # d=2 -> one off-diagonal pair
-        assert_run_meta(out, {"load", "correlation"})
 
     @pytest.mark.parametrize("data_dim, model_dim", [(3, 2), (2, 3)])
     def test_data_dimension_mismatch_exit_2(self, tmp_path, data_dim, model_dim, capsys):
@@ -598,16 +678,11 @@ class TestShiftMatch:
             rows = list(csv.DictReader(fh))
         assert rows[0]["true_angle"] == "0"
         assert rows[0]["estimated_angle"] != ""
-        assert_run_meta(out, {"load", "fit_t0", "estimate"})
 
-    def test_defaults_in_resolved_config(self, tmp_path):
-        for tag, seed in (("t0", "2"), ("t1", "3")):
-            assert main(["gen-data", "gaussian-pair", "--out", str(tmp_path / tag),
-                         "--n-per-class", "40", "--seed", seed]) == 0
+    def test_defaults_in_resolved_config(self, tmp_path, pair_files):
         out = tmp_path / "sm"
-        assert main(["shift-match", "--data-t0", str(tmp_path / "t0" / "data.csv"),
-                     "--data-t1", str(tmp_path / "t1" / "data.csv"),
-                     "--out", str(out)]) == 0
+        assert main(["shift-match", "--data-t0", str(pair_files[0]),
+                     "--data-t1", str(pair_files[1]), "--out", str(out)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert (resolved["family"], resolved["seed"]) == ("orthogonal-2d", 0)
         assert json.loads((out / "estimate.json").read_text())["family"] == "orthogonal-2d"
@@ -627,3 +702,73 @@ class TestShiftMatch:
         assert est["family"] == "affine"
         assert est["identifiable"] is False
         assert est["near_ties"] == []
+
+    @pytest.mark.parametrize("family, t0_shape, t1_shape", [
+        ("orthogonal-2d", (3, 2), (3, 2)),   # rotations need 2-d data
+        ("affine", (11, 2), (11, 2)),        # the affine search takes d <= 10
+        ("affine", (2, 2), (3, 2)),          # feature dimensions differ
+        ("orthogonal-2d", (2, 3), (2, 2)),   # class counts differ
+    ], ids=["rotation-3d", "affine-11d", "dimension-mismatch", "class-count-mismatch"])
+    def test_bad_inputs_exit_2_before_any_fit(self, tmp_path, monkeypatch, capsys,
+                                               family, t0_shape, t1_shape):
+        import quantrep.cli as cli
+        import quantrep.shift as shift
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted before the inputs were checked")
+
+        monkeypatch.setattr(cli, "fit_quantile_model", no_fit)
+        monkeypatch.setattr(shift, "fit_quantile_model", no_fit)
+        rng = np.random.default_rng(4)
+        paths = []
+        for tag, (d, k) in (("t0", t0_shape), ("t1", t1_shape)):
+            paths.append(tmp_path / f"{tag}.csv")
+            save_dataset(Dataset(rng.normal(size=(30, d)), np.arange(30) % k, k), paths[-1])
+        out = tmp_path / "sm"
+        rc = main(["shift-match", "--data-t0", str(paths[0]), "--data-t1", str(paths[1]),
+                   "--family", family, "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "estimate.json").exists()
+
+
+class TestEmptyInputs:
+    """A dataset holds at least one row and one feature column, whether it
+    is read from a file or generated; anything else exits 2."""
+
+    @pytest.fixture
+    def header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("f0,f1,label\n")
+        return path
+
+    def assert_rejected(self, rc, capsys):
+        assert rc == 2
+        assert "at least one row and one feature column" in capsys.readouterr().err
+
+    def test_fit_quantile_header_only_exit_2(self, tmp_path, header_only, capsys):
+        self.assert_rejected(main(["fit-quantile", "--data", str(header_only),
+                                   "--out", str(tmp_path / "f")]), capsys)
+        assert not (tmp_path / "f" / "model.json").exists()
+
+    def test_shift_match_header_only_t1_exit_2(self, tmp_path, header_only, pair_files,
+                                                capsys):
+        self.assert_rejected(main(["shift-match", "--data-t0", str(pair_files[0]),
+                                   "--data-t1", str(header_only),
+                                   "--out", str(tmp_path / "sm")]), capsys)
+        assert not (tmp_path / "sm" / "estimate.json").exists()
+
+    def test_xcorr_header_only_exit_2(self, tmp_path, header_only, moons_model, capsys):
+        self.assert_rejected(main(["xcorr", "--model", str(moons_model),
+                                   "--data", str(header_only),
+                                   "--out", str(tmp_path / "xc")]), capsys)
+        assert not (tmp_path / "xc" / "xcorr_raw.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["gaussian-pair", "--n-per-class", "0"],
+                                      ["two-moons", "--ood-n", "0"],
+                                      ["latent-binary", "--dim", "0", "--g", ""]],
+                             ids=["no-rows", "no-ood-rows", "no-features"])
+    def test_gen_data_empty_exit_2(self, tmp_path, argv, capsys):
+        out = tmp_path / "g"
+        self.assert_rejected(main(["gen-data", *argv, "--out", str(out)]), capsys)
+        assert list(out.iterdir()) == []

@@ -29,6 +29,11 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 1)), np.array([0, 1]), 2, weights=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_empty_or_featureless_rejected(self, shape):
+        with pytest.raises(ValidationError, match="at least one row and one feature"):
+            Dataset(np.zeros(shape), np.zeros(shape[0], dtype=int), 2)
+
     def test_posterior_must_be_open_interval(self):
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 1)), np.array([0, 1]), 2,

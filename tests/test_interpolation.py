@@ -66,6 +66,12 @@ class TestGridInvariants:
         with pytest.raises(ValidationError):
             QuantileGrid(np.linspace(0.1, 0.9, 10), np.linspace(0.05, 0.9, 50))
 
+    def test_needs_four_anchors(self):
+        # the natural spline through the anchors is defined from four on
+        with pytest.raises(ValidationError, match=">= 4 points"):
+            QuantileGrid(np.linspace(0.1, 0.9, 3), np.linspace(0.1, 0.9, 20))
+        assert QuantileGrid(np.linspace(0.1, 0.9, 4), np.linspace(0.1, 0.9, 20)).n_dense == 20
+
     def test_open_interval(self):
         with pytest.raises(ValidationError):
             QuantileGrid(np.linspace(0.0, 0.99, 10), np.linspace(0.01, 0.99, 50))

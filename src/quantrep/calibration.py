@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 from scipy.special import expit as sigmoid
 
 from .errors import ConfigError, ValidationError
@@ -144,8 +145,8 @@ class IsotonicMap:
 
 
 def isotonic_fit(scores, correctness) -> IsotonicMap:
-    """Pool-adjacent-violators: the nondecreasing map minimizing squared
-    error of correctness on scores.
+    """Pool-adjacent-violators (scipy's ``isotonic_regression``): the
+    nondecreasing map minimizing squared error of correctness on scores.
 
     Tied scores are pre-pooled so the result is a genuine function of the
     score.
@@ -159,20 +160,9 @@ def isotonic_fit(scores, correctness) -> IsotonicMap:
     # single-outcome input is fine here: the solution is the constant map
     s, inverse, group_w = np.unique(scores, return_inverse=True, return_counts=True)
     group_y = np.bincount(inverse, weights=correctness) / group_w
-
-    # blocks as (value, weight, start group), merged while order-violating
-    vals, wts, starts = [], [], []
-    for i in range(s.size):
-        vals.append(group_y[i])
-        wts.append(float(group_w[i]))
-        starts.append(i)
-        while len(vals) > 1 and vals[-2] >= vals[-1]:
-            w = wts[-2] + wts[-1]
-            v = (vals[-2] * wts[-2] + vals[-1] * wts[-1]) / w
-            vals.pop(); wts.pop(); starts.pop()
-            vals[-1], wts[-1] = v, w
-    block_starts = np.asarray(starts, dtype=np.int64)
-    return IsotonicMap(s[block_starts], np.asarray(vals))
+    fit = isotonic_regression(group_y, weights=group_w)
+    block_starts = fit.blocks[:-1]
+    return IsotonicMap(s[block_starts], fit.x[block_starts])
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,9 @@ def _fit_config(cfg):
 
 
 def _grid(cfg):
-    return QuantileGrid(np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["anchors"]),
-                        np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["dense"]))
+    # a negative count gives an empty grid, which QuantileGrid rejects
+    return QuantileGrid(*(np.linspace(cfg["tau_min"], cfg["tau_max"], max(cfg[key], 0))
+                          for key in ("anchors", "dense")))
 
 
 def _save_bases(path, bases):

@@ -1,7 +1,7 @@
 """Dataset containers, file I/O, and synthetic generators.
 
-Datasets are CSV files with the header
-``f0,...,f{d-1},label[,weight][,posterior]``.
+Datasets are CSV files with the header ``f0,...,f{d-1},label[,weight]``;
+a file with any other header is rejected.
 
 All generators are pure functions of (parameters, seed). The latent-score
 generator draws its features uniformly on [-3, 3]^d.
@@ -29,15 +29,13 @@ class Dataset:
     """Feature matrix with integer class labels, at least one row and one
     feature column: the rule for every file read and every generator.
 
-    ``weights`` are optional per-sample positive reals. ``posterior`` is the
-    true P(y=1|x) when the data came from a synthetic latent model.
+    ``weights`` are optional per-sample positive reals.
     """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
     weights: np.ndarray | None = None
-    posterior: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -64,12 +62,6 @@ class Dataset:
                 raise ValidationError("weights length must match labels")
             if np.any(self.weights <= 0):
                 raise ValidationError("weights must be strictly positive")
-        if self.posterior is not None:
-            self.posterior = np.asarray(self.posterior, dtype=np.float64)
-            if self.posterior.shape != self.labels.shape:
-                raise ValidationError("posterior length must match labels")
-            if np.any(self.posterior <= 0) or np.any(self.posterior >= 1):
-                raise ValidationError("posterior must lie in the open interval (0,1)")
 
     @property
     def n(self):
@@ -101,15 +93,21 @@ class LatentModelSpec:
 
     def __post_init__(self):
         self.g_coefficients = np.asarray(self.g_coefficients, dtype=np.float64)
+        # a NaN in g would label every point 0
+        if not (np.all(np.isfinite(self.g_coefficients)) and np.isfinite(self.g_intercept)):
+            raise ValidationError("g coefficients and g_intercept must be finite")
         if self.noise_kind not in ("homoskedastic-gaussian", "heteroskedastic-gaussian"):
             raise ConfigError(f"unsupported noise_kind: {self.noise_kind!r}")
         if self.noise_kind == "homoskedastic-gaussian":
-            if not np.isscalar(self.noise_scale) or self.noise_scale <= 0:
-                raise ValidationError("homoskedastic noise_scale must be a positive scalar")
+            if not np.isscalar(self.noise_scale) or not 0 < self.noise_scale < np.inf:
+                raise ValidationError("homoskedastic noise_scale must be a positive "
+                                      "finite scalar")
         else:
+            if np.shape(self.noise_scale) != (2,):
+                raise ValidationError("heteroskedastic noise_scale must be a pair (a, b)")
             a, b = self.noise_scale
-            if a <= 0 or b < 0:
-                raise ValidationError("heteroskedastic scale needs a > 0, b >= 0")
+            if not (0 < a < np.inf and 0 <= b < np.inf):
+                raise ValidationError("heteroskedastic scale needs finite a > 0, b >= 0")
 
     def latent_mean(self, features):
         features = np.asarray(features, dtype=np.float64)
@@ -142,8 +140,6 @@ def save_dataset(dataset: Dataset, path):
     cols = [f"f{j}" for j in range(dataset.d)] + ["label"]
     if dataset.weights is not None:
         cols.append("weight")
-    if dataset.posterior is not None:
-        cols.append("posterior")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for i in range(dataset.n):
@@ -151,16 +147,14 @@ def save_dataset(dataset: Dataset, path):
             row.append(str(int(dataset.labels[i])))
             if dataset.weights is not None:
                 row.append(_FLOAT_FMT % dataset.weights[i])
-            if dataset.posterior is not None:
-                row.append(_FLOAT_FMT % dataset.posterior[i])
             fh.write(",".join(row) + "\n")
 
 
 def load_dataset(path):
     """Load a dataset CSV file; the class count is max(label)+1, at least 2."""
-    features, labels, weights, posterior = _load_csv(path)
+    features, labels, weights = _load_csv(path)
     num_classes = max(int(labels.max(initial=1)) + 1, 2)
-    return Dataset(features, labels, num_classes, weights=weights, posterior=posterior)
+    return Dataset(features, labels, num_classes, weights=weights)
 
 
 def _load_csv(path):
@@ -169,15 +163,13 @@ def _load_csv(path):
         if not header:
             raise ParseError("empty file", line=1)
         cols = header.split(",")
-        feat_cols = [c for c in cols if c.startswith("f") and c[1:].isdigit()]
-        d = len(feat_cols)
-        if d == 0 or cols[:d] != [f"f{j}" for j in range(d)] or "label" not in cols:
-            raise ParseError(f"bad header {header!r}", line=1)
-        label_idx = cols.index("label")
-        weight_idx = cols.index("weight") if "weight" in cols else None
-        post_idx = cols.index("posterior") if "posterior" in cols else None
+        d = next((j for j, c in enumerate(cols) if c != f"f{j}"), len(cols))
+        weighted = cols[d:] == ["label", "weight"]
+        if d == 0 or not (weighted or cols[d:] == ["label"]):
+            raise ParseError(f"bad header {header!r}, expected "
+                             "f0,...,f{d-1},label[,weight]", line=1)
 
-        feats, labels, weights, posts = [], [], [], []
+        feats, labels, weights = [], [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -186,20 +178,17 @@ def _load_csv(path):
             if len(parts) != len(cols):
                 raise ParseError(f"expected {len(cols)} fields, got {len(parts)}", line=lineno)
             try:
-                feats.append([float(parts[j]) for j in range(d)])
-                labels.append(int(parts[label_idx]))
-                if weight_idx is not None:
-                    weights.append(float(parts[weight_idx]))
-                if post_idx is not None:
-                    posts.append(float(parts[post_idx]))
+                feats.append([float(v) for v in parts[:d]])
+                labels.append(int(parts[d]))
+                if weighted:
+                    weights.append(float(parts[d + 1]))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
     features = np.asarray(feats, dtype=np.float64).reshape(len(labels), d)
     return (
         features,
         np.asarray(labels, dtype=np.int64),
-        np.asarray(weights) if weights else None,
-        np.asarray(posts) if posts else None,
+        np.asarray(weights) if weighted else None,
     )
 
 
@@ -212,6 +201,8 @@ def gen_two_moons(n_per_class=200, noise=0.1, ood_n=100, ood_center=(5.0, 5.0), 
     """
     if n_per_class < 2:
         raise ValidationError("n_per_class must be at least 2")
+    if ood_n < 0:
+        raise ValidationError("ood_n must be nonnegative")
     if noise < 0:
         raise ValidationError("noise must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -239,6 +230,8 @@ def gen_gaussian_pair(centers, stds, n_per_class=500, seed=0):
         raise ValidationError("centers and stds must be 2x2")
     if np.any(stds <= 0):
         raise ValidationError("stds must be strictly positive")
+    if n_per_class < 0:
+        raise ValidationError("n_per_class must be nonnegative")
     rng = np.random.default_rng(seed)
     feats = np.vstack([
         centers[0] + rng.normal(0.0, 1.0, (n_per_class, 2)) * stds[0],
@@ -253,8 +246,8 @@ def gen_latent_binary(spec: LatentModelSpec, n, seed=0):
     """Draw (x, y) from the latent model z = g(x) + eps(x), y = I[z >= 0],
     with features drawn uniformly on [-3, 3]^d.
 
-    The returned dataset carries the analytic posterior P(y=1|x) so the
-    generating model can serve as an oracle base classifier.
+    The analytic posterior P(y=1|x) is ``spec.posterior(features)``;
+    ``LatentOracle(spec)`` serves it as a base classifier.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
@@ -264,4 +257,4 @@ def gen_latent_binary(spec: LatentModelSpec, n, seed=0):
     eps = rng.normal(0.0, 1.0, n) * spec.noise_sigma(feats)
     z = spec.latent_mean(feats) + eps
     labels = (z >= 0).astype(np.int64)
-    return Dataset(feats, labels, 2, posterior=spec.posterior(feats))
+    return Dataset(feats, labels, 2)

@@ -89,12 +89,12 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValidationError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValidationError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
-        if self.l2_reg < 0:
-            raise ValidationError("l2_reg must be nonnegative")
+        if not 0 <= self.l2_reg < np.inf:
+            raise ValidationError("l2_reg must be nonnegative and finite")
 
 
 def normalize_l2(clf: LinearClassifier) -> LinearClassifier:

@@ -159,7 +159,8 @@ class QuantileGrid:
         for name, arr, least in (("anchors", self.anchors, 4), ("dense", self.dense, 2)):
             if arr.ndim != 1 or arr.size < least:
                 raise ValidationError(f"{name} must be a 1-d grid with >= {least} points")
-            if np.any(arr <= 0) or np.any(arr >= 1):
+            # written so that NaN fails it
+            if not np.all((arr > 0) & (arr < 1)):
                 raise ValidationError(f"{name} must lie in the open interval (0,1)")
             if np.any(np.diff(arr) <= 0):
                 raise ValidationError(f"{name} must be strictly increasing")

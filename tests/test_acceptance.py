@@ -289,8 +289,7 @@ def test_c08_rotation_recovery_and_tie_detection():
 
 def test_c09_posthoc_corrections_property(latent_run):
     test = latent_run["test"]
-    sub = Dataset(test.features[:20000], test.labels[:20000], 2,
-                  posterior=test.posterior[:20000])
+    sub = Dataset(test.features[:20000], test.labels[:20000], 2)
     severities = [0.0, 0.5, 1.0, 1.5, 2.0]
     report = corruption_sweep(latent_run["model"], latent_run["oracle"], sub,
                               "gaussian-noise", severities, seed=3)

@@ -20,12 +20,15 @@ def read(path):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats would add about half a second to every CLI call
+    # every CLI call pays for its imports: scipy.stats would add about half
+    # a second, and scipy.interpolate (for CubicSpline) 33 modules and about
+    # 80 ms to a 1 s import of quantrep.cli
     src = os.path.dirname(os.path.dirname(quantrep.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quantrep.cli; print('scipy.stats' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    code = ("import sys, quantrep.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def run_fit(tmp_path, tag, data, extra=()):
@@ -130,13 +133,13 @@ class TestGenData:
         np.testing.assert_allclose(m0, [0.0, 0.0], atol=0.1)
         np.testing.assert_allclose(m1, [1.0, 1.0], atol=0.1)
 
-    def test_latent_binary_has_posterior(self, tmp_path):
+    def test_latent_binary_writes_features_and_label(self, tmp_path):
+        # the posterior is not stored: LatentModelSpec(...).posterior rebuilds it
         rc = main(["gen-data", "latent-binary", "--out", str(tmp_path / "l"),
                    "--n", "100", "--dim", "2", "--g", "1.0,-0.5", "--seed", "3"])
         assert rc == 0
-        ds = load_dataset(tmp_path / "l" / "data.csv")
-        assert ds.posterior is not None
-        assert ds.d == 2
+        assert (tmp_path / "l" / "data.csv").read_text().split("\n")[0] == "f0,f1,label"
+        assert load_dataset(tmp_path / "l" / "data.csv").d == 2
 
     def test_missing_output_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -772,3 +775,47 @@ class TestEmptyInputs:
         out = tmp_path / "g"
         self.assert_rejected(main(["gen-data", *argv, "--out", str(out)]), capsys)
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("header", ["f0,f1,label,posterior", "f0,f1,label,extra",
+                                    "f0,f1,weight,label", "label,f0,f1"],
+                         ids=["posterior", "unknown", "reordered", "label-first"])
+def test_other_dataset_header_exit_2(tmp_path, header, capsys):
+    # a dataset file has exactly the columns save_dataset writes
+    path = tmp_path / "d.csv"
+    path.write_text(header + "\n0.5,1.5,0,1\n-1,2,1,1\n")
+    out = tmp_path / "f"
+    assert main(["fit-quantile", "--data", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "f0,...,f{d-1},label[,weight]" in err
+    assert not (out / "model.json").exists()
+
+
+# numeric inputs that each value's owner rejects (the generators' counts,
+# LatentModelSpec, FitConfig and QuantileGrid) before any draw or fit
+BAD_NUMBERS = {
+    "gaussian-pair-n-per-class": ["gen-data", "gaussian-pair", "--n-per-class", "-1"],
+    "two-moons-ood-n": ["gen-data", "two-moons", "--ood-n", "-1"],
+    "g-nan": ["gen-data", "latent-binary", "--g", "nan"],
+    "g-intercept-nan": ["gen-data", "latent-binary", "--g-intercept", "nan"],
+    "noise-scale-nan": ["gen-data", "latent-binary", "--noise-scale", "nan"],
+    "noise-scale-inf": ["gen-data", "latent-binary", "--noise-scale", "inf"],
+    "heteroskedastic-scale-not-a-pair": ["gen-data", "latent-binary", "--noise-kind",
+                                         "heteroskedastic-gaussian", "--noise-scale", "1"],
+    "tau-min-nan": ["fit-quantile", "--tau-min", "nan"],
+    "anchors-negative": ["fit-quantile", "--anchors", "-1"],
+    "dense-negative": ["fit-quantile", "--dense", "-1"],
+    "l2-reg-nan": ["fit-quantile", "--l2-reg", "nan"],
+    "l2-reg-inf": ["fit-quantile", "--l2-reg", "inf"],
+    "tol-nan": ["fit-quantile", "--tol", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
+def test_bad_number_exit_2(tmp_path, moons_dir, argv, capsys):
+    if argv[0] == "fit-quantile":
+        argv = [*argv, "--data", str(moons_dir / "id.csv")]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []

@@ -34,11 +34,6 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError, match="at least one row and one feature"):
             Dataset(np.zeros(shape), np.zeros(shape[0], dtype=int), 2)
 
-    def test_posterior_must_be_open_interval(self):
-        with pytest.raises(ValidationError):
-            Dataset(np.zeros((2, 1)), np.array([0, 1]), 2,
-                    posterior=np.array([0.5, 1.0]))
-
 
 class TestFileIO:
     def test_small_csv_schema(self, tmp_path):
@@ -53,15 +48,13 @@ class TestFileIO:
         rng = np.random.default_rng(7)
         ds = Dataset(rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-8, 8, (20, 3)),
                      rng.integers(0, 4, 20), 4,
-                     weights=rng.uniform(0.1, 5.0, 20),
-                     posterior=rng.uniform(0.01, 0.99, 20))
+                     weights=rng.uniform(0.1, 5.0, 20))
         path = tmp_path / f"d.{fmt}"
         save_dataset(ds, path)
         back = load_dataset(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.weights, ds.weights)
-        np.testing.assert_array_equal(back.posterior, ds.posterior)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -161,14 +154,16 @@ class TestLatentBinary:
         x = np.array([[3.0, 4.0]])
         assert spec.noise_sigma(x)[0] == pytest.approx(0.5 + 0.25 * 5.0)
         ds = gen_latent_binary(spec, 100, seed=5)
-        assert ds.posterior is not None
+        posterior = spec.posterior(ds.features)
+        assert np.all((posterior > 0) & (posterior < 1))
 
     def test_label_frequency_tracks_posterior_buckets(self):
         spec = LatentModelSpec(np.array([1.0]))
         ds = gen_latent_binary(spec, 50_000, seed=11)
+        posterior = spec.posterior(ds.features)
         delta = 0.05
         for lo in np.arange(0.0, 1.0, delta):
-            mask = (ds.posterior >= lo) & (ds.posterior < lo + delta)
+            mask = (posterior >= lo) & (posterior < lo + delta)
             if mask.sum() < 500:
                 continue
             freq = ds.labels[mask].mean()
@@ -180,4 +175,3 @@ class TestLatentBinary:
         b = gen_latent_binary(spec, 64, seed=9)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.posterior, b.posterior)

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 from scipy.special import expit as sigmoid
 
+from .datasets import _check_seed
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig, fit_weighted_logistic
 from .quantile import QuantileModel, _resolve_bases, _row_blocks
@@ -174,6 +175,7 @@ CORRUPTIONS = ("gaussian-noise", "feature-scaling", "feature-shift")
 
 def corrupt_features(features, corruption, severity, seed=0):
     """Apply one synthetic corruption; severity 0 is an exact no-op."""
+    _check_seed(seed)
     features = np.asarray(features, dtype=np.float64)
     if corruption not in CORRUPTIONS:
         raise ConfigError(f"unknown corruption: {corruption!r}")

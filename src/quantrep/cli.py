@@ -25,6 +25,7 @@ import numpy as np
 from .calibration import corruption_sweep
 from .datasets import (
     LatentModelSpec,
+    _check_seed,
     gen_gaussian_pair,
     gen_latent_binary,
     gen_two_moons,
@@ -239,6 +240,11 @@ def cmd_fit_quantile(args, stages):
                   for t in model.tasks]
     iterations = [sum(c.iterations for c in t.anchor_classifiers)
                   for t in model.tasks]
+    for task, count in zip(model.tasks, degenerate):
+        if count == len(task.anchor_classifiers):
+            raise FitError("every anchor fit is degenerate: the pseudo-labels are "
+                           "one class at every tau, so the task carries no "
+                           "information", class_id=task.class_id)
     if sum(nonconverged):
         print(f"warning: {sum(nonconverged)} anchor fits did not meet the "
               f"stopping rule (tol={fit_config.tol:g} relative to the total "
@@ -277,6 +283,7 @@ def _load_input(path, what, subcommand, model):
 
 
 def cmd_ood_eval(args, stages):
+    _check_seed(args.seed)  # only labels the metrics table
     model = load_model(os.path.join(args.model, "model.json"))
     bases = _load_bases(os.path.join(args.model, "base.json"))
     train = _load_input(args.train, "train", "ood-eval", model)

@@ -192,6 +192,12 @@ def _load_csv(path):
     )
 
 
+def _check_seed(seed):
+    """Reject a seed ``np.random.default_rng`` would refuse: a negative one."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+
+
 def gen_two_moons(n_per_class=200, noise=0.1, ood_n=100, ood_center=(5.0, 5.0), seed=0):
     """Two interleaved half-circles (in-distribution, labels 0/1) plus a
     separate out-of-distribution cluster.
@@ -199,6 +205,7 @@ def gen_two_moons(n_per_class=200, noise=0.1, ood_n=100, ood_center=(5.0, 5.0), 
     Returns ``(id_dataset, ood_dataset)``. With noise 0 the ID points lie
     exactly on the two unit arcs.
     """
+    _check_seed(seed)
     if n_per_class < 2:
         raise ValidationError("n_per_class must be at least 2")
     if ood_n < 0:
@@ -224,6 +231,7 @@ def gen_two_moons(n_per_class=200, noise=0.1, ood_n=100, ood_center=(5.0, 5.0), 
 
 def gen_gaussian_pair(centers, stds, n_per_class=500, seed=0):
     """Two axis-aligned Gaussian clusters, one label per center."""
+    _check_seed(seed)
     centers = np.asarray(centers, dtype=np.float64)
     stds = np.asarray(stds, dtype=np.float64)
     if centers.shape != (2, 2) or stds.shape != (2, 2):
@@ -249,6 +257,7 @@ def gen_latent_binary(spec: LatentModelSpec, n, seed=0):
     The analytic posterior P(y=1|x) is ``spec.posterior(features)``;
     ``LatentOracle(spec)`` serves it as a base classifier.
     """
+    _check_seed(seed)
     if n < 1:
         raise ValidationError("n must be at least 1")
     d = spec.g_coefficients.shape[0]

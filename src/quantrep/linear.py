@@ -95,6 +95,8 @@ class FitConfig:
             raise ValidationError("max_iter must be at least 1")
         if not 0 <= self.l2_reg < np.inf:
             raise ValidationError("l2_reg must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 def normalize_l2(clf: LinearClassifier) -> LinearClassifier:

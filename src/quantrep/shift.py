@@ -10,11 +10,13 @@ refined by bounded Brent for rotations, and one Powell search over the
 inverse map, where the objective is convex, for affine maps.
 
 A search evaluates that objective thousands of times for one pair of
-models and one t1 sample, so it is a :class:`FieldGap`: built once, it
-holds the t1 logits and a single preallocated (tasks, n, n_dense) buffer.
-Each evaluation maps the samples back, writes every t0 task's logits into
-the buffer and reduces the absolute gap in place, so no n x n_dense array
-is allocated per candidate transform.
+models and one t1 sample, so it is a :class:`FieldGap`. The logits are
+affine in the features, so under an inverse map x -> P x + q the gap of
+one task is a single affine field of the t1 sample: its coefficients are
+the t0 coefficients pulled back through the map minus the t1 ones, an
+(n_dense, d+1) matrix built per candidate transform. The field is then
+evaluated and its absolute values summed over row blocks of about
+``quantile._BLOCK_BYTES``, so no evaluation holds an n x n_dense array.
 """
 
 import math
@@ -25,7 +27,12 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig
-from .quantile import QuantileModel, fit_base_classifiers, fit_quantile_model
+from .quantile import (
+    _BLOCK_BYTES,
+    QuantileModel,
+    fit_base_classifiers,
+    fit_quantile_model,
+)
 
 _MAX_CONDITION = 1e8
 _ANGLE_STEP = math.radians(1.0)  # rotation scan; also the tie detector's grid
@@ -97,11 +104,14 @@ class FieldGap:
     """The matching objective of one pair of models on one t1 sample, as a
     function of the inverse transform.
 
-    The two models must share class count and dense grid, so their stored
-    tasks pair up. The t1 logits are computed once. Each call writes the t0
-    logits at the mapped-back samples into one (tasks, n, n_dense) buffer
-    owned by this evaluator and returns the mean of |t0 - t1| over it; two
-    evaluators never share a buffer.
+    The two models must share class count, dense grid and feature
+    dimension, so their stored tasks pair up; the samples must have that
+    dimension too. A t0 task's logits at ``P x + q`` are ``x~ @ C0'.T``
+    with ``x~ = (x, 1)`` and ``C0' = [W0 P | b0 + W0 q]``, so each call
+    builds ``D = C0' - C1`` per task and returns the mean of |x~ @ D.T|
+    over samples, tasks and dense taus. That field is evaluated in row
+    blocks of about ``_BLOCK_BYTES`` into one buffer owned by this
+    evaluator; two evaluators never share a buffer.
 
     For binary models this is also the mean over the whole representations:
     the class-0 slice ``represent`` mirrors is the class-1 slice negated and
@@ -113,22 +123,35 @@ class FieldGap:
         if (model_t0.class_count != model_t1.class_count
                 or not np.array_equal(model_t0.grid.dense, model_t1.grid.dense)):
             raise ValidationError("the two models must share grid and class count")
-        self._samples = np.asarray(samples_t1, dtype=np.float64)
-        self._tasks = model_t0.tasks
-        shape = (len(model_t1.tasks), self._samples.shape[0], model_t1.grid.n_dense)
-        self._logits1 = np.empty(shape)
-        for k, task in enumerate(model_t1.tasks):
-            task.logits(self._samples, out=self._logits1[k])
-        self._buf = np.empty(shape)
+        samples = np.asarray(samples_t1, dtype=np.float64)
+        if not model_t0.feature_dim == model_t1.feature_dim == samples.shape[1]:
+            raise ValidationError(
+                f"feature dimensions differ: t0 model {model_t0.feature_dim}, "
+                f"t1 model {model_t1.feature_dim}, samples {samples.shape[1]}")
+        self._padded = np.column_stack([samples, np.ones(samples.shape[0])])
+        self._pairs = [(t0.dense_coefficients, t1.dense_coefficients)
+                       for t0, t1 in zip(model_t0.tasks, model_t1.tasks)]
+        n_dense = model_t1.grid.n_dense
+        rows = max(1, _BLOCK_BYTES // (8 * n_dense))
+        self._buf = np.empty((min(samples.shape[0], rows), n_dense))
 
     def __call__(self, inv_transform):
-        mapped = inv_transform.apply_inverse(self._samples)
-        buf = self._buf
-        for k, task in enumerate(self._tasks):
-            task.logits(mapped, out=buf[k])
-        np.subtract(buf, self._logits1, out=buf)
-        np.abs(buf, out=buf)
-        return float(np.mean(buf))
+        n, d = self._padded.shape[0], self._padded.shape[1] - 1
+        p = inv_transform._inverse
+        if p.shape[0] != d:
+            raise ValidationError("feature dimension does not match transform")
+        q = -p @ inv_transform.offset
+        rows, n_dense = self._buf.shape
+        total = 0.0
+        for coef0, coef1 in self._pairs:
+            w0 = coef0[:, :d]
+            diff = np.column_stack([w0 @ p, coef0[:, d] + w0 @ q]) - coef1
+            for lo in range(0, n, rows):
+                block = self._buf[:min(rows, n - lo)]
+                np.matmul(self._padded[lo:lo + rows], diff.T, out=block)
+                np.abs(block, out=block)
+                total += float(block.sum())
+        return total / (len(self._pairs) * n * n_dense)
 
 
 def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,

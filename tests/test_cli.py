@@ -393,6 +393,20 @@ class TestFitQuantile:
                    "--dense", "24"])
         assert rc == 3
 
+    def test_all_degenerate_anchors_exit_3(self, tmp_path, capsys):
+        # a base that is sure of class 1 everywhere leaves one-class
+        # pseudo-labels at every tau: a model with no information
+        assert main(["gen-data", "latent-binary", "--out", str(tmp_path / "d"),
+                     "--n", "200"]) == 0
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"classifiers": [
+            {"weights": [0.0], "bias": 50.0, "normalized": False}]}))
+        out = tmp_path / "f"
+        assert main(["fit-quantile", "--data", str(tmp_path / "d" / "data.csv"),
+                     "--base-model", str(base), "--out", str(out)]) == 3
+        assert "every anchor fit is degenerate" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestOodEval:
     def test_report_schema(self, tmp_path, moons_dir):
@@ -808,13 +822,26 @@ BAD_NUMBERS = {
     "l2-reg-nan": ["fit-quantile", "--l2-reg", "nan"],
     "l2-reg-inf": ["fit-quantile", "--l2-reg", "inf"],
     "tol-nan": ["fit-quantile", "--tol", "nan"],
+    "two-moons-seed-negative": ["gen-data", "two-moons", "--seed", "-1"],
+    "gaussian-pair-seed-negative": ["gen-data", "gaussian-pair", "--seed", "-1"],
+    "latent-binary-seed-negative": ["gen-data", "latent-binary", "--seed", "-1"],
+    "fit-quantile-seed-negative": ["fit-quantile", "--seed", "-1"],
+    "ood-eval-seed-negative": ["ood-eval", "--seed", "-1"],
+    "calib-eval-seed-negative": ["calib-eval", "--seed", "-1"],
+    "shift-match-seed-negative": ["shift-match", "--seed", "-1"],
 }
 
 
 @pytest.mark.parametrize("argv", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
-def test_bad_number_exit_2(tmp_path, moons_dir, argv, capsys):
-    if argv[0] == "fit-quantile":
-        argv = [*argv, "--data", str(moons_dir / "id.csv")]
+def test_bad_number_exit_2(tmp_path, moons_dir, moons_model, pair_files, argv, capsys):
+    data, model = str(moons_dir / "id.csv"), str(moons_model)
+    argv = [*argv, *{
+        "fit-quantile": ["--data", data],
+        "ood-eval": ["--model", model, "--train", data, "--test-id", data,
+                     "--test-ood", str(moons_dir / "ood.csv")],
+        "calib-eval": ["--model", model, "--data", data],
+        "shift-match": ["--data-t0", str(pair_files[0]), "--data-t1", str(pair_files[1])],
+    }.get(argv[0], [])]
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err

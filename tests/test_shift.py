@@ -15,8 +15,8 @@ from quantrep import (
     gen_gaussian_pair,
     matching_objective,
 )
-from quantrep.quantile import QuantileGrid, fit_base_classifiers, represent
-from quantrep.shift import FieldGap
+from quantrep.quantile import _BLOCK_BYTES, QuantileGrid, fit_base_classifiers, represent
+from quantrep.shift import FieldGap, _estimate_orthogonal
 
 CENTERS = np.array([[0.0, 0.0], [1.0, 1.0]])
 STDS = np.array([[0.1, 0.3], [0.3, 0.11]])
@@ -164,12 +164,15 @@ def three_class_pair():
 
 class TestFieldGap:
     @pytest.mark.parametrize("pair", ["binary_pair", "three_class_pair"])
-    def test_equals_stacked_expression_bitwise(self, pair, request):
+    def test_equals_stacked_expression(self, pair, request):
+        # the pulled-back coefficient difference sums in another order than
+        # the stacked logits, so the two agree to rounding, not bitwise
         m0, m1, x = request.getfixturevalue(pair)
         gap = FieldGap(m0, m1, x)
         for tr in random_transforms(12, 50):
-            assert gap(tr) == stacked_gap(m0, m1, tr, x)
-            assert matching_objective(m0, m1, tr, x) == stacked_gap(m0, m1, tr, x)
+            ref = stacked_gap(m0, m1, tr, x)
+            assert gap(tr) == pytest.approx(ref, rel=1e-12)
+            assert matching_objective(m0, m1, tr, x) == pytest.approx(ref, rel=1e-12)
 
     def test_interleaved_evaluators_do_not_alias(self, t0_model, binary_pair,
                                                   three_class_pair):
@@ -179,7 +182,7 @@ class TestFieldGap:
         gaps = [FieldGap(*ref) for ref in refs]
         for tr in random_transforms(13, 5):
             for gap, (m0, m1, x) in zip(gaps + gaps[::-1], refs + refs[::-1]):
-                assert gap(tr) == stacked_gap(m0, m1, tr, x)
+                assert gap(tr) == pytest.approx(stacked_gap(m0, m1, tr, x), rel=1e-12)
 
     def test_grid_or_class_count_mismatch_raises(self, binary_pair, three_class_pair):
         m0, m1, x = binary_pair
@@ -192,6 +195,13 @@ class TestFieldGap:
         with pytest.raises(ValidationError):
             matching_objective(three_class_pair[0], m1,
                                Transform("orthogonal-2d", angle=0.3), x)
+
+    def test_dimension_mismatch_raises(self, binary_pair):
+        m0, m1, x = binary_pair
+        with pytest.raises(ValidationError):
+            FieldGap(m0, m1, np.zeros((4, 3)))
+        with pytest.raises(ValidationError):
+            FieldGap(m0, m1, x)(Transform("affine", matrix=np.eye(3)))
 
     def test_binary_objective_matches_represent(self, binary_pair):
         # the objective runs over the one stored task; the class-0 mirror in
@@ -219,6 +229,34 @@ class TestFieldGap:
         finally:
             tracemalloc.stop()
         assert peak < field_bytes
+
+    def test_build_and_calls_stay_within_two_blocks(self, binary_pair):
+        # a sample whose whole logit field is over two row blocks: neither
+        # building the evaluator nor calling it may hold that field
+        m0, m1, _ = binary_pair
+        x = gen_gaussian_pair(CENTERS, STDS, 500, seed=16).features
+        assert x.shape[0] * GRID.n_dense * 8 > 2 * _BLOCK_BYTES
+        transforms = random_transforms(17, 5)
+        tracemalloc.start()
+        try:
+            gap = FieldGap(m0, m1, x)
+            for tr in transforms:
+                gap(tr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _BLOCK_BYTES
+
+    @pytest.mark.parametrize("pair", ["binary_pair", "three_class_pair"])
+    def test_rotation_search_agrees_with_stacked_expression(self, pair, request):
+        m0, m1, x = request.getfixturevalue(pair)
+        est = _estimate_orthogonal(FieldGap(m0, m1, x))
+        ref = _estimate_orthogonal(lambda tr: stacked_gap(m0, m1, tr, x))
+        assert est.transform.reflect == ref.transform.reflect
+        diff = (est.transform.angle - ref.transform.angle + math.pi) % (2 * math.pi) - math.pi
+        assert abs(diff) <= 1e-9
+        assert ([(t.angle, t.reflect) for t in est.near_ties]
+                == [(t.angle, t.reflect) for t in ref.near_ties])
 
 
 class TestEstimateTransform:

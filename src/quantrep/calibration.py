@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import isotonic_regression
-from scipy.special import expit as sigmoid
 
 from .datasets import _check_seed
 from .errors import ConfigError, ValidationError
@@ -127,8 +125,10 @@ def platt_fit(scores, correctness):
 
 
 def platt_apply(scores, ab):
+    from scipy.special import expit
+
     a, b = ab
-    return sigmoid(a * np.asarray(scores, dtype=np.float64) + b)
+    return expit(a * np.asarray(scores, dtype=np.float64) + b)
 
 
 @dataclass
@@ -152,6 +152,8 @@ def isotonic_fit(scores, correctness) -> IsotonicMap:
     Tied scores are pre-pooled so the result is a genuine function of the
     score.
     """
+    from scipy.optimize import isotonic_regression
+
     scores = np.asarray(scores, dtype=np.float64)
     correctness = np.asarray(correctness, dtype=np.float64)
     if scores.shape != correctness.shape:

@@ -358,6 +358,9 @@ def cmd_xcorr(args, stages):
 
 
 def cmd_shift_match(args, stages):
+    # only echoed to report.csv, where an empty cell means "not given"
+    if args.true_angle is not None and not math.isfinite(args.true_angle):
+        raise ValidationError(f"--true-angle must be finite, got {args.true_angle}")
     data_t0 = load_dataset(args.data_t0)
     data_t1 = load_dataset(args.data_t1)
     # the search's input rules, checked before either model is fitted
@@ -382,7 +385,7 @@ def cmd_shift_match(args, stages):
          est.objective]])
     return {"data_t0": os.path.abspath(args.data_t0),
             "data_t1": os.path.abspath(args.data_t1), "family": args.family,
-            "seed": args.seed}
+            "seed": args.seed, "true_angle": args.true_angle}
 
 
 def build_parser():

@@ -10,7 +10,6 @@ generator draws its features uniformly on [-3, 3]^d.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -122,6 +121,8 @@ class LatentModelSpec:
 
     def posterior(self, features):
         """Analytic P(g(x) + eps(x) >= 0) for Gaussian noise."""
+        from scipy.special import ndtr
+
         p = ndtr(self.latent_mean(features) / self.noise_sigma(features))
         return np.clip(p, _P_LO, _P_HI)
 

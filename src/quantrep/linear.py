@@ -8,14 +8,14 @@ has converged when the gradient's L2 norm is at most
 sigmoid-MAE fit), checked at the returned point, and ``max_iter`` caps the
 L-BFGS iterations, whose count each fit records. Logistic fits start from
 the zero vector or a warm start (the objective is convex); the sigmoid-MAE
-fit is non-convex and uses seeded Gaussian multi-start.
+fit is non-convex and uses seeded Gaussian multi-start. scipy is imported
+by the functions that call it, so a process that fits nothing does not
+load it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit as sigmoid
 
 from .errors import DegenerateClassifierError, ValidationError
 
@@ -61,7 +61,9 @@ class LinearClassifier:
         return features @ self.weights + self.bias
 
     def predict_proba(self, features):
-        return sigmoid(self.decision(features))
+        from scipy.special import expit
+
+        return expit(self.decision(features))
 
     def coefficients(self):
         """Concatenated (weights, bias) vector of length d+1."""
@@ -110,10 +112,11 @@ def normalize_l2(clf: LinearClassifier) -> LinearClassifier:
                             iterations=clf.iterations)
 
 
-def _logistic_loss(theta, features, labels01, sample_weights, l2_reg):
+def _logistic_loss(theta, features, labels01, sample_weights, l2_reg, sigmoid):
     """Sum_i w_i * log(1 + exp(-s_i z_i)) + (l2_reg/2) * ||weights||^2 with
     s_i = 2 y_i - 1 and z = features @ weights + bias (bias unpenalized), and
-    its gradient w.r.t. theta = (weights, bias), from one product."""
+    its gradient w.r.t. theta = (weights, bias), from one product.
+    ``sigmoid`` is scipy's ``expit``, bound once per fit by the caller."""
     weights = theta[:-1]
     z = features @ weights + theta[-1]
     # log(1 + exp(-|z|)) + max(-sz, 0) form, stable for large |z|
@@ -161,6 +164,8 @@ def _minimize(loss, theta0, total_weight, config):
     the relative-reduction stop is off, so scipy does not end a fit that has
     not met it.
     """
+    from scipy.optimize import minimize
+
     bound = config.tol * max(1.0, total_weight)
     res = minimize(loss, theta0, jac=True, method="L-BFGS-B",
                    options={"maxiter": config.max_iter, "ftol": 0.0,
@@ -181,6 +186,8 @@ def fit_weighted_logistic(features, labels01, sample_weights=None,
     the observed class) flagged as degenerate, because extreme-quantile
     pseudo-datasets are routinely one-class.
     """
+    from scipy.special import expit
+
     config = config or FitConfig()
     features, labels01, sample_weights = _validate_fit_inputs(
         features, labels01, sample_weights)
@@ -194,7 +201,8 @@ def fit_weighted_logistic(features, labels01, sample_weights=None,
     theta0 = np.zeros(d + 1) if warm_start is None else np.asarray(
         warm_start, dtype=np.float64)
     theta, _, converged, iterations = _minimize(
-        lambda t: _logistic_loss(t, features, labels01, sample_weights, config.l2_reg),
+        lambda t: _logistic_loss(t, features, labels01, sample_weights, config.l2_reg,
+                                 expit),
         theta0, float(np.sum(sample_weights)), config)
     return LinearClassifier(theta[:d], theta[d], converged=converged,
                             iterations=iterations)
@@ -209,6 +217,8 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None) -> Line
     the right basin). ``converged`` and ``iterations`` are the returned
     start's.
     """
+    from scipy.special import expit
+
     config = config or FitConfig()
     features, labels01, _ = _validate_fit_inputs(features, labels01, None)
     d = features.shape[1]
@@ -222,7 +232,7 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None) -> Line
 
     def loss(theta):
         # d/dz |y - sigmoid(z)| = sign * sigmoid'(z) with sign = -1 for y=1
-        s = sigmoid(features @ theta[:d] + theta[d])
+        s = expit(features @ theta[:d] + theta[d])
         r = sign * s * (1.0 - s)
         return (float(np.sum(np.abs(labels01 - s))),
                 np.concatenate([features.T @ r, [float(np.sum(r))]]))

@@ -4,7 +4,6 @@ Scores follow one convention throughout: higher means more in-distribution.
 """
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .datasets import Dataset
 from .errors import UndefinedMetricError, ValidationError
@@ -36,6 +35,8 @@ def _k_nearest(points, reference, k, exclude_self):
     ``exclude_self`` the points are the reference itself and row i skips
     column i.
     """
+    from scipy.spatial.distance import cdist
+
     n, m = points.shape[0], reference.shape[0]
     step = max(1, _CHUNK_ELEMS // m)
     nn = np.empty((n, k), dtype=np.intp)

@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import FitError, QuantrepError, ValidationError
 from .linear import FitConfig, LinearClassifier, fit_weighted_logistic, normalize_l2
@@ -173,20 +172,30 @@ class QuantileGrid:
 
 
 def _natural_spline_second_derivs(x, y):
-    """Second derivatives of the natural cubic spline through (x, y[:, j])."""
+    """Second derivatives of the natural cubic spline through (x, y[:, j]).
+
+    The interior ones solve a symmetric tridiagonal system, by elimination
+    without row swaps and back substitution. The system is strictly
+    diagonally dominant, so LAPACK's ``gtsv`` (scipy's ``solve_banded``)
+    swaps no row either, and this sweep, which does its arithmetic in the
+    same order, matches it bit for bit.
+    """
     n = x.shape[0]
     m = np.zeros_like(y)
     if n < 3:
         return m
     h = np.diff(x)
     rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:, None] - (y[1:-1] - y[:-2]) / h[:-1, None])
-    # tridiagonal system for interior second derivatives, natural ends = 0
-    size = n - 2
-    ab = np.zeros((3, size))
-    ab[0, 1:] = h[1:-1]                      # superdiagonal
-    ab[1, :] = 2.0 * (h[:-1] + h[1:])        # diagonal
-    ab[2, :-1] = h[1:-1]                     # subdiagonal
-    m[1:-1] = solve_banded((1, 1), ab, rhs)
+    off = h[1:-1]                            # sub- and superdiagonal
+    diag = 2.0 * (h[:-1] + h[1:])
+    for i in range(n - 3):
+        fact = off[i] / diag[i]
+        diag[i + 1] -= fact * off[i]
+        rhs[i + 1] -= fact * rhs[i]
+    rhs[-1] /= diag[-1]
+    for i in range(n - 4, -1, -1):
+        rhs[i] = (rhs[i] - off[i] * rhs[i + 1]) / diag[i]
+    m[1:-1] = rhs
     return m
 
 

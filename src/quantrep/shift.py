@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig
@@ -186,6 +185,8 @@ class TransformEstimate:
 
 
 def _estimate_orthogonal(gap):
+    from scipy.optimize import minimize_scalar
+
     n_steps = int(round(2.0 * math.pi / _ANGLE_STEP))
     grid_vals = []  # (objective, angle, reflect)
 
@@ -232,6 +233,8 @@ def _estimate_affine(gap, model_t0, d):
     below the objective at the true map. Candidates whose P is singular or
     has condition number at or above ``_MAX_CONDITION`` score ``inf``.
     """
+    from scipy.optimize import minimize
+
     def forward(theta):
         inv_p = np.linalg.inv(theta[:d * d].reshape(d, d))
         return Transform("affine", matrix=inv_p, offset=-inv_p @ theta[d * d:])

@@ -8,6 +8,7 @@ package, so agreement between the two is meaningful.
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def normal_cdf(x):
@@ -227,3 +228,20 @@ def finite_difference_gradient(fn, theta, h=1e-6):
         dn[i] -= h
         grad[i] = (fn(up) - fn(dn)) / (2.0 * h)
     return grad
+
+
+def natural_spline_second_derivs_banded(x, y):
+    """Second derivatives of the natural cubic spline through (x, y[:, j]):
+    zero at both ends, the interior ones from the tridiagonal system solved
+    by scipy's banded solver (LAPACK gtsv)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    h = np.diff(x)
+    rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:, None] - (y[1:-1] - y[:-2]) / h[:-1, None])
+    ab = np.zeros((3, x.size - 2))
+    ab[0, 1:] = h[1:-1]                      # superdiagonal
+    ab[1, :] = 2.0 * (h[:-1] + h[1:])        # diagonal
+    ab[2, :-1] = h[1:-1]                     # subdiagonal
+    m = np.zeros_like(y)
+    m[1:-1] = solve_banded((1, 1), ab, rhs)
+    return m

@@ -19,16 +19,49 @@ def read(path):
         return fh.read()
 
 
-def test_import_leaves_scipy_stats_unloaded():
+# run in a fresh interpreter: the steps named in argv[1] go through main,
+# and after the import and after each step it lists what is loaded
+_IMPORT_PROBE = """
+import json, sys
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.partition(".")[0] == prefix)
+import quantrep.cli
+seen = {"import": loaded("scipy"), "quantrep": loaded("quantrep")}
+for tag, argv in json.loads(sys.argv[1]):
+    seen[tag] = [quantrep.cli.main(argv), loaded("scipy")]
+print(json.dumps(seen))
+"""
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model):
     # every CLI call pays for its imports: scipy.stats would add about half
     # a second, and scipy.interpolate (for CubicSpline) 33 modules and about
-    # 80 ms to a 1 s import of quantrep.cli
+    # 80 ms to a 1 s import of quantrep.cli. scipy is imported where it is
+    # called, so a subcommand that fits nothing starts on numpy alone.
     src = os.path.dirname(os.path.dirname(quantrep.__file__))
-    code = ("import sys, quantrep.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    data, model = str(moons_dir / "id.csv"), str(moons_model)
+    steps = [
+        ["two-moons", ["gen-data", "two-moons", "--n-per-class", "20", "--ood-n", "10"]],
+        ["gaussian-pair", ["gen-data", "gaussian-pair", "--n-per-class", "20"]],
+        ["latent-binary", ["gen-data", "latent-binary", "--n", "40"]],
+        ["xcorr", ["xcorr", "--model", model, "--data", data]],
+        ["ood-eval", ["ood-eval", "--model", model, "--train", data, "--test-id", data,
+                      "--test-ood", str(moons_dir / "ood.csv")]],
+    ]
+    steps = [[tag, [*argv, "--out", str(tmp_path / tag)]] for tag, argv in steps]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(steps)],
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    seen = json.loads(proc.stdout)
+    assert [m for m in ("scipy.stats", "scipy.interpolate") if m in seen["import"]] == []
+    assert seen["import"] == []
+    # perfbench/tracer.py reads each of these from sys.modules after the import
+    assert {f"quantrep.{name}" for name in ("cli", "datasets", "linear", "quantile", "ood",
+                                            "calibration", "shift")} <= set(seen["quantrep"])
+    for tag in ("two-moons", "gaussian-pair", "latent-binary", "xcorr"):
+        assert seen[tag] == [0, []], tag
+    rc, loaded = seen["ood-eval"]
+    assert rc == 0 and "scipy.spatial" in loaded and "scipy.optimize" not in loaded
 
 
 def run_fit(tmp_path, tag, data, extra=()):
@@ -695,6 +728,7 @@ class TestShiftMatch:
             rows = list(csv.DictReader(fh))
         assert rows[0]["true_angle"] == "0"
         assert rows[0]["estimated_angle"] != ""
+        assert json.loads((out / "resolved_config.json").read_text())["true_angle"] == 0.0
 
     def test_defaults_in_resolved_config(self, tmp_path, pair_files):
         out = tmp_path / "sm"
@@ -702,6 +736,7 @@ class TestShiftMatch:
                      "--data-t1", str(pair_files[1]), "--out", str(out)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert (resolved["family"], resolved["seed"]) == ("orthogonal-2d", 0)
+        assert resolved["true_angle"] is None
         assert json.loads((out / "estimate.json").read_text())["family"] == "orthogonal-2d"
 
     def test_affine_on_separable_pair_not_identifiable(self, tmp_path):
@@ -806,7 +841,8 @@ def test_other_dataset_header_exit_2(tmp_path, header, capsys):
 
 
 # numeric inputs that each value's owner rejects (the generators' counts,
-# LatentModelSpec, FitConfig and QuantileGrid) before any draw or fit
+# LatentModelSpec, FitConfig, QuantileGrid and shift-match's echoed true
+# angle) before any draw or fit
 BAD_NUMBERS = {
     "gaussian-pair-n-per-class": ["gen-data", "gaussian-pair", "--n-per-class", "-1"],
     "two-moons-ood-n": ["gen-data", "two-moons", "--ood-n", "-1"],
@@ -829,6 +865,8 @@ BAD_NUMBERS = {
     "ood-eval-seed-negative": ["ood-eval", "--seed", "-1"],
     "calib-eval-seed-negative": ["calib-eval", "--seed", "-1"],
     "shift-match-seed-negative": ["shift-match", "--seed", "-1"],
+    "true-angle-nan": ["shift-match", "--true-angle", "nan"],
+    "true-angle-inf": ["shift-match", "--true-angle", "inf"],
 }
 
 

@@ -2,6 +2,34 @@ import numpy as np
 import pytest
 
 from quantrep import QuantileGrid, ValidationError, interpolate_coefficients
+from quantrep.quantile import _natural_spline_second_derivs
+
+from oracles import natural_spline_second_derivs_banded
+
+
+class TestSecondDerivatives:
+    """The numpy tridiagonal sweep against the banded LAPACK solve it
+    replaced, bit for bit, so that model files stay byte-identical."""
+
+    @staticmethod
+    def assert_same_bits(x, y):
+        ours = _natural_spline_second_derivs(x, y)
+        ref = natural_spline_second_derivs_banded(x, y)
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            x = np.unique(rng.uniform(0.0, 1.0, int(rng.integers(4, 121))))
+            self.assert_same_bits(x, rng.normal(0.0, 1.0, (x.size, int(rng.integers(1, 34)))))
+
+    def test_default_grid(self):
+        anchors = QuantileGrid().anchors
+        rng = np.random.default_rng(0)
+        for cols in (1, 3, 9, 33):
+            rows = rng.normal(0.0, 1.0, (anchors.size, cols))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            self.assert_same_bits(anchors, rows)
 
 
 class TestInterpolation:

@@ -58,7 +58,7 @@ class TestWeightedLogistic:
         w = rng.uniform(0.5, 3.0, n)
         clf = fit_weighted_logistic(x, y, w, FitConfig(l2_reg=l2_reg, tol=tol))
         assert clf.converged
-        _, grad = _logistic_loss(clf.coefficients(), x, y, w, l2_reg)
+        _, grad = _logistic_loss(clf.coefficients(), x, y, w, l2_reg, sigmoid)
         assert np.linalg.norm(grad) <= tol * max(1.0, w.sum())
 
     def test_iteration_cap_reports_nonconvergence(self):
@@ -93,7 +93,7 @@ class TestWeightedLogistic:
             mid = (t1 + t2) / 2
 
             def obj(t):
-                return _logistic_loss(t, x, y, w, 0.05)[0]
+                return _logistic_loss(t, x, y, w, 0.05, sigmoid)[0]
 
             assert obj(mid) <= (obj(t1) + obj(t2)) / 2 + 1e-10
 
@@ -104,11 +104,11 @@ class TestWeightedLogistic:
         w = rng.uniform(0.5, 2.0, 20)
 
         def obj(t):
-            return _logistic_loss(t, x, y, w, 0.05)[0]
+            return _logistic_loss(t, x, y, w, 0.05, sigmoid)[0]
 
         for _ in range(100):
             theta = rng.normal(0, 1.5, size=4)
-            _, grad = _logistic_loss(theta, x, y, w, 0.05)
+            _, grad = _logistic_loss(theta, x, y, w, 0.05, sigmoid)
             fd = finite_difference_gradient(obj, theta)
             assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
@@ -123,7 +123,7 @@ class TestWeightedLogistic:
             z = x @ theta[:3] + theta[3]
             ref = sum(wi * np.log1p(np.exp(-si * zi)) for wi, si, zi in zip(w, s, z))
             ref += 0.5 * 0.05 * float(theta[:3] @ theta[:3])
-            assert _logistic_loss(theta, x, y, w, 0.05)[0] == pytest.approx(ref, rel=1e-12)
+            assert _logistic_loss(theta, x, y, w, 0.05, sigmoid)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_value_at_large_logits_is_hinge_limit(self):
         # log(1 + exp(-sz)) -> max(0, -sz) once |z| is large; exp would overflow
@@ -133,7 +133,7 @@ class TestWeightedLogistic:
         theta = np.array([1000.0, 3.0])
         z = x[:, 0] * theta[0] + theta[1]
         hinge = np.maximum(0.0, -(2.0 * y - 1.0) * z)
-        value, grad = _logistic_loss(theta, x, y, w, 1e-4)
+        value, grad = _logistic_loss(theta, x, y, w, 1e-4, sigmoid)
         assert np.isfinite(value) and np.all(np.isfinite(grad))
         assert value == pytest.approx(float(w @ hinge) + 0.5e-4 * 1000.0 ** 2, rel=1e-15)
 

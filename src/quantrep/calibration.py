@@ -69,7 +69,7 @@ def ece(confidences, correctness, m=5, binning="quantile"):
     correctness = np.asarray(correctness, dtype=np.float64)
     if confidences.shape != correctness.shape or confidences.ndim != 1:
         raise ValidationError("confidences and correctness must be equal-length vectors")
-    if np.any(confidences < 0) or np.any(confidences > 1):
+    if not np.all((confidences >= 0) & (confidences <= 1)):
         raise ValidationError("confidences must lie in [0,1]")
     if m < 1:
         raise ValidationError("need at least one bin")

@@ -59,8 +59,8 @@ class Dataset:
             self.weights = np.asarray(self.weights, dtype=np.float64)
             if self.weights.shape != self.labels.shape:
                 raise ValidationError("weights length must match labels")
-            if np.any(self.weights <= 0):
-                raise ValidationError("weights must be strictly positive")
+            if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+                raise ValidationError("weights must be positive and finite")
 
     @property
     def n(self):

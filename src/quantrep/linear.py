@@ -78,9 +78,12 @@ class LinearClassifier:
 
     @classmethod
     def from_json_dict(cls, obj):
-        return cls(np.asarray(obj["weights"], dtype=np.float64),
-                   float(obj["bias"]),
-                   normalized=bool(obj["normalized"]))
+        clf = cls(np.asarray(obj["weights"], dtype=np.float64),
+                  float(obj["bias"]),
+                  normalized=bool(obj["normalized"]))
+        if not (np.all(np.isfinite(clf.weights)) and np.isfinite(clf.bias)):
+            raise ValueError("classifier weights and bias must be finite")
+        return clf
 
 
 @dataclass
@@ -148,8 +151,8 @@ def _validate_fit_inputs(features, labels01, sample_weights):
         sample_weights = np.asarray(sample_weights, dtype=np.float64)
         if sample_weights.shape != labels01.shape:
             raise ValidationError("sample_weights length must match labels")
-        if np.any(sample_weights <= 0):
-            raise ValidationError("sample_weights must be strictly positive")
+        if not np.all((sample_weights > 0) & np.isfinite(sample_weights)):
+            raise ValidationError("sample_weights must be positive and finite")
     return features, labels01, sample_weights
 
 

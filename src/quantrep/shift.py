@@ -10,13 +10,11 @@ refined by bounded Brent for rotations, and one Powell search over the
 inverse map, where the objective is convex, for affine maps.
 
 A search evaluates that objective thousands of times for one pair of
-models and one t1 sample, so it is a :class:`FieldGap`. The logits are
-affine in the features, so under an inverse map x -> P x + q the gap of
-one task is a single affine field of the t1 sample: its coefficients are
-the t0 coefficients pulled back through the map minus the t1 ones, an
-(n_dense, d+1) matrix built per candidate transform. The field is then
-evaluated and its absolute values summed over row blocks of about
-``quantile._BLOCK_BYTES``, so no evaluation holds an n x n_dense array.
+models and one t1 sample, so it is a :class:`FieldGap` of the inverse map
+x -> P x + q given as arrays: the logits are affine in the features, so
+one task's gap is a single affine field of the t1 sample, summed in
+absolute value over row blocks of about ``quantile._BLOCK_BYTES``. Both
+searches move in (P, q) and build a :class:`Transform` only to report.
 """
 
 import math
@@ -39,6 +37,12 @@ _REFINE_TOL = 1e-4               # radians, bounded-Brent stop width
 _TIE_TOL = 1e-6                  # near-optimum reporting threshold
 
 
+def _rotation(angle, reflect):
+    """The rotation by ``angle`` radians, after a y-axis sign flip if ``reflect``."""
+    c, s, flip = math.cos(angle), math.sin(angle), -1.0 if reflect else 1.0
+    return np.array([[c, -s * flip], [s, c * flip]])
+
+
 @dataclass
 class Transform:
     """A member of a parametric transform family, x -> A x + b.
@@ -58,10 +62,7 @@ class Transform:
     def __post_init__(self):
         if self.family == "orthogonal-2d":
             self.angle = float(self.angle)
-            c, s = math.cos(self.angle), math.sin(self.angle)
-            self.matrix = np.array([[c, -s], [s, c]])
-            if self.reflect:
-                self.matrix = self.matrix @ np.diag([1.0, -1.0])
+            self.matrix = _rotation(self.angle, self.reflect)
             self.offset = np.zeros(2)
             self._inverse = self.matrix.T
         elif self.family == "affine":
@@ -89,6 +90,10 @@ class Transform:
     def apply_inverse(self, features):
         return (self._check(features) - self.offset) @ self._inverse.T
 
+    def inverse_map(self):
+        """The inverse transform as ``(P, q)``, x -> P x + q."""
+        return self._inverse, -self._inverse @ self.offset
+
     def to_json_dict(self):
         if self.family == "orthogonal-2d":
             return {"family": self.family,
@@ -101,7 +106,7 @@ class Transform:
 
 class FieldGap:
     """The matching objective of one pair of models on one t1 sample, as a
-    function of the inverse transform.
+    function of the inverse map ``(p, q)``, x -> p x + q.
 
     The two models must share class count, dense grid and feature
     dimension, so their stored tasks pair up; the samples must have that
@@ -134,12 +139,10 @@ class FieldGap:
         rows = max(1, _BLOCK_BYTES // (8 * n_dense))
         self._buf = np.empty((min(samples.shape[0], rows), n_dense))
 
-    def __call__(self, inv_transform):
+    def __call__(self, p, q):
         n, d = self._padded.shape[0], self._padded.shape[1] - 1
-        p = inv_transform._inverse
         if p.shape[0] != d:
             raise ValidationError("feature dimension does not match transform")
-        q = -p @ inv_transform.offset
         rows, n_dense = self._buf.shape
         total = 0.0
         for coef0, coef1 in self._pairs:
@@ -159,7 +162,7 @@ def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
     gap between the old model at the mapped-back point and the new model at
     the point itself (see :class:`FieldGap`). Zero when both pictures agree
     exactly."""
-    return FieldGap(model_t0, model_t1, samples_t1)(inv_transform)
+    return FieldGap(model_t0, model_t1, samples_t1)(*inv_transform.inverse_map())
 
 
 @dataclass
@@ -191,7 +194,7 @@ def _estimate_orthogonal(gap):
     grid_vals = []  # (objective, angle, reflect)
 
     def objective_at(angle, reflect):
-        return gap(Transform("orthogonal-2d", angle=angle, reflect=reflect))
+        return gap(_rotation(angle, reflect).T, np.zeros(2))
 
     for reflect in (False, True):
         for i in range(n_steps):
@@ -222,6 +225,12 @@ def _angle_distance(a, b):
     return min(diff, 2.0 * math.pi - diff)
 
 
+def _affine_objective(theta, gap, d):
+    """``gap`` at ``theta = (P.ravel(), q)``; ``inf`` unless cond(P) < ``_MAX_CONDITION``."""
+    p = theta[:d * d].reshape(d, d)
+    return gap(p, theta[d * d:]) if np.linalg.cond(p) < _MAX_CONDITION else np.inf
+
+
 def _estimate_affine(gap, model_t0, d):
     """One Powell search over the inverse map x -> P x + q from the identity.
 
@@ -230,25 +239,16 @@ def _estimate_affine(gap, model_t0, d):
     no other basin for restarts to find. Powell is a local, derivative-free
     method, though, and may stop at a kink of this piecewise-linear objective
     short of its minimum; the reported objective is only known to be at or
-    below the objective at the true map. Candidates whose P is singular or
-    has condition number at or above ``_MAX_CONDITION`` score ``inf``.
+    below the objective at the true map.
     """
     from scipy.optimize import minimize
 
-    def forward(theta):
-        inv_p = np.linalg.inv(theta[:d * d].reshape(d, d))
-        return Transform("affine", matrix=inv_p, offset=-inv_p @ theta[d * d:])
-
-    def objective(theta):
-        try:
-            return gap(forward(theta))
-        except (ValidationError, np.linalg.LinAlgError):
-            return np.inf
-
     theta0 = np.concatenate([np.eye(d).ravel(), np.zeros(d)])
-    best = forward(minimize(objective, theta0, method="Powell").x)
+    theta = minimize(_affine_objective, theta0, args=(gap, d), method="Powell").x
+    inv_p = np.linalg.inv(theta[:d * d].reshape(d, d))
+    best = Transform("affine", matrix=inv_p, offset=-inv_p @ theta[d * d:])
     field_t0 = np.vstack([t.dense_coefficients[:, :d] for t in model_t0.tasks])
-    return TransformEstimate(best, gap(best), [],
+    return TransformEstimate(best, gap(*best.inverse_map()), [],
                              rank_deficient=bool(np.linalg.matrix_rank(field_t0) < d))
 
 

@@ -119,6 +119,10 @@ class TestEce:
         with pytest.raises(ValidationError):
             ece(np.array([0.5]), np.array([1.0]), m=0)
 
+    def test_nan_confidence_rejected(self):
+        with pytest.raises(ValidationError, match=r"\[0,1\]"):
+            ece(np.array([np.nan, 0.5, 0.7, 0.9]), np.array([1.0, 0.0, 1.0, 1.0]))
+
 
 class TestMspConfidence:
     def test_basic(self):

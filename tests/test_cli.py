@@ -319,6 +319,18 @@ class TestFitQuantile:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_weight_exit_2(self, tmp_path, moons_dir, bad, capsys):
+        lines = (moons_dir / "id.csv").read_text().splitlines()
+        rows = [f"{line},1.0" for line in lines[1:]]
+        rows[4] = f"{lines[5]},{bad}"
+        data = tmp_path / "w.csv"
+        data.write_text("\n".join([f"{lines[0]},weight", *rows]) + "\n")
+        rc = main(["fit-quantile", "--data", str(data), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "weights must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "model.json").exists()
+
     def test_config_value_of_wrong_type_exit_2(self, tmp_path, moons_dir, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"anchors": "x"}))
@@ -461,7 +473,8 @@ class TestOodEval:
 
     @pytest.mark.parametrize("damage", ["schema-version", "task-count",
                                         "class-count-type", "missing-field",
-                                        "weights-length", "bias-type"])
+                                        "weights-length", "bias-type",
+                                        "weight-nan", "bias-inf"])
     def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
@@ -477,6 +490,10 @@ class TestOodEval:
         elif damage == "weights-length":
             for c in meta["tasks"][0]["anchor_classifiers"]:
                 c["weights"].append(0.0)
+        elif damage == "weight-nan":
+            meta["tasks"][0]["anchor_classifiers"][3]["weights"][0] = float("nan")
+        elif damage == "bias-inf":
+            meta["tasks"][0]["anchor_classifiers"][3]["bias"] = float("inf")
         else:
             meta["tasks"][0]["anchor_classifiers"][3]["bias"] = "x"
         meta_path.write_text(json.dumps(meta))
@@ -487,6 +504,10 @@ class TestOodEval:
                    "--out", str(tmp_path / "ood")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        # model.json has one reader, so the other subcommands refuse it too
+        for cmd in ("calib-eval", "xcorr"):
+            assert main([cmd, "--model", str(model), "--data", str(moons_dir / "id.csv"),
+                         "--out", str(tmp_path / cmd)]) == 2
 
     def test_feature_dimension_mismatch_exit_2(self, tmp_path, moons_dir):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
@@ -516,12 +537,17 @@ class TestOodEval:
         assert main(["calib-eval", "--model", str(model), "--data", str(moons_dir / "id.csv"),
                      "--out", str(tmp_path / "calib")]) == 2
 
-    @pytest.mark.parametrize("damage", ["no-bias", "no-classifiers"])
+    @pytest.mark.parametrize("damage", ["no-bias", "no-classifiers", "bias-nan",
+                                        "weight-inf"])
     def test_malformed_base_json_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         base = json.loads((model / "base.json").read_text())
         if damage == "no-bias":
             del base["classifiers"][0]["bias"]
+        elif damage == "bias-nan":
+            base["classifiers"][0]["bias"] = float("nan")
+        elif damage == "weight-inf":
+            base["classifiers"][0]["weights"][1] = float("-inf")
         else:
             base = {"clf": []}
         (model / "base.json").write_text(json.dumps(base))

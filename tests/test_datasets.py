@@ -29,6 +29,11 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 1)), np.array([0, 1]), 2, weights=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weights_rejected(self, bad):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            Dataset(np.zeros((2, 1)), np.array([0, 1]), 2, weights=np.array([1.0, bad]))
+
     @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
     def test_empty_or_featureless_rejected(self, shape):
         with pytest.raises(ValidationError, match="at least one row and one feature"):

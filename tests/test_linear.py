@@ -82,6 +82,12 @@ class TestWeightedLogistic:
         with pytest.raises(ValidationError):
             fit_weighted_logistic(np.array([[np.nan], [1.0]]), np.array([0, 1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sample_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            fit_weighted_logistic(np.array([[-1.0], [1.0]]), np.array([0, 1]),
+                                  sample_weights=np.array([1.0, bad]))
+
     def test_convexity_of_objective(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 3))

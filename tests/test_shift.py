@@ -16,7 +16,7 @@ from quantrep import (
     matching_objective,
 )
 from quantrep.quantile import _BLOCK_BYTES, QuantileGrid, fit_base_classifiers, represent
-from quantrep.shift import FieldGap, _estimate_orthogonal
+from quantrep.shift import FieldGap, _affine_objective, _estimate_orthogonal
 
 CENTERS = np.array([[0.0, 0.0], [1.0, 1.0]])
 STDS = np.array([[0.1, 0.3], [0.3, 0.11]])
@@ -123,11 +123,12 @@ class TestMatchingObjective:
         assert a == pytest.approx(b, abs=1e-12)
 
 
-def stacked_gap(m0, m1, tr, x):
-    """The objective as one expression over freshly stacked task logits."""
+def stacked_gap(m0, m1, back, x):
+    """The objective as one expression over freshly stacked task logits,
+    the t0 model's at the mapped-back samples ``back``."""
     logits1 = np.stack([t.logits(x) for t in m1.tasks])
     return float(np.mean(np.abs(
-        np.stack([t.logits(tr.apply_inverse(x)) for t in m0.tasks]) - logits1)))
+        np.stack([t.logits(back) for t in m0.tasks]) - logits1)))
 
 
 def random_transforms(seed, count):
@@ -170,8 +171,8 @@ class TestFieldGap:
         m0, m1, x = request.getfixturevalue(pair)
         gap = FieldGap(m0, m1, x)
         for tr in random_transforms(12, 50):
-            ref = stacked_gap(m0, m1, tr, x)
-            assert gap(tr) == pytest.approx(ref, rel=1e-12)
+            ref = stacked_gap(m0, m1, tr.apply_inverse(x), x)
+            assert gap(*tr.inverse_map()) == pytest.approx(ref, rel=1e-12)
             assert matching_objective(m0, m1, tr, x) == pytest.approx(ref, rel=1e-12)
 
     def test_interleaved_evaluators_do_not_alias(self, t0_model, binary_pair,
@@ -182,7 +183,8 @@ class TestFieldGap:
         gaps = [FieldGap(*ref) for ref in refs]
         for tr in random_transforms(13, 5):
             for gap, (m0, m1, x) in zip(gaps + gaps[::-1], refs + refs[::-1]):
-                assert gap(tr) == pytest.approx(stacked_gap(m0, m1, tr, x), rel=1e-12)
+                assert gap(*tr.inverse_map()) == pytest.approx(
+                    stacked_gap(m0, m1, tr.apply_inverse(x), x), rel=1e-12)
 
     def test_grid_or_class_count_mismatch_raises(self, binary_pair, three_class_pair):
         m0, m1, x = binary_pair
@@ -201,7 +203,7 @@ class TestFieldGap:
         with pytest.raises(ValidationError):
             FieldGap(m0, m1, np.zeros((4, 3)))
         with pytest.raises(ValidationError):
-            FieldGap(m0, m1, x)(Transform("affine", matrix=np.eye(3)))
+            FieldGap(m0, m1, x)(np.eye(3), np.zeros(3))
 
     def test_binary_objective_matches_represent(self, binary_pair):
         # the objective runs over the one stored task; the class-0 mirror in
@@ -224,7 +226,7 @@ class TestFieldGap:
         tracemalloc.start()
         try:
             for tr in transforms:
-                gap(tr)
+                gap(*tr.inverse_map())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -241,17 +243,29 @@ class TestFieldGap:
         try:
             gap = FieldGap(m0, m1, x)
             for tr in transforms:
-                gap(tr)
+                gap(*tr.inverse_map())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * _BLOCK_BYTES
 
+    @pytest.mark.parametrize("p", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    def test_singular_inverse_map(self, binary_pair, p):
+        # no Transform can hold a singular inverse map, but the evaluator
+        # takes one; the affine search scores it inf without raising
+        m0, m1, x = binary_pair
+        p, q = np.array(p), np.array([0.2, -0.1])
+        gap = FieldGap(m0, m1, x)
+        assert gap(p, q) == pytest.approx(stacked_gap(m0, m1, x @ p.T + q, x), rel=1e-12)
+        assert _affine_objective(np.concatenate([p.ravel(), q]), gap, 2) == np.inf
+        eye = np.concatenate([np.eye(2).ravel(), q])
+        assert _affine_objective(eye, gap, 2) == gap(np.eye(2), q)
+
     @pytest.mark.parametrize("pair", ["binary_pair", "three_class_pair"])
     def test_rotation_search_agrees_with_stacked_expression(self, pair, request):
         m0, m1, x = request.getfixturevalue(pair)
         est = _estimate_orthogonal(FieldGap(m0, m1, x))
-        ref = _estimate_orthogonal(lambda tr: stacked_gap(m0, m1, tr, x))
+        ref = _estimate_orthogonal(lambda p, q: stacked_gap(m0, m1, x @ p.T + q, x))
         assert est.transform.reflect == ref.transform.reflect
         diff = (est.transform.angle - ref.transform.angle + math.pi) % (2 * math.pi) - math.pi
         assert abs(diff) <= 1e-9

@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .calibration import corruption_sweep
+from .calibration import CORRUPTIONS, corruption_sweep
 from .datasets import (
     LatentModelSpec,
     _check_seed,
@@ -110,8 +110,8 @@ def _load_config(args):
 
 def _resolve(args, defaults, echoed):
     """Sentinel-None flags fall back to --config values, then defaults. Each
-    default has the type its flag declares; a numeric config value is read
-    through that type, as its flag would read it from the command line. Any
+    flag is typed by its default (``_add_param_flags``); a numeric config
+    value is read through that type, as its flag would read it. Any
     other config key raises rather than go unread, except the keys that a
     ``resolved_config.json`` adds (``subcommand`` and the ``echoed`` ones);
     one with a value must hold it."""
@@ -182,19 +182,8 @@ def _base_logit_matrix(bases, features, k):
     return np.column_stack([-z, z]) if k == 2 else z
 
 
-def _reject_unused_gen_flags(args):
-    """Flags of another kind raise rather than go unread."""
-    kind_keys = GEN_DEFAULTS[args.kind].keys()
-    other = sorted({key for d in GEN_DEFAULTS.values() for key in d} - kind_keys)
-    unused = ["--" + key.replace("_", "-") for key in other
-              if getattr(args, key) is not None]
-    if unused:
-        raise ValidationError(f"gen-data {args.kind} does not use {', '.join(unused)}")
-
-
 def cmd_gen_data(args, stages):
     kind = args.kind
-    _reject_unused_gen_flags(args)
     cfg = _resolve(args, GEN_DEFAULTS[kind], {"kind": kind})
     if kind == "two-moons":
         center = _parse_floats(cfg["ood_center"], 2)
@@ -388,6 +377,14 @@ def cmd_shift_match(args, stages):
             "seed": args.seed, "true_angle": args.true_angle}
 
 
+def _add_param_flags(parser, defaults):
+    """One ``--key`` flag per parameter, typed by its default (a text default
+    takes the text as given). An unset flag stays None for ``_resolve``."""
+    for key, default in defaults.items():
+        parser.add_argument("--" + key.replace("_", "-"),
+                            type=None if isinstance(default, str) else type(default))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quantrep",
@@ -397,23 +394,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("kind", choices=sorted(GEN_DEFAULTS.keys()))
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-per-class", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--ood-n", type=int)
-    p.add_argument("--ood-center")
-    p.add_argument("--centers")
-    p.add_argument("--stds")
-    p.add_argument("--g")
-    p.add_argument("--g-intercept", type=float)
-    p.add_argument("--noise-kind",
-                   choices=["homoskedastic-gaussian", "heteroskedastic-gaussian"])
-    p.add_argument("--noise-scale")
-    p.add_argument("--n", type=int)
-    p.add_argument("--dim", type=int)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, defaults in GEN_DEFAULTS.items():
+        # no abbreviations: a flag of another kind is named, not completed
+        k = kinds.add_parser(kind, allow_abbrev=False)
+        k.add_argument("--out", required=True)
+        k.add_argument("--config")
+        _add_param_flags(k, defaults)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("fit-quantile", help="fit a quantile model")
@@ -421,14 +408,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--base-model")
     p.add_argument("--config")
-    p.add_argument("--anchors", type=int)
-    p.add_argument("--dense", type=int)
-    p.add_argument("--tau-min", type=float)
-    p.add_argument("--tau-max", type=float)
-    p.add_argument("--l2-reg", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
+    _add_param_flags(p, FIT_DEFAULTS)
     p.set_defaults(func=cmd_fit_quantile)
 
     p = sub.add_parser("ood-eval", help="baseline vs quantile-representation OOD detection")
@@ -446,8 +426,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--severities", default="0,0.25,0.5,1.0,1.5,2.0")
-    p.add_argument("--corruption", default="gaussian-noise",
-                   choices=["gaussian-noise", "feature-scaling", "feature-shift"])
+    p.add_argument("--corruption", default="gaussian-noise", choices=CORRUPTIONS)
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--binning", default="quantile", choices=["equal-width", "quantile"])
     p.add_argument("--seed", type=int, default=0)

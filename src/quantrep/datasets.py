@@ -199,7 +199,7 @@ def _check_seed(seed):
         raise ValidationError(f"seed must be nonnegative, got {seed}")
 
 
-def gen_two_moons(n_per_class=200, noise=0.1, ood_n=100, ood_center=(5.0, 5.0), seed=0):
+def gen_two_moons(n_per_class=250, noise=0.25, ood_n=120, ood_center=(8.3, 2.0), seed=0):
     """Two interleaved half-circles (in-distribution, labels 0/1) plus a
     separate out-of-distribution cluster.
 

@@ -49,10 +49,11 @@ class LinearClassifier:
         self.bias = float(self.bias)
 
     def decision(self, features):
-        """Raw logits weights @ x + bias per row."""
+        """Raw logits weights @ x + bias per row; a 1-D array is n samples of
+        one feature, as in ``fit_weighted_logistic``."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
-            features = features[None, :]
+            features = features[:, None]
         if features.shape[1] != self.weights.shape[0]:
             raise ValidationError(
                 f"feature dimension {features.shape[1]} does not match classifier "

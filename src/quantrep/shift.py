@@ -226,7 +226,10 @@ def _angle_distance(a, b):
 
 
 def _affine_objective(theta, gap, d):
-    """``gap`` at ``theta = (P.ravel(), q)``; ``inf`` unless cond(P) < ``_MAX_CONDITION``."""
+    """``gap`` at ``theta = (P.ravel(), q)``; ``inf`` unless theta is finite
+    and cond(P) < ``_MAX_CONDITION`` (the SVD behind cond fails on NaN)."""
+    if not np.all(np.isfinite(theta)):
+        return np.inf
     p = theta[:d * d].reshape(d, d)
     return gap(p, theta[d * d:]) if np.linalg.cond(p) < _MAX_CONDITION else np.inf
 

@@ -1,6 +1,9 @@
 import csv
+import inspect
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,7 +12,8 @@ import numpy as np
 import pytest
 
 import quantrep
-from quantrep import Dataset, load_dataset, save_dataset
+from quantrep import (Dataset, LatentModelSpec, gen_gaussian_pair, gen_latent_binary,
+                      gen_two_moons, load_dataset, save_dataset)
 from quantrep.cli import FIT_DEFAULTS, GEN_DEFAULTS, build_parser, main
 from quantrep.errors import DegenerateClassifierError
 
@@ -180,9 +184,11 @@ class TestGenData:
         assert exc.value.code == 2
 
     def test_flag_of_another_kind_exit_2(self, tmp_path, capsys):
-        rc = main(["gen-data", "two-moons", "--out", str(tmp_path / "g"),
-                   "--centers", "9,9,9,9", "--dim", "7", "--n", "3"])
-        assert rc == 2
+        # each kind has its own parser, so another kind's flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "two-moons", "--out", str(tmp_path / "g"),
+                  "--centers", "9,9,9,9", "--dim", "7", "--n", "3"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err
         for flag in ("--centers", "--dim", "--n"):
@@ -265,15 +271,56 @@ def test_fit_defaults_follow_the_library():
                                        "tol": 1e-3, "seed": 3}
 
 
+def subparsers(parser):
+    return next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+
+
 def test_defaults_have_their_flag_types():
     # _resolve reads a --config value through the type of its default
-    subparsers = next(a.choices for a in build_parser()._actions
-                      if isinstance(a.choices, dict))
-    for command, defaults in [("fit-quantile", FIT_DEFAULTS),
-                              *(("gen-data", d) for d in GEN_DEFAULTS.values())]:
-        types = {a.dest: a.type or str for a in subparsers[command]._actions}
+    commands = subparsers(build_parser())
+    kinds = subparsers(commands["gen-data"])
+    assert sorted(kinds) == sorted(GEN_DEFAULTS)
+    for parser, defaults in [(commands["fit-quantile"], FIT_DEFAULTS),
+                             *((kinds[kind], d) for kind, d in GEN_DEFAULTS.items())]:
+        types = {a.dest: a.type or str for a in parser._actions}
         for key, default in defaults.items():
-            assert types[key] is type(default), (command, key)
+            assert types[key] is type(default), (parser.prog, key)
+
+
+def test_gen_defaults_follow_the_library():
+    # a gen-data default is the library's default for the same parameter; a
+    # comma-separated text default reads as the library's number or tuple
+    sources = {"two-moons": [gen_two_moons], "gaussian-pair": [gen_gaussian_pair],
+               "latent-binary": [gen_latent_binary, LatentModelSpec]}
+    for kind, funcs in sources.items():
+        for func in funcs:
+            for name, param in inspect.signature(func).parameters.items():
+                if param.default is inspect.Parameter.empty:
+                    continue
+                cli, lib = GEN_DEFAULTS[kind][name], param.default
+                if isinstance(cli, str) and not isinstance(lib, str):
+                    cli, lib = [float(v) for v in cli.split(",")], list(np.atleast_1d(lib))
+                assert cli == lib, (kind, name)
+
+
+def test_readme_commands_parse(capsys):
+    # every `quantrep ...` line of README.md's sh blocks, with its `\`
+    # continuations joined, parses: the documented argv order stays valid
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["quantrep"]]
+    parser = build_parser()
+    commands_seen = {argv[0] for argv in commands}
+    kinds_seen = {argv[1] for argv in commands if argv[0] == "gen-data"}
+    assert (commands_seen, kinds_seen) == (set(subparsers(parser)), set(GEN_DEFAULTS))
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:  # -h exits 0, a usage error 2
+            assert exc.code == 0 and "-h" in argv, shlex.join(["quantrep", *argv])
 
 
 class TestFitQuantile:

@@ -171,6 +171,13 @@ class TestDecision:
         z2 = clf.decision(2 * x)[0]
         assert z2 - z1 == pytest.approx(float(clf.weights @ x[0]), abs=1e-12)
 
+    def test_one_d_input_is_one_feature(self):
+        # as in fit_weighted_logistic: a 1-D array is n samples of one feature
+        x = np.array([-2.0, -1.0, 0.5, 1.0, 3.0])
+        clf = fit_weighted_logistic(x, np.array([0, 1, 0, 1, 1]))
+        np.testing.assert_array_equal(clf.decision(x), clf.decision(x[:, None]))
+        assert clf.predict_proba(x).shape == (5,)
+
     def test_dimension_mismatch(self):
         clf = LinearClassifier(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValidationError):

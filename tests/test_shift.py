@@ -261,6 +261,14 @@ class TestFieldGap:
         eye = np.concatenate([np.eye(2).ravel(), q])
         assert _affine_objective(eye, gap, 2) == gap(np.eye(2), q)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_candidate_scores_inf(self, binary_pair, bad):
+        # Powell may try such a point; the SVD behind cond(P) fails on NaN
+        m0, m1, x = binary_pair
+        gap = FieldGap(m0, m1, x)
+        assert _affine_objective(np.full(6, bad), gap, 2) == np.inf
+        assert _affine_objective(np.r_[np.eye(2).ravel(), bad, 0.0], gap, 2) == np.inf
+
     @pytest.mark.parametrize("pair", ["binary_pair", "three_class_pair"])
     def test_rotation_search_agrees_with_stacked_expression(self, pair, request):
         m0, m1, x = request.getfixturevalue(pair)

@@ -78,7 +78,7 @@ def ece(confidences, correctness, m=5, binning="quantile"):
         raise ValidationError("need at least one sample")
 
     edges, idx = _bin_indices(confidences, m, binning)
-    n_bins = edges.size - 1 if binning == "quantile" else m
+    n_bins = edges.size - 1
     counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
     conf_sum = np.bincount(idx, weights=confidences, minlength=n_bins)
     acc_sum = np.bincount(idx, weights=correctness, minlength=n_bins)
@@ -109,18 +109,17 @@ def platt_fit(scores, correctness):
     """Fit (a, b) so that sigmoid(a*s + b) minimizes log loss; convex.
 
     An unregularised one-feature logistic fit, started flat at the base
-    rate so that constant scores keep slope 0.
+    rate so that constant scores keep slope 0. One outcome alone gives the
+    constant map of ``fit_weighted_logistic``, the log-loss minimiser's limit.
     """
     scores = np.asarray(scores, dtype=np.float64)
     correctness = np.asarray(correctness, dtype=np.float64)
-    if scores.shape != correctness.shape:
-        raise ValidationError("scores and correctness must have equal length")
-    if np.unique(correctness).size < 2:
-        raise ValidationError("correctness must contain both outcomes")
+    if scores.shape != correctness.shape or scores.size == 0:
+        raise ValidationError("scores and correctness must be nonempty, of equal length")
     rate = float(correctness.mean())
+    warm = [0.0, math.log(rate / (1.0 - rate))] if 0.0 < rate < 1.0 else None
     clf = fit_weighted_logistic(scores[:, None], correctness,
-                                config=FitConfig(l2_reg=0.0),
-                                warm_start=[0.0, math.log(rate / (1.0 - rate))])
+                                config=FitConfig(l2_reg=0.0), warm_start=warm)
     return float(clf.weights[0]), clf.bias
 
 
@@ -238,7 +237,8 @@ def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
 
     Both maps are fit once, on the clean QUANT stream, and re-applied at
     every severity; they adjust confidences only, so their accuracy is
-    QUANT's. ``severities`` must be nonempty, ascending, finite and >= 0.
+    QUANT's. ``severities`` must be nonempty, ascending, finite and >= 0,
+    and every label must be a class of the model.
     """
     severities = [float(s) for s in severities]
     if not severities or not all(math.isfinite(s) and s >= 0 for s in severities):
@@ -248,6 +248,8 @@ def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
     features = clean_data.features
     labels = clean_data.labels
     k = model.class_count
+    if labels.max() >= k:  # a Dataset holds at least one row
+        raise ValidationError(f"label {labels.max()} is not a class of the {k}-class model")
 
     conf, correct = _stream(model_class_probabilities(model, features), labels)
     # Platt consumes logit-scale scores so a calibrated stream maps to a

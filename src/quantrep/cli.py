@@ -12,6 +12,7 @@ file excluded from that guarantee.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -386,18 +387,20 @@ def _add_param_flags(parser, defaults):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    # no abbreviated flags: `--anc` is not read as `--anchors`, and a flag of
+    # another gen-data kind is named, not completed
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = no_abbrev(
         prog="quantrep",
         description="Quantile representations: data generation, fitting, "
                     "OOD evaluation, calibration sweeps, diagnostics, and "
                     "shift matching.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    kinds = p.add_subparsers(dest="kind", required=True)
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=no_abbrev)
     for kind, defaults in GEN_DEFAULTS.items():
-        # no abbreviations: a flag of another kind is named, not completed
-        k = kinds.add_parser(kind, allow_abbrev=False)
+        k = kinds.add_parser(kind)
         k.add_argument("--out", required=True)
         k.add_argument("--config")
         _add_param_flags(k, defaults)

@@ -8,16 +8,13 @@ import numpy as np
 from .datasets import Dataset
 from .errors import UndefinedMetricError, ValidationError
 from .linear import FitConfig
-from .quantile import QuantileModel, fit_base_classifiers, fit_quantile_model
+from .quantile import QuantileModel, _block_rows, fit_base_classifiers, fit_quantile_model
 
 DEFAULT_LOF_K = 20
 
 # Guards the reachability-density inversion when a neighborhood collapses
 # onto duplicate points.
 _LRD_EPS = 1e-12
-
-# Distance entries per k-NN chunk (8 MB of float64).
-_CHUNK_ELEMS = 1 << 20
 
 # The ID acceptance rate at which ``tnr_at_tpr`` reads the OOD rejection rate.
 _TPR_LEVEL = 0.95
@@ -26,19 +23,18 @@ _TPR_LEVEL = 0.95
 def _k_nearest(points, reference, k, exclude_self):
     """Exact k nearest reference rows of each point: (indices, distances).
 
-    Rows are processed in chunks of about ``_CHUNK_ELEMS`` distances, so
-    memory is O(chunk * m) rather than O(n * m). Per row, the k-th
-    smallest distance comes from ``np.partition``; the neighbourhood is
-    every index strictly below it plus the lowest-indexed ties at it, and
-    is returned ordered by (distance, index). That is exactly the first k
-    entries of a stable argsort of the full distance row. With
-    ``exclude_self`` the points are the reference itself and row i skips
-    column i.
+    Rows are processed in blocks of ``quantile._block_rows(m)``, so memory
+    is O(block) rather than O(n * m). Per row, the k-th smallest distance
+    comes from ``np.partition``; the neighbourhood is every index strictly
+    below it plus the lowest-indexed ties at it, and is returned ordered by
+    (distance, index). That is exactly the first k entries of a stable
+    argsort of the full distance row. With ``exclude_self`` the points are
+    the reference itself and row i skips column i.
     """
     from scipy.spatial.distance import cdist
 
     n, m = points.shape[0], reference.shape[0]
-    step = max(1, _CHUNK_ELEMS // m)
+    step = _block_rows(m)
     nn = np.empty((n, k), dtype=np.intp)
     nn_dist = np.empty((n, k))
     for start in range(0, n, step):
@@ -98,60 +94,51 @@ def lof_scores(reference, queries, k=DEFAULT_LOF_K):
     return -lof
 
 
-def auroc(scores, is_id):
-    """Rank-based area under the ROC curve; ties count one half."""
+def _roc(scores, is_id):
+    """The ROC curve that every metric below reads, as the class totals and
+    the ID and OOD counts ``tp[g]``, ``fp[g]`` scoring at or above the g-th
+    distinct score from the highest down: a score at or above a threshold
+    is accepted as ID, so tied scores move together."""
     scores = np.asarray(scores, dtype=np.float64)
     is_id = np.asarray(is_id, dtype=bool)
-    n_pos = int(is_id.sum())
-    n_neg = is_id.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUROC needs both ID and OOD samples")
-    # midranks: a tie group of c scores ending at 1-based rank r ranks r - (c-1)/2
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
-    pos_rank_sum = float(ranks[is_id].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if scores.ndim != 1 or scores.shape != is_id.shape:
+        raise ValidationError("scores and is_id must be equal-length vectors")
+    n_id = int(is_id.sum())
+    n_ood = is_id.size - n_id
+    if n_id == 0 or n_ood == 0:
+        raise UndefinedMetricError("OOD metrics need both ID and OOD samples")
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("OOD scores must be finite")
+    uniq, group = np.unique(scores, return_inverse=True)
+    tp = np.cumsum(np.bincount(group[is_id], minlength=uniq.size)[::-1])
+    fp = np.cumsum(np.bincount(group[~is_id], minlength=uniq.size)[::-1])
+    return n_id, n_ood, tp, fp
+
+
+def auroc(scores, is_id):
+    """Area under the ROC curve; an (ID, OOD) tie counts one half."""
+    n_id, n_ood, tp, fp = _roc(scores, is_id)
+    # trapezoids over tie groups, doubled to stay in integers
+    twice_area = np.sum(np.diff(fp, prepend=0) * (tp + np.append(0, tp[:-1])))
+    return float(twice_area / (2 * n_id * n_ood))
 
 
 def tnr_at_tpr(scores, is_id):
     """True-negative rate at the largest threshold keeping TPR >= 95%.
 
-    A sample is accepted as ID when its score >= threshold, so the chosen
-    threshold attains the smallest TPR at or above 95%.
+    The chosen threshold attains the smallest TPR at or above 95%; the
+    lowest score gives TPR 1, so one always does.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    is_id = np.asarray(is_id, dtype=bool)
-    id_scores = scores[is_id]
-    ood_scores = scores[~is_id]
-    if id_scores.size == 0 or ood_scores.size == 0:
-        raise UndefinedMetricError("TNR@TPR needs both ID and OOD samples")
-    candidates = np.unique(scores)[::-1]
-    # TPR at each candidate from one search of the sorted ID scores; the
-    # smallest candidate gives TPR 1, so a threshold is always found
-    at_or_above = id_scores.size - np.searchsorted(np.sort(id_scores), candidates)
-    thr = candidates[np.argmax(at_or_above / id_scores.size >= _TPR_LEVEL)]
-    return float(np.mean(ood_scores < thr))
+    n_id, n_ood, tp, fp = _roc(scores, is_id)
+    g = np.argmax(tp / n_id >= _TPR_LEVEL)
+    return float((n_ood - fp[g]) / n_ood)
 
 
 def detection_accuracy(scores, is_id):
     """Maximum classification accuracy over every threshold position."""
-    scores = np.asarray(scores, dtype=np.float64)
-    is_id = np.asarray(is_id, dtype=bool)
-    n_pos = int(is_id.sum())
-    n_neg = is_id.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("detection accuracy needs both ID and OOD samples")
-    order = np.argsort(scores, kind="stable")
-    sorted_id = is_id[order]
-    sorted_scores = scores[order]
-    n = scores.size
-    # correct(c) with threshold below position c: OOD among first c + ID among rest
-    ood_below = np.concatenate([[0], np.cumsum(~sorted_id)])
-    id_above = n_pos - np.concatenate([[0], np.cumsum(sorted_id)])
-    correct = ood_below + id_above
-    # only cut positions at distinct-score boundaries are realizable
-    boundary = np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1], [True]])
-    return float(correct[boundary].max() / n)
+    n_id, n_ood, tp, fp = _roc(scores, is_id)
+    # rejecting everything, or accepting every tie group down to a cut
+    return float(max(n_ood, (tp + n_ood - fp).max()) / (n_id + n_ood))
 
 
 def ood_metrics(scores, is_id):

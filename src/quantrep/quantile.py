@@ -25,9 +25,10 @@ from .errors import FitError, QuantrepError, ValidationError
 from .linear import FitConfig, LinearClassifier, fit_weighted_logistic, normalize_l2
 
 _MONO_TOL = 1e-9
-# float64 logits per row block of the reductions over tau (see _row_blocks);
-# a block and its temporaries then stay within a 2 MiB L2 cache: on a
-# 2-vCPU Xeon, 4 MiB blocks ran the 2 000-row moons passes about 2x slower
+# bytes per row block (see _block_rows) of the reductions over tau, the shift
+# objective and the LOF search; a block and its temporaries then stay within
+# a 2 MiB L2 cache: on a 2-vCPU Xeon, 4 MiB blocks ran the 2 000-row moons
+# passes over tau about 2x slower
 _BLOCK_BYTES = 2**20
 _SCHEMA_VERSION = 1
 
@@ -443,13 +444,18 @@ def metric_factor(model: QuantileModel):
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
+def _block_rows(width):
+    """Rows of ``width`` float64 values each in a ``_BLOCK_BYTES`` block."""
+    return max(1, _BLOCK_BYTES // (8 * width))
+
+
 def _row_blocks(model: QuantileModel, features):
     """Yield ``represent(model, features[lo:hi]).values`` over row blocks of
     about ``_BLOCK_BYTES``, so a per-sample reduction over tau never holds
     the whole (n, class_count, n_dense) tensor. An empty input still gives
     one (empty) block."""
     features = _as_float_array(features)
-    rows = max(1, _BLOCK_BYTES // (8 * model.class_count * model.grid.n_dense))
+    rows = _block_rows(model.class_count * model.grid.n_dense)
     for lo in range(0, max(features.shape[0], 1), rows):
         yield represent(model, features[lo:lo + rows]).values
 

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig
 from .quantile import (
-    _BLOCK_BYTES,
     QuantileModel,
+    _block_rows,
     fit_base_classifiers,
     fit_quantile_model,
 )
@@ -136,8 +136,7 @@ class FieldGap:
         self._pairs = [(t0.dense_coefficients, t1.dense_coefficients)
                        for t0, t1 in zip(model_t0.tasks, model_t1.tasks)]
         n_dense = model_t1.grid.n_dense
-        rows = max(1, _BLOCK_BYTES // (8 * n_dense))
-        self._buf = np.empty((min(samples.shape[0], rows), n_dense))
+        self._buf = np.empty((min(samples.shape[0], _block_rows(n_dense)), n_dense))
 
     def __call__(self, p, q):
         n, d = self._padded.shape[0], self._padded.shape[1] - 1

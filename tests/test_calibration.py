@@ -163,9 +163,15 @@ class TestPlatt:
         a, _ = platt_fit(scores, correct)
         assert a > 0
 
-    def test_single_outcome_rejected(self):
+    def test_single_outcome_gives_constant_map(self):
+        # the one-label rule of fit_weighted_logistic: slope 0, bias +-25
+        scores = np.array([0.1, 0.2, 0.7])
+        assert platt_fit(scores, np.ones(3)) == (0.0, 25.0)
+        assert platt_fit(scores, np.zeros(3)) == (0.0, -25.0)
+
+    def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            platt_fit(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
+            platt_fit(np.array([]), np.array([]))
 
 
 class TestIsotonic:

@@ -323,6 +323,21 @@ def test_readme_commands_parse(capsys):
             assert exc.code == 0 and "-h" in argv, shlex.join(["quantrep", *argv])
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit-quantile", "--data", "d.csv", "--out", "o", "--anc", "7"],
+    ["ood-eval", "--model", "m", "--train", "t", "--test-i", "a", "--test-ood", "b",
+     "--out", "o"],
+    ["calib-eval", "--model", "m", "--data", "d.csv", "--out", "o", "--sev", "0"],
+    ["shift-match", "--data-t0", "a", "--data-t1", "b", "--out", "o", "--fam", "affine"],
+    ["gen-data", "two-moons", "--out", "o", "--n-per", "3"],
+])
+def test_abbreviated_flag_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestFitQuantile:
     def test_outputs_and_manifest(self, tmp_path, moons_dir):
         out = run_fit(tmp_path, "fit1", moons_dir / "id.csv")
@@ -695,6 +710,30 @@ class TestCalibEval:
         err = capsys.readouterr().err
         assert "calib-eval" in err and str(weighted) in err
         assert not (tmp_path / "cal" / "sweep.csv").exists()
+
+    def test_label_beyond_model_classes_exit_2(self, tmp_path, moons_model, capsys):
+        rng = np.random.default_rng(4)
+        three = tmp_path / "three.csv"
+        save_dataset(Dataset(rng.normal(size=(30, 2)), np.arange(30) % 3, 3), three)
+        rc = main(["calib-eval", "--model", str(moons_model), "--data", str(three),
+                   "--out", str(tmp_path / "cal")])
+        assert rc == 2
+        assert "label 2" in capsys.readouterr().err
+        assert not (tmp_path / "cal" / "sweep.csv").exists()
+
+    def test_perfectly_classified_data(self, tmp_path):
+        # every clean prediction is right: Platt's map is the constant one
+        assert main(["gen-data", "gaussian-pair", "--out", str(tmp_path / "g"),
+                     "--centers", "0,0,10,10", "--n-per-class", "100"]) == 0
+        data = tmp_path / "g" / "data.csv"
+        model = run_fit(tmp_path, "m", data)
+        out = tmp_path / "cal"
+        assert main(["calib-eval", "--model", str(model), "--data", str(data),
+                     "--out", str(out), "--severities", "0"]) == 0
+        with open(out / "sweep.csv") as fh:
+            rows = {r["method"]: r for r in csv.DictReader(fh)}
+        assert float(rows["QUANT"]["accuracy"]) == 1.0
+        assert float(rows["QUANT+platt"]["ece"]) < 1e-10
 
 
 class TestXcorr:

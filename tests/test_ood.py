@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from quantrep import (
     represent,
     tnr_at_tpr,
 )
-from quantrep.quantile import QuantileGrid, fit_base_classifiers
+from quantrep.quantile import _BLOCK_BYTES, QuantileGrid, fit_base_classifiers
 
 from oracles import (
     auroc_midrank_loop,
@@ -72,8 +74,23 @@ class TestLof:
         ref = np.round(rng.normal(size=(90, 2)), 1)
         queries = np.round(rng.normal(size=(40, 2)), 1)
         whole = lof_scores(ref, queries, k=6)
-        monkeypatch.setattr("quantrep.ood._CHUNK_ELEMS", 200)
+        # 200 distances per block: two rows of a 90-point reference
+        monkeypatch.setattr("quantrep.quantile._BLOCK_BYTES", 200 * 8)
         np.testing.assert_array_equal(lof_scores(ref, queries, k=6), whole)
+
+    def test_search_never_holds_the_distance_matrix(self):
+        # the 2 000 x 2 000 reference distances alone are 30 MiB
+        rng = np.random.default_rng(12)
+        ref = rng.normal(size=(2000, 2))
+        queries = rng.normal(size=(2400, 2))
+        lof_scores(ref[:50], queries[:5])  # imports scipy.spatial untraced
+        tracemalloc.start()
+        try:
+            lof_scores(ref, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _BLOCK_BYTES
 
     def test_k_validated(self):
         ref = np.zeros((5, 2))
@@ -171,14 +188,34 @@ class TestDetectionAccuracy:
         assert detection_accuracy(scores, is_id) == 0.6
 
     def test_matches_exhaustive_sweep(self):
+        # bit for bit, on tied and untied scores
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            scores = np.round(rng.normal(size=80), 1)
-            is_id = rng.integers(0, 2, 80).astype(bool)
-            if is_id.all() or not is_id.any():
-                is_id[0] = ~is_id[0]
-            assert detection_accuracy(scores, is_id) == pytest.approx(
-                detection_accuracy_sweep(scores, is_id), abs=1e-15)
+        for trial in range(200):
+            n = int(rng.integers(2, 400))
+            scores = (rng.integers(0, rng.integers(1, 20), n).astype(np.float64)
+                      if trial % 2 else rng.normal(size=n))
+            is_id = rng.integers(0, 2, n).astype(bool)
+            is_id[:2] = [True, False]
+            assert detection_accuracy(scores, is_id) == detection_accuracy_sweep(scores, is_id)
+
+
+@pytest.mark.parametrize("metric", [auroc, tnr_at_tpr, detection_accuracy])
+class TestRocInputs:
+    """The three metrics read one ROC curve and share its input rules."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_score_rejected(self, metric, bad):
+        scores = np.array([0.9, bad, 0.4, 0.2, 0.1, 0.3])
+        with pytest.raises(ValidationError):
+            metric(scores, np.array([True, True, True, False, False, False]))
+
+    def test_length_mismatch_rejected(self, metric):
+        with pytest.raises(ValidationError):
+            metric(np.arange(4.0), np.array([True, False, True]))
+
+    def test_single_class_rejected(self, metric):
+        with pytest.raises(UndefinedMetricError):
+            metric(np.arange(4.0), np.zeros(4, dtype=bool))
 
 
 class TestRandomLabelModel:

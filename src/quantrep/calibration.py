@@ -12,7 +12,7 @@ import numpy as np
 
 from .datasets import _check_seed
 from .errors import ConfigError, ValidationError
-from .linear import FitConfig, fit_weighted_logistic
+from .linear import FitConfig, _sigmoid, fit_weighted_logistic
 from .quantile import QuantileModel, _resolve_bases, _row_blocks
 
 
@@ -124,10 +124,8 @@ def platt_fit(scores, correctness):
 
 
 def platt_apply(scores, ab):
-    from scipy.special import expit
-
     a, b = ab
-    return expit(a * np.asarray(scores, dtype=np.float64) + b)
+    return _sigmoid(a * np.asarray(scores, dtype=np.float64) + b)
 
 
 @dataclass

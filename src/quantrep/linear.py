@@ -1,16 +1,16 @@
 """Weighted binary linear classifiers.
 
-Every fit runs scipy's L-BFGS-B on one loss callable that returns the
-value and the gradient from a single ``features @ weights`` product. Both
-losses are sums over samples, so the stopping rule scales with them: a fit
-has converged when the gradient's L2 norm is at most
-``tol * max(1, sum of sample weights)`` (``n`` for the unweighted
-sigmoid-MAE fit), checked at the returned point, and ``max_iter`` caps the
-L-BFGS iterations, whose count each fit records. Logistic fits start from
-the zero vector or a warm start (the objective is convex); the sigmoid-MAE
-fit is non-convex and uses seeded Gaussian multi-start. scipy is imported
-by the functions that call it, so a process that fits nothing does not
-load it.
+Logistic fits (anchors, bases, Platt) run a damped Newton method in numpy
+from the zero vector or a warm start: the objective is convex and has d+1
+unknowns, so each step solves the exact (d+1)x(d+1) Hessian system and
+backtracks until the Armijo condition holds. The sigmoid-MAE fit is
+non-convex and runs scipy's L-BFGS-B from seeded Gaussian multi-starts;
+scipy is imported there only, so a logistic fit loads no scipy module.
+Both losses are sums over samples, so the stopping rule scales with them:
+a fit has converged when the gradient's L2 norm is at most
+``tol * max(1, sum of sample weights)`` (``n`` for the sigmoid-MAE fit),
+checked at the returned point. ``max_iter`` caps the Newton steps (the
+L-BFGS iterations for sigmoid-MAE), whose count each fit records.
 """
 
 from dataclasses import dataclass
@@ -26,6 +26,15 @@ _DEGENERATE_LOGIT = 25.0
 _MAE_RESTARTS = 5
 _MAE_INIT_STD = 0.1
 
+# Armijo sufficient-decrease constant and the most step halvings per Newton step.
+_ARMIJO_C = 1e-4
+_MAX_HALVINGS = 30
+
+
+def _sigmoid(z):
+    """Logistic function as 1/2 (1 + tanh(z/2)): one ufunc, no overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
 
 @dataclass
 class LinearClassifier:
@@ -33,7 +42,7 @@ class LinearClassifier:
 
     When ``normalized`` is set, the L2 norm of the concatenated
     (weights, bias) vector is 1. ``converged``, ``degenerate`` and
-    ``iterations`` (L-BFGS iterations, 0 for a degenerate fit) are fit
+    ``iterations`` (solver steps, 0 for a degenerate fit) are fit
     diagnostics and are not serialized.
     """
 
@@ -62,9 +71,7 @@ class LinearClassifier:
         return features @ self.weights + self.bias
 
     def predict_proba(self, features):
-        from scipy.special import expit
-
-        return expit(self.decision(features))
+        return _sigmoid(self.decision(features))
 
     def coefficients(self):
         """Concatenated (weights, bias) vector of length d+1."""
@@ -116,19 +123,23 @@ def normalize_l2(clf: LinearClassifier) -> LinearClassifier:
                             iterations=clf.iterations)
 
 
-def _logistic_loss(theta, features, labels01, sample_weights, l2_reg, sigmoid):
+def _logistic_loss(theta, features, labels01, sample_weights, l2_reg):
     """Sum_i w_i * log(1 + exp(-s_i z_i)) + (l2_reg/2) * ||weights||^2 with
-    s_i = 2 y_i - 1 and z = features @ weights + bias (bias unpenalized), and
-    its gradient w.r.t. theta = (weights, bias), from one product.
-    ``sigmoid`` is scipy's ``expit``, bound once per fit by the caller."""
+    s_i = 2 y_i - 1 and z = features @ weights + bias (bias unpenalized).
+
+    Returns the value, its gradient w.r.t. theta = (weights, bias) and the
+    per-sample curvature w_i sigma(z_i) (1 - sigma(z_i)), from which the
+    Hessian is built, all from one product.
+    """
     weights = theta[:-1]
     z = features @ weights + theta[-1]
     # log(1 + exp(-|z|)) + max(-sz, 0) form, stable for large |z|
     per = np.logaddexp(0.0, np.where(labels01 == 1, -z, z))
-    resid = sample_weights * (sigmoid(z) - labels01)
+    sig = _sigmoid(z)
+    resid = sample_weights * (sig - labels01)
     value = float(np.sum(sample_weights * per) + 0.5 * l2_reg * np.dot(weights, weights))
-    return value, np.concatenate([features.T @ resid + l2_reg * weights,
-                                  [float(np.sum(resid))]])
+    grad = np.concatenate([features.T @ resid + l2_reg * weights, [float(np.sum(resid))]])
+    return value, grad, sample_weights * sig * (1.0 - sig)
 
 
 def _constant_bias(label_value):
@@ -159,7 +170,8 @@ def _validate_fit_inputs(features, labels01, sample_weights):
 
 def _minimize(loss, theta0, total_weight, config):
     """L-BFGS-B on ``loss(theta) -> (value, gradient)`` from ``theta0``,
-    capped at ``config.max_iter`` iterations.
+    capped at ``config.max_iter`` iterations: the non-convex sigmoid-MAE
+    fit's solver.
 
     Returns ``(theta, value, converged, iterations)``. Converged means
     ||gradient||_2 <= tol * max(1, total_weight) at the returned point,
@@ -178,10 +190,70 @@ def _minimize(loss, theta0, total_weight, config):
     return res.x, value, bool(np.linalg.norm(grad) <= bound), int(res.nit)
 
 
+def _backtrack(loss, theta, value, step, slope):
+    """The first t of 1, 1/2, ..., 2^-_MAX_HALVINGS at which ``theta + t step``
+    meets the Armijo condition, as ``(point, loss(point))``; None when
+    there is none or ``step`` is not a descent direction."""
+    if not slope < 0:          # NaN included
+        return None
+    t = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        trial = loss(theta + t * step)
+        # the difference, not value + c t slope, which rounds back to value
+        if trial[0] - value <= _ARMIJO_C * t * slope:
+            return theta + t * step, trial
+        t *= 0.5
+    return None
+
+
+def _newton(features, labels01, sample_weights, theta0, config):
+    """Damped Newton on the weighted logistic loss from ``theta0``.
+
+    Each step solves (X~^T diag(curvature) X~ + diag(l2_reg, ..., l2_reg, 0)) p
+    = -g with X~ = [features | 1]; a singular Hessian (an exactly
+    duplicated column at ``l2_reg = 0``) takes the minimum-norm
+    least-squares step instead. The step length halves from 1 until the
+    Armijo condition holds (``_backtrack``). ``config.max_iter`` caps the
+    steps. A line search that fails from a warm start restarts the fit
+    once from zero: a start with saturated margins (the optimum of a
+    separable neighbour at ``l2_reg = 0``) has a Hessian near zero along
+    the directions that matter. One that fails from zero ends the fit
+    where it stands. Returns ``(theta, converged, steps)``; converged means
+    ||g||_2 <= tol * max(1, W) at the returned point, W the total weight.
+    """
+    def loss(theta):
+        return _logistic_loss(theta, features, labels01, sample_weights, config.l2_reg)
+
+    bound = config.tol * max(1.0, float(np.sum(sample_weights)))
+    xt = np.column_stack([features, np.ones(features.shape[0])])
+    ridge = np.arange(features.shape[1])
+    zero = np.zeros(xt.shape[1])
+    theta, state = theta0, loss(theta0)
+    cold = not np.any(theta0)
+    steps = 0
+    while np.linalg.norm(state[1]) > bound and steps < config.max_iter:
+        value, grad, curv = state
+        hess = (xt.T * curv) @ xt
+        hess[ridge, ridge] += config.l2_reg
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        found = _backtrack(loss, theta, value, step, float(grad @ step))
+        if found is not None:
+            (theta, state), steps = found, steps + 1
+        elif cold:
+            break
+        else:
+            theta, state, cold = zero, loss(zero), True
+    return theta, bool(np.linalg.norm(state[1]) <= bound), steps
+
+
 def fit_weighted_logistic(features, labels01, sample_weights=None,
                           config: FitConfig | None = None,
                           warm_start=None) -> LinearClassifier:
-    """Minimize the weighted logistic loss with an L2 ridge on the weights.
+    """Minimize the weighted logistic loss with an L2 ridge on the weights
+    by damped Newton steps (``_newton``).
 
     The objective is convex, so the returned minimizer does not depend on
     the start; ``warm_start`` (a length d+1 coefficient vector) only speeds
@@ -190,8 +262,6 @@ def fit_weighted_logistic(features, labels01, sample_weights=None,
     the observed class) flagged as degenerate, because extreme-quantile
     pseudo-datasets are routinely one-class.
     """
-    from scipy.special import expit
-
     config = config or FitConfig()
     features, labels01, sample_weights = _validate_fit_inputs(
         features, labels01, sample_weights)
@@ -204,10 +274,8 @@ def fit_weighted_logistic(features, labels01, sample_weights=None,
 
     theta0 = np.zeros(d + 1) if warm_start is None else np.asarray(
         warm_start, dtype=np.float64)
-    theta, _, converged, iterations = _minimize(
-        lambda t: _logistic_loss(t, features, labels01, sample_weights, config.l2_reg,
-                                 expit),
-        theta0, float(np.sum(sample_weights)), config)
+    theta, converged, iterations = _newton(features, labels01, sample_weights,
+                                           theta0, config)
     return LinearClassifier(theta[:d], theta[d], converged=converged,
                             iterations=iterations)
 
@@ -221,8 +289,6 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None) -> Line
     the right basin). ``converged`` and ``iterations`` are the returned
     start's.
     """
-    from scipy.special import expit
-
     config = config or FitConfig()
     features, labels01, _ = _validate_fit_inputs(features, labels01, None)
     d = features.shape[1]
@@ -236,7 +302,7 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None) -> Line
 
     def loss(theta):
         # d/dz |y - sigmoid(z)| = sign * sigmoid'(z) with sign = -1 for y=1
-        s = expit(features @ theta[:d] + theta[d])
+        s = _sigmoid(features @ theta[:d] + theta[d])
         r = sign * s * (1.0 - s)
         return (float(np.sum(np.abs(labels01 - s))),
                 np.concatenate([features.T @ r, [float(np.sum(r))]]))

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.optimize import minimize
+from scipy.special import expit
 
 
 def normal_cdf(x):
@@ -96,17 +98,14 @@ def auroc_pairwise(scores, is_id):
 
 
 def detection_accuracy_sweep(scores, is_id):
-    """Best accuracy over an explicit sweep of realizable thresholds
-    (midpoints between distinct sorted scores plus both extremes);
-    predict ID when score >= threshold."""
+    """Best accuracy over every cut of the sorted distinct scores, from all
+    ID to none: predict ID for the scores at or above the cut's value, so
+    tied scores stay together and adjacent floats are still cut apart."""
     scores = np.asarray(scores, dtype=np.float64)
     is_id = np.asarray(is_id, dtype=bool)
     uniq = np.unique(scores)
-    thresholds = [uniq[0] - 1.0]
-    thresholds.extend((uniq[i] + uniq[i + 1]) / 2.0 for i in range(uniq.size - 1))
-    thresholds.append(uniq[-1] + 1.0)
-    best = 0.0
-    for thr in thresholds:
+    best = float(np.mean(~is_id))            # the cut above every score
+    for thr in uniq:
         pred_id = scores >= thr
         best = max(best, float(np.mean(pred_id == is_id)))
     return best
@@ -245,3 +244,35 @@ def natural_spline_second_derivs_banded(x, y):
     m = np.zeros_like(y)
     m[1:-1] = solve_banded((1, 1), ab, rhs)
     return m
+
+
+def logistic_loss(theta, features, labels01, sample_weights, l2_reg):
+    """Sum_i w_i log(1 + exp(-s_i z_i)) + (l2_reg/2) ||weights||^2 with
+    s_i = 2 y_i - 1 and z = features @ weights + bias (bias unpenalized),
+    and its gradient w.r.t. theta = (weights, bias), with scipy's expit."""
+    weights = theta[:-1]
+    z = features @ weights + theta[-1]
+    per = np.logaddexp(0.0, np.where(labels01 == 1, -z, z))
+    resid = sample_weights * (expit(z) - labels01)
+    value = float(np.sum(sample_weights * per) + 0.5 * l2_reg * np.dot(weights, weights))
+    return value, np.concatenate([features.T @ resid + l2_reg * weights,
+                                  [float(np.sum(resid))]])
+
+
+def lbfgs_logistic(features, labels01, sample_weights, l2_reg, theta0,
+                   tol=1e-8, max_iter=1000):
+    """The weighted logistic fit by scipy's L-BFGS-B from ``theta0``.
+
+    Converged means ||gradient||_2 <= tol * max(1, sum of weights) at the
+    returned point; the projected-gradient stop is set so that it implies
+    this test and the relative-reduction stop is off. Returns
+    ``(theta, converged, iterations)``.
+    """
+    bound = tol * max(1.0, float(np.sum(sample_weights)))
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    res = minimize(logistic_loss, theta0, jac=True, method="L-BFGS-B",
+                   args=(features, labels01, sample_weights, l2_reg),
+                   options={"maxiter": max_iter, "ftol": 0.0,
+                            "gtol": bound / np.sqrt(theta0.size)})
+    _, grad = logistic_loss(res.x, features, labels01, sample_weights, l2_reg)
+    return res.x, bool(np.linalg.norm(grad) <= bound), int(res.nit)

@@ -41,14 +41,18 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model):
     # every CLI call pays for its imports: scipy.stats would add about half
     # a second, and scipy.interpolate (for CubicSpline) 33 modules and about
     # 80 ms to a 1 s import of quantrep.cli. scipy is imported where it is
-    # called, so a subcommand that fits nothing starts on numpy alone.
+    # called, so gen-data, xcorr and fit-quantile (numpy Newton fits, with
+    # or without a given base) run on numpy alone.
     src = os.path.dirname(os.path.dirname(quantrep.__file__))
     data, model = str(moons_dir / "id.csv"), str(moons_model)
+    fit = ["fit-quantile", "--data", data, "--anchors", "6", "--dense", "30"]
     steps = [
         ["two-moons", ["gen-data", "two-moons", "--n-per-class", "20", "--ood-n", "10"]],
         ["gaussian-pair", ["gen-data", "gaussian-pair", "--n-per-class", "20"]],
         ["latent-binary", ["gen-data", "latent-binary", "--n", "40"]],
         ["xcorr", ["xcorr", "--model", model, "--data", data]],
+        ["fit-quantile", fit],
+        ["fit-quantile-base", [*fit, "--base-model", str(moons_model / "base.json")]],
         ["ood-eval", ["ood-eval", "--model", model, "--train", data, "--test-id", data,
                       "--test-ood", str(moons_dir / "ood.csv")]],
     ]
@@ -62,7 +66,8 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model):
     # perfbench/tracer.py reads each of these from sys.modules after the import
     assert {f"quantrep.{name}" for name in ("cli", "datasets", "linear", "quantile", "ood",
                                             "calibration", "shift")} <= set(seen["quantrep"])
-    for tag in ("two-moons", "gaussian-pair", "latent-binary", "xcorr"):
+    for tag in ("two-moons", "gaussian-pair", "latent-binary", "xcorr", "fit-quantile",
+                "fit-quantile-base"):
         assert seen[tag] == [0, []], tag
     rc, loaded = seen["ood-eval"]
     assert rc == 0 and "scipy.spatial" in loaded and "scipy.optimize" not in loaded

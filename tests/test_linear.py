@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import expit as sigmoid
+from scipy.special import expit
 
 from quantrep import (
     DegenerateClassifierError,
@@ -12,10 +14,10 @@ from quantrep import (
     normalize_l2,
 )
 from quantrep.datasets import LatentModelSpec, gen_latent_binary
-from quantrep.linear import _logistic_loss
+from quantrep.linear import _logistic_loss, _sigmoid
 from quantrep.quantile import fit_base_classifiers, fit_quantile_model
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, lbfgs_logistic, logistic_loss
 
 TIGHT = FitConfig(l2_reg=0.1, max_iter=5000, tol=1e-12)
 
@@ -58,7 +60,7 @@ class TestWeightedLogistic:
         w = rng.uniform(0.5, 3.0, n)
         clf = fit_weighted_logistic(x, y, w, FitConfig(l2_reg=l2_reg, tol=tol))
         assert clf.converged
-        _, grad = _logistic_loss(clf.coefficients(), x, y, w, l2_reg, sigmoid)
+        _, grad = logistic_loss(clf.coefficients(), x, y, w, l2_reg)
         assert np.linalg.norm(grad) <= tol * max(1.0, w.sum())
 
     def test_iteration_cap_reports_nonconvergence(self):
@@ -73,7 +75,7 @@ class TestWeightedLogistic:
         assert clf.degenerate
         assert clf.weights[0] == 0.0
         assert clf.bias > 20
-        assert sigmoid(clf.bias) > 0.99
+        assert expit(clf.bias) > 0.99
 
         clf0 = fit_weighted_logistic(np.array([[0.1], [0.2]]), np.array([0, 0]))
         assert clf0.bias < -20
@@ -99,7 +101,7 @@ class TestWeightedLogistic:
             mid = (t1 + t2) / 2
 
             def obj(t):
-                return _logistic_loss(t, x, y, w, 0.05, sigmoid)[0]
+                return _logistic_loss(t, x, y, w, 0.05)[0]
 
             assert obj(mid) <= (obj(t1) + obj(t2)) / 2 + 1e-10
 
@@ -110,11 +112,11 @@ class TestWeightedLogistic:
         w = rng.uniform(0.5, 2.0, 20)
 
         def obj(t):
-            return _logistic_loss(t, x, y, w, 0.05, sigmoid)[0]
+            return _logistic_loss(t, x, y, w, 0.05)[0]
 
         for _ in range(100):
             theta = rng.normal(0, 1.5, size=4)
-            _, grad = _logistic_loss(theta, x, y, w, 0.05, sigmoid)
+            _, grad, _ = _logistic_loss(theta, x, y, w, 0.05)
             fd = finite_difference_gradient(obj, theta)
             assert np.abs(grad - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
@@ -129,7 +131,7 @@ class TestWeightedLogistic:
             z = x @ theta[:3] + theta[3]
             ref = sum(wi * np.log1p(np.exp(-si * zi)) for wi, si, zi in zip(w, s, z))
             ref += 0.5 * 0.05 * float(theta[:3] @ theta[:3])
-            assert _logistic_loss(theta, x, y, w, 0.05, sigmoid)[0] == pytest.approx(ref, rel=1e-12)
+            assert _logistic_loss(theta, x, y, w, 0.05)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_value_at_large_logits_is_hinge_limit(self):
         # log(1 + exp(-sz)) -> max(0, -sz) once |z| is large; exp would overflow
@@ -139,7 +141,7 @@ class TestWeightedLogistic:
         theta = np.array([1000.0, 3.0])
         z = x[:, 0] * theta[0] + theta[1]
         hinge = np.maximum(0.0, -(2.0 * y - 1.0) * z)
-        value, grad = _logistic_loss(theta, x, y, w, 1e-4, sigmoid)
+        value, grad, _ = _logistic_loss(theta, x, y, w, 1e-4)
         assert np.isfinite(value) and np.all(np.isfinite(grad))
         assert value == pytest.approx(float(w @ hinge) + 0.5e-4 * 1000.0 ** 2, rel=1e-15)
 
@@ -154,11 +156,118 @@ class TestWeightedLogistic:
         assert fit_weighted_logistic(x, y, config=FitConfig(max_iter=1)).iterations == 1
         assert fit_weighted_logistic(x, np.ones(100)).iterations == 0
 
+    def test_curvature_gives_finite_difference_hessian(self):
+        # Newton's Hessian X~^T diag(curvature) X~ + diag(l2, .., l2, 0)
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(20, 3))
+        y = rng.integers(0, 2, 20)
+        w = rng.uniform(0.5, 2.0, 20)
+        xt = np.column_stack([x, np.ones(20)])
+        for _ in range(20):
+            theta = rng.normal(0, 1.5, size=4)
+            curv = _logistic_loss(theta, x, y, w, 0.05)[2]
+            hess = (xt.T * curv) @ xt + np.diag([0.05, 0.05, 0.05, 0.0])
+            fd = np.column_stack([finite_difference_gradient(
+                lambda t, i=i: _logistic_loss(t, x, y, w, 0.05)[1][i], theta)
+                for i in range(4)])
+            assert np.abs(hess - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
+
+
+def _noisy_logistic_problem(seed, n, d):
+    """Features, Bernoulli labels of a logistic model (not separable) and
+    positive weights."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    coef = rng.normal(size=d + 1) / np.sqrt(d)
+    y = (rng.uniform(size=n) < expit(x @ coef[:d] + coef[d])).astype(float)
+    return x, y, rng.uniform(0.5, 2.0, n), rng
+
+
+class TestNewtonAgainstLbfgs:
+    """scipy's L-BFGS-B (``oracles.lbfgs_logistic``) is the referee of the
+    Newton fits. Both stop at ||g|| <= tol * W, so at the default tol they
+    meet to about 1e-7 relative (5e-8 seen); the bound is 1e-6 relative to
+    max(1, max |coefficient|)."""
+
+    @pytest.mark.parametrize("d", [1, 8, 32])
+    @pytest.mark.parametrize("l2_reg", [0.0, 1e-4])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_lbfgs(self, d, l2_reg, warm):
+        for seed in range(3):
+            x, y, w, rng = _noisy_logistic_problem(seed, 500, d)
+            theta0 = np.zeros(d + 1)
+            if warm:   # the optimum of a neighbouring problem, as anchors chain
+                theta0 = lbfgs_logistic(x, y, w * rng.uniform(0.8, 1.2, w.size),
+                                        l2_reg, theta0)[0]
+            ref, ref_converged, _ = lbfgs_logistic(x, y, w, l2_reg, theta0, max_iter=5000)
+            clf = fit_weighted_logistic(x, y, w, FitConfig(l2_reg=l2_reg),
+                                        warm_start=theta0 if warm else None)
+            assert ref_converged and clf.converged
+            _, grad = logistic_loss(clf.coefficients(), x, y, w, l2_reg)
+            assert np.linalg.norm(grad) <= 1e-8 * w.sum()
+            assert (np.abs(clf.coefficients() - ref).max()
+                    <= 1e-6 * max(1.0, np.abs(ref).max()))
+
+
+class TestNewtonFallbacks:
+    def test_duplicated_column_without_ridge(self):
+        # the Hessian is exactly singular: the least-squares step splits the
+        # weight evenly and the logits are those of the one-column fit
+        x, y, w, _ = _noisy_logistic_problem(13, 300, 1)
+        config = FitConfig(l2_reg=0.0)
+        one = fit_weighted_logistic(x, y, w, config)
+        two = fit_weighted_logistic(np.hstack([x, x]), y, w, config)
+        assert one.converged and two.converged
+        assert two.weights[0] == pytest.approx(two.weights[1], rel=1e-12)
+        np.testing.assert_allclose(two.decision(np.hstack([x, x])), one.decision(x),
+                                   rtol=0, atol=1e-8)
+
+    def test_constant_scores_from_base_rate_take_no_step(self):
+        # Platt's fit on constant scores: its base-rate start is the optimum
+        y = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+        start = [0.0, math.log(0.75 / 0.25)]
+        clf = fit_weighted_logistic(np.full((8, 1), 0.3), y,
+                                    config=FitConfig(l2_reg=0.0), warm_start=start)
+        assert clf.converged and clf.iterations == 0
+        assert clf.coefficients().tolist() == start
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_failed_line_search_ends_the_fit(self, warm):
+        # a stop below rounding: once the loss cannot fall, the fit ends
+        # non-converged where it stands instead of running to max_iter
+        # (from a warm start, after one restart from zero)
+        x, y, w, _ = _noisy_logistic_problem(14, 200, 3)
+        fit = fit_weighted_logistic(x, y, w)
+        clf = fit_weighted_logistic(x, y, w, FitConfig(tol=1e-300),
+                                    warm_start=fit.coefficients() if warm else None)
+        assert not clf.converged
+        assert clf.iterations < 100
+        np.testing.assert_allclose(clf.coefficients(), fit.coefficients(), atol=1e-7)
+
+    @pytest.mark.parametrize("slope", [40.0, -40.0])
+    def test_saturated_warm_start_falls_back_to_zero(self, slope):
+        # +-40 x puts every margin where sigma(1 - sigma) rounds to 0, so the
+        # Hessian vanishes, the line search fails and the fit restarts from
+        # zero; 40 x costs less than the zero vector (40 < 200 log 2),
+        # -40 x far more
+        x = np.concatenate([np.linspace(-3, -1, 100), np.linspace(1, 3, 100)])
+        y = (x > 0).astype(float)
+        y[100] = 0.0                         # x = 1 flipped: not separable
+        cold = fit_weighted_logistic(x, y, config=FitConfig(l2_reg=0.0))
+        warm = fit_weighted_logistic(x, y, config=FitConfig(l2_reg=0.0),
+                                     warm_start=[slope, 0.0])
+        assert cold.converged and warm.converged
+        np.testing.assert_allclose(warm.coefficients(), cold.coefficients(), atol=1e-7)
+
 
 class TestDecision:
     def test_constant_classifier(self):
         clf = LinearClassifier(np.zeros(2), 0.3)
         np.testing.assert_allclose(clf.decision(np.random.default_rng(0).normal(size=(5, 2))), 0.3)
+
+    def test_sigmoid_matches_expit(self):
+        z = np.concatenate([np.linspace(-50.0, 50.0, 10001), [-1e308, 1e308]])
+        assert np.abs(_sigmoid(z) - expit(z)).max() <= 2.0 ** -52
 
     def test_sigmoid_identity_at_zero(self):
         clf = LinearClassifier(np.zeros(1), 0.0)

@@ -198,6 +198,14 @@ class TestDetectionAccuracy:
             is_id[:2] = [True, False]
             assert detection_accuracy(scores, is_id) == detection_accuracy_sweep(scores, is_id)
 
+    def test_cut_between_adjacent_floats(self):
+        # a midpoint of 1 and the next float rounds onto 1; a cut between tie
+        # groups still separates them
+        scores = np.array([1.0, np.nextafter(1.0, 2.0)])
+        is_id = np.array([False, True])
+        assert detection_accuracy_sweep(scores, is_id) == 1.0
+        assert detection_accuracy(scores, is_id) == 1.0
+
 
 @pytest.mark.parametrize("metric", [auroc, tnr_at_tpr, detection_accuracy])
 class TestRocInputs:

@@ -13,7 +13,7 @@ import numpy as np
 from .datasets import _check_seed
 from .errors import ConfigError, ValidationError
 from .linear import FitConfig, _sigmoid, fit_weighted_logistic
-from .quantile import QuantileModel, _resolve_bases, _row_blocks
+from .quantile import QuantileModel, _base_logits, _row_blocks
 
 
 def _logit(p, eps=1e-12):
@@ -216,22 +216,14 @@ def _stream(probabilities, labels):
     return confidence, (predicted == labels).astype(np.float64)
 
 
-def _base_probabilities(base, features, k):
-    """(n, k) base probabilities: (1 - p, p) from the one binary base for
-    k = 2, the one-vs-rest columns side by side otherwise."""
-    bases, _ = _resolve_bases(base, k)
-    p = np.column_stack([np.asarray(b.predict_proba(features), dtype=np.float64)
-                         for b in bases])
-    return np.column_stack([1.0 - p, p]) if k == 2 else p
-
-
 def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
                      severities, m=5, binning="quantile", seed=0) -> MetricsReport:
     """Accuracy and ECE per severity, one row each, in this order, for the
     quantile probabilities (QUANT), the base classifier's maximum
     probability (MSP), and QUANT through a Platt and an isotonic map
     (QUANT+platt, QUANT+isotonic). ``base`` is what ``fit_quantile_model``
-    takes: one binary classifier for two classes, one per class otherwise.
+    takes, one binary classifier for two classes, one per class otherwise,
+    and MSP reads its logits (``decision``) through the sigmoid.
 
     Both maps are fit once, on the clean QUANT stream, and re-applied at
     every severity; they adjust confidences only, so their accuracy is
@@ -259,7 +251,7 @@ def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
     for severity in severities:
         x = corrupt_features(features, corruption, severity, seed=seed)
         conf, correct = _stream(model_class_probabilities(model, x), labels)
-        msp_conf, msp_correct = _stream(_base_probabilities(base, x, k), labels)
+        msp_conf, msp_correct = _stream(_sigmoid(_base_logits(base, x, k)), labels)
         for method, confidence, hits in (
             ("QUANT", conf, correct),
             ("MSP", msp_conf, msp_correct),

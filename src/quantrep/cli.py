@@ -2,12 +2,13 @@
 
 Single-invocation subcommands, all randomness seeded. Every subcommand
 follows one run protocol, kept by :func:`main`: it creates ``--out``,
-times the stages the subcommand names, and on success writes the values
-the subcommand ran with to ``resolved_config.json`` and the stage timings
-to ``run_meta.json``. Exit codes: 0 success, 2 usage/validation error, 3
-numerical failure. Result files are byte-identical across reruns with the
-same config; ``run_meta.json`` holds the wall-clock data and is the one
-file excluded from that guarantee.
+times the stages the subcommand names, and on success writes the parsed
+arguments the subcommand ran with to ``resolved_config.json`` and the
+stage timings to ``run_meta.json``. Exit codes: 0 success, 2
+usage/validation error, 3 numerical failure. Result files are
+byte-identical across reruns with the same config; ``run_meta.json``
+holds the wall-clock data and is the one file excluded from that
+guarantee.
 """
 
 import argparse
@@ -26,7 +27,6 @@ import numpy as np
 from .calibration import CORRUPTIONS, corruption_sweep
 from .datasets import (
     LatentModelSpec,
-    _check_seed,
     gen_gaussian_pair,
     gen_latent_binary,
     gen_two_moons,
@@ -38,7 +38,7 @@ from .linear import FitConfig, LinearClassifier
 from .ood import DEFAULT_LOF_K, lof_scores, ood_metrics
 from .quantile import (
     QuantileGrid,
-    _resolve_bases,
+    _base_logits,
     coefficient_cross_correlation,
     fit_base_classifiers,
     fit_quantile_model,
@@ -62,11 +62,18 @@ GEN_DEFAULTS = {
                       "noise_scale": "1.0", "n": 5000, "dim": 1, "seed": 0},
 }
 
-# read from FitConfig and QuantileGrid, whose defaults shift-match fits with
+# read from FitConfig and QuantileGrid, whose defaults shift-match fits with;
+# FitConfig.seed is left out, as only fit_sigmoid_mae reads it and no
+# subcommand calls that
 _DEFAULT_GRID = QuantileGrid()
 FIT_DEFAULTS = {"anchors": _DEFAULT_GRID.anchors.size, "dense": _DEFAULT_GRID.n_dense,
                 "tau_min": float(_DEFAULT_GRID.anchors[0]),
-                "tau_max": float(_DEFAULT_GRID.anchors[-1]), **asdict(FitConfig())}
+                "tau_max": float(_DEFAULT_GRID.anchors[-1]),
+                **{key: value for key, value in asdict(FitConfig()).items() if key != "seed"}}
+
+# parsed arguments that resolved_config.json does not echo: the subcommand
+# is echoed as "subcommand", and func is the subcommand's function
+_NOT_ECHOED = ("command", "func", "out", "config")
 
 
 def _write_json(path, obj):
@@ -109,17 +116,26 @@ def _load_config(args):
     return config
 
 
-def _resolve(args, defaults, echoed):
-    """Sentinel-None flags fall back to --config values, then defaults. Each
-    flag is typed by its default (``_add_param_flags``); a numeric config
-    value is read through that type, as its flag would read it. Any
-    other config key raises rather than go unread, except the keys that a
-    ``resolved_config.json`` adds (``subcommand`` and the ``echoed`` ones);
-    one with a value must hold it."""
+def _echo(args):
+    """What ``resolved_config.json`` holds: the subcommand and every parsed
+    argument but ``--out`` and ``--config``."""
+    return {"subcommand": args.command,
+            **{key: value for key, value in vars(args).items() if key not in _NOT_ECHOED}}
+
+
+def _resolve(args, defaults):
+    """Sentinel-None flags fall back to --config values, then defaults, and
+    the resolved values replace them in ``args``, which :func:`main` echoes.
+    Each flag is typed by its default (``_add_param_flags``); a numeric
+    config value is read through that type, as its flag would read it. Any
+    other config key raises rather than go unread, except the keys that the
+    echo adds (``_echo``): its subcommand and gen-data kind must be this
+    run's, and its input paths are the flags'."""
     config = _load_config(args)
-    echoed = {"subcommand": args.command, **echoed}
+    echo = _echo(args)
     unused = [repr(key) for key in config if key not in defaults
-              and (key not in echoed or echoed[key] not in (None, config[key]))]
+              and (key not in echo
+                   or key in ("subcommand", "kind") and config[key] != echo[key])]
     if unused:
         raise ValidationError(f"{args.command} does not use config key(s) "
                               f"{', '.join(unused)} in {args.config}")
@@ -139,6 +155,7 @@ def _resolve(args, defaults, echoed):
             except ValueError as exc:
                 raise ValidationError(f"config key {key!r} must be {kind.__name__}, "
                                       f"got {config[key]!r}") from exc
+    vars(args).update(resolved)
     return resolved
 
 
@@ -153,7 +170,7 @@ def _parse_floats(text, expect=None):
 
 
 def _fit_config(cfg):
-    return FitConfig(**{f.name: cfg[f.name] for f in fields(FitConfig)})
+    return FitConfig(**{f.name: cfg[f.name] for f in fields(FitConfig) if f.name in cfg})
 
 
 def _grid(cfg):
@@ -175,17 +192,9 @@ def _load_bases(path):
         raise ValidationError(f"malformed base model file {path}: {exc!r}") from exc
 
 
-def _base_logit_matrix(bases, features, k):
-    """Per-class base logits of ``k`` classes; the one binary base expands
-    to (-z, z). The bases must match the model's tasks (``_resolve_bases``)."""
-    bases, _ = _resolve_bases(bases, k)
-    z = np.column_stack([b.decision(features) for b in bases])
-    return np.column_stack([-z, z]) if k == 2 else z
-
-
 def cmd_gen_data(args, stages):
     kind = args.kind
-    cfg = _resolve(args, GEN_DEFAULTS[kind], {"kind": kind})
+    cfg = _resolve(args, GEN_DEFAULTS[kind])
     if kind == "two-moons":
         center = _parse_floats(cfg["ood_center"], 2)
         id_ds, ood_ds = gen_two_moons(cfg["n_per_class"], cfg["noise"], cfg["ood_n"],
@@ -209,11 +218,10 @@ def cmd_gen_data(args, stages):
     for name, ds in outputs.items():
         save_dataset(ds, os.path.join(args.out, name))
     stages("save")
-    return {"kind": kind, **cfg}
 
 
 def cmd_fit_quantile(args, stages):
-    cfg = _resolve(args, FIT_DEFAULTS, {"data": None, "base_model": None})
+    cfg = _resolve(args, FIT_DEFAULTS)
     fit_config = _fit_config(cfg)
     grid = _grid(cfg)
     dataset = load_dataset(args.data)
@@ -243,8 +251,7 @@ def cmd_fit_quantile(args, stages):
     save_model(model, args.out)
     _save_bases(os.path.join(args.out, "base.json"), bases)
     _write_json(os.path.join(args.out, "manifest.json"), {
-        "schema_version": 1,
-        "seed": cfg["seed"],
+        "schema_version": 2,
         "grid": {"n_anchor": cfg["anchors"], "n_dense": cfg["dense"],
                  "tau_min": cfg["tau_min"], "tau_max": cfg["tau_max"]},
         "data": {"n": dataset.n, "d": dataset.d, "k": dataset.k},
@@ -254,8 +261,6 @@ def cmd_fit_quantile(args, stages):
         "anchor_iterations": iterations,
         "degenerate_anchors": degenerate,
     })
-    return {"data": os.path.abspath(args.data),
-            "base_model": args.base_model and os.path.abspath(args.base_model), **cfg}
 
 
 def _load_input(path, what, subcommand, model):
@@ -273,7 +278,6 @@ def _load_input(path, what, subcommand, model):
 
 
 def cmd_ood_eval(args, stages):
-    _check_seed(args.seed)  # only labels the metrics table
     model = load_model(os.path.join(args.model, "model.json"))
     bases = _load_bases(os.path.join(args.model, "base.json"))
     train = _load_input(args.train, "train", "ood-eval", model)
@@ -291,8 +295,8 @@ def cmd_ood_eval(args, stages):
     quant_scores = lof_scores(train.features @ factor, queries @ factor, k=args.k)
     stages("quantile_rep_lof")
 
-    ref_base = _base_logit_matrix(bases, train.features, model.class_count)
-    query_base = _base_logit_matrix(bases, queries, model.class_count)
+    ref_base = _base_logits(bases, train.features, model.class_count)
+    query_base = _base_logits(bases, queries, model.class_count)
     base_scores = lof_scores(ref_base, query_base, k=args.k)
     stages("baseline_lof")
 
@@ -304,16 +308,14 @@ def cmd_ood_eval(args, stages):
     _write_json(os.path.join(args.out, "metrics.json"), results)
     dataset_name = os.path.splitext(os.path.basename(args.test_ood))[0]
     _write_csv(os.path.join(args.out, "metrics.csv"), [
-        ["detector", "dataset", "seed", "auroc", "tnr_at_tpr95", "detection_accuracy"],
-        *([det, dataset_name, args.seed, m["auroc"], m["tnr_at_tpr95"],
-           m["detection_accuracy"]] for det, m in results.items())])
-    return {"model": os.path.abspath(args.model), "train": os.path.abspath(args.train),
-            "test_id": os.path.abspath(args.test_id),
-            "test_ood": os.path.abspath(args.test_ood), "k": args.k, "seed": args.seed}
+        ["detector", "dataset", "auroc", "tnr_at_tpr95", "detection_accuracy"],
+        *([det, dataset_name, m["auroc"], m["tnr_at_tpr95"], m["detection_accuracy"]]
+          for det, m in results.items())])
 
 
 def cmd_calib_eval(args, stages):
-    severities = _parse_floats(args.severities)
+    # parsed here, not by argparse, so that bad text exits 2 like any input
+    severities = args.severities = _parse_floats(args.severities)
     model = load_model(os.path.join(args.model, "model.json"))
     bases = _load_bases(os.path.join(args.model, "base.json"))
     data = _load_input(args.data, "data", "calib-eval", model)
@@ -325,9 +327,6 @@ def cmd_calib_eval(args, stages):
     _write_csv(os.path.join(args.out, "sweep.csv"), [
         ["severity", "method", "accuracy", "ece"],
         *([r.severity, r.method, r.accuracy, r.ece] for r in report.rows)])
-    return {"model": os.path.abspath(args.model), "data": os.path.abspath(args.data),
-            "severities": severities, "corruption": args.corruption, "bins": args.bins,
-            "binning": args.binning, "seed": args.seed}
 
 
 def cmd_xcorr(args, stages):
@@ -344,7 +343,6 @@ def cmd_xcorr(args, stages):
     _write_csv(os.path.join(args.out, "scatter_pairs.csv"), [
         ["i", "j", "raw_corr", "quantile_corr"],
         *([i, j, raw[i, j], quant[i, j]] for i in range(d) for j in range(i + 1, d))])
-    return {"model": os.path.abspath(args.model), "data": os.path.abspath(args.data)}
 
 
 def cmd_shift_match(args, stages):
@@ -356,11 +354,9 @@ def cmd_shift_match(args, stages):
     # the search's input rules, checked before either model is fitted
     _check_search_inputs(args.family, data_t0.d, data_t0.k, data_t1)
     stages("load")
-    fit_config = FitConfig(seed=args.seed)
-    bases0 = fit_base_classifiers(data_t0, fit_config)
-    model_t0 = fit_quantile_model(data_t0, bases0, fit_config=fit_config)
+    model_t0 = fit_quantile_model(data_t0, fit_base_classifiers(data_t0))
     stages("fit_t0")
-    est = estimate_transform(args.family, model_t0, data_t1, fit_config=fit_config)
+    est = estimate_transform(args.family, model_t0, data_t1)
     stages("estimate")
 
     obj = est.transform.to_json_dict()
@@ -369,13 +365,10 @@ def cmd_shift_match(args, stages):
                 "near_ties": [t.to_json_dict() for t in est.near_ties]})
     _write_json(os.path.join(args.out, "estimate.json"), obj)
     _write_csv(os.path.join(args.out, "report.csv"), [
-        ["seed", "true_angle", "estimated_angle", "objective"],
-        [args.seed, args.true_angle,
+        ["true_angle", "estimated_angle", "objective"],
+        [args.true_angle,
          math.degrees(est.transform.angle) if args.family == "orthogonal-2d" else None,
          est.objective]])
-    return {"data_t0": os.path.abspath(args.data_t0),
-            "data_t1": os.path.abspath(args.data_t1), "family": args.family,
-            "seed": args.seed, "true_angle": args.true_angle}
 
 
 def _add_param_flags(parser, defaults):
@@ -384,6 +377,13 @@ def _add_param_flags(parser, defaults):
     for key, default in defaults.items():
         parser.add_argument("--" + key.replace("_", "-"),
                             type=None if isinstance(default, str) else type(default))
+
+
+def _add_inputs(parser, *flags):
+    """Required input path flags, read as absolute paths: the run's echo
+    holds them so."""
+    for flag in flags:
+        parser.add_argument(flag, required=True, type=os.path.abspath)
 
 
 def build_parser():
@@ -407,26 +407,21 @@ def build_parser():
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("fit-quantile", help="fit a quantile model")
-    p.add_argument("--data", required=True)
+    _add_inputs(p, "--data")
     p.add_argument("--out", required=True)
-    p.add_argument("--base-model")
+    p.add_argument("--base-model", type=os.path.abspath)
     p.add_argument("--config")
     _add_param_flags(p, FIT_DEFAULTS)
     p.set_defaults(func=cmd_fit_quantile)
 
     p = sub.add_parser("ood-eval", help="baseline vs quantile-representation OOD detection")
-    p.add_argument("--model", required=True)
-    p.add_argument("--train", required=True)
-    p.add_argument("--test-id", required=True)
-    p.add_argument("--test-ood", required=True)
+    _add_inputs(p, "--model", "--train", "--test-id", "--test-ood")
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=DEFAULT_LOF_K)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ood_eval)
 
     p = sub.add_parser("calib-eval", help="accuracy/ECE corruption sweep")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_inputs(p, "--model", "--data")
     p.add_argument("--out", required=True)
     p.add_argument("--severities", default="0,0.25,0.5,1.0,1.5,2.0")
     p.add_argument("--corruption", default="gaussian-noise", choices=CORRUPTIONS)
@@ -436,34 +431,31 @@ def build_parser():
     p.set_defaults(func=cmd_calib_eval)
 
     p = sub.add_parser("xcorr", help="feature cross-correlation diagnostic")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_inputs(p, "--model", "--data")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_xcorr)
 
     p = sub.add_parser("shift-match", help="estimate a feature transform between epochs")
-    p.add_argument("--data-t0", required=True)
-    p.add_argument("--data-t1", required=True)
+    _add_inputs(p, "--data-t0", "--data-t1")
     p.add_argument("--out", required=True)
     p.add_argument("--family", default="orthogonal-2d", choices=["orthogonal-2d", "affine"])
     p.add_argument("--true-angle", type=float)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_shift_match)
     return parser
 
 
 def main(argv=None):
     """Run one subcommand under the run protocol. A subcommand closes its
-    stages on the clock it is handed and returns the values it ran with;
-    only a run that succeeds writes ``resolved_config.json`` and
+    stages on the clock it is handed and leaves in ``args`` the values it
+    ran with, which ``resolved_config.json`` echoes by one rule
+    (``_echo``); only a run that succeeds writes that file and
     ``run_meta.json``."""
     args = build_parser().parse_args(argv)
     try:
         os.makedirs(args.out, exist_ok=True)
         stages = _Stages()
-        resolved = args.func(args, stages)
-        _write_json(os.path.join(args.out, "resolved_config.json"),
-                    {"subcommand": args.command, **resolved})
+        args.func(args, stages)
+        _write_json(os.path.join(args.out, "resolved_config.json"), _echo(args))
         _write_json(os.path.join(args.out, "run_meta.json"), {
             "timings_sec": {**stages.timings, "total": time.perf_counter() - stages.start},
             # ru_maxrss is in KiB on Linux (in bytes on macOS)

@@ -136,6 +136,13 @@ class LatentOracle:
     def predict_proba(self, features):
         return self.spec.posterior(features)
 
+    def decision(self, features):
+        """The posterior's logit, log P - log(1 - P), unclipped in both tails."""
+        from scipy.special import log_ndtr
+
+        t = self.spec.latent_mean(features) / self.spec.noise_sigma(features)
+        return log_ndtr(t) - log_ndtr(-t)
+
 
 def save_dataset(dataset: Dataset, path):
     cols = [f"f{j}" for j in range(dataset.d)] + ["label"]

@@ -325,6 +325,14 @@ def _resolve_bases(base, k):
     return bases, class_ids
 
 
+def _base_logits(base, features, k):
+    """(n, k) per-class logits of the base classifiers (``_resolve_bases``):
+    the one binary base gives (-z, z), else one column per class."""
+    bases, _ = _resolve_bases(base, k)
+    z = np.column_stack([b.decision(features) for b in bases])
+    return np.column_stack([-z, z]) if k == 2 else z
+
+
 def fit_base_classifiers(dataset, fit_config: FitConfig | None = None):
     """Plain logistic base classifiers, one per task the model will store
     (``_task_classes``). The dataset's sample weights apply; no class
@@ -404,10 +412,6 @@ def represent(model: QuantileModel, features) -> QuantileRepresentation:
     features = _as_float_array(features)
     if features.ndim == 1:
         features = features[:, None]
-    if features.shape[1] != model.feature_dim:
-        raise ValidationError(
-            f"feature dimension {features.shape[1]} does not match model "
-            f"dimension {model.feature_dim}")
     n = features.shape[0]
     values = np.empty((n, model.class_count, model.grid.n_dense))
     # logits go straight into their slices: no temporaries per call

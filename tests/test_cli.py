@@ -271,9 +271,10 @@ def test_fit_defaults_follow_the_library():
     """
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
+    # FitConfig.seed is not a parameter: no subcommand reads it
     assert json.loads(proc.stdout) == {"anchors": 9, "dense": 30, "tau_min": 0.2,
                                        "tau_max": 0.8, "l2_reg": 0.5, "max_iter": 7,
-                                       "tol": 1e-3, "seed": 3}
+                                       "tol": 1e-3}
 
 
 def subparsers(parser):
@@ -415,6 +416,17 @@ class TestFitQuantile:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'anchor'" in err and "'dense'" not in err
+        assert not (tmp_path / "x" / "model.json").exists()
+
+    def test_config_with_a_seed_exit_2(self, tmp_path, moons_dir, capsys):
+        # fit-quantile takes no seed, so an older resolved_config.json that
+        # holds one is refused, naming the key, rather than read in part
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"subcommand": "fit-quantile", "anchors": 12, "seed": 0}))
+        rc = main(["fit-quantile", "--data", str(moons_dir / "id.csv"),
+                   "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert rc == 2
+        assert "'seed'" in capsys.readouterr().err
         assert not (tmp_path / "x" / "model.json").exists()
 
     def test_resolved_config_reruns_as_config(self, tmp_path, moons_dir):
@@ -633,7 +645,7 @@ class TestOodEval:
                      "--test-ood", str(moons_dir / "ood.csv"),
                      "--out", str(out)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
-        assert (resolved["k"], resolved["seed"]) == (20, 0)
+        assert resolved["k"] == 20
 
     @pytest.mark.parametrize("flag", ["--train", "--test-id", "--test-ood"])
     def test_weighted_input_exit_2(self, tmp_path, moons_dir, moons_model, flag, capsys):
@@ -852,7 +864,7 @@ class TestShiftMatch:
         assert main(["shift-match", "--data-t0", str(pair_files[0]),
                      "--data-t1", str(pair_files[1]), "--out", str(out)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
-        assert (resolved["family"], resolved["seed"]) == ("orthogonal-2d", 0)
+        assert resolved["family"] == "orthogonal-2d"
         assert resolved["true_angle"] is None
         assert json.loads((out / "estimate.json").read_text())["family"] == "orthogonal-2d"
 
@@ -978,26 +990,147 @@ BAD_NUMBERS = {
     "two-moons-seed-negative": ["gen-data", "two-moons", "--seed", "-1"],
     "gaussian-pair-seed-negative": ["gen-data", "gaussian-pair", "--seed", "-1"],
     "latent-binary-seed-negative": ["gen-data", "latent-binary", "--seed", "-1"],
-    "fit-quantile-seed-negative": ["fit-quantile", "--seed", "-1"],
-    "ood-eval-seed-negative": ["ood-eval", "--seed", "-1"],
     "calib-eval-seed-negative": ["calib-eval", "--seed", "-1"],
-    "shift-match-seed-negative": ["shift-match", "--seed", "-1"],
     "true-angle-nan": ["shift-match", "--true-angle", "nan"],
     "true-angle-inf": ["shift-match", "--true-angle", "inf"],
 }
 
 
-@pytest.mark.parametrize("argv", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
-def test_bad_number_exit_2(tmp_path, moons_dir, moons_model, pair_files, argv, capsys):
+def input_flags(command, moons_dir, moons_model, pair_files):
+    """The input path flags of ``command`` on the shared fixtures."""
     data, model = str(moons_dir / "id.csv"), str(moons_model)
-    argv = [*argv, *{
+    return {
         "fit-quantile": ["--data", data],
         "ood-eval": ["--model", model, "--train", data, "--test-id", data,
                      "--test-ood", str(moons_dir / "ood.csv")],
         "calib-eval": ["--model", model, "--data", data],
+        "xcorr": ["--model", model, "--data", data],
         "shift-match": ["--data-t0", str(pair_files[0]), "--data-t1", str(pair_files[1])],
-    }.get(argv[0], [])]
+    }.get(command, [])
+
+
+@pytest.mark.parametrize("argv", list(BAD_NUMBERS.values()), ids=list(BAD_NUMBERS))
+def test_bad_number_exit_2(tmp_path, moons_dir, moons_model, pair_files, argv, capsys):
+    argv = [*argv, *input_flags(argv[0], moons_dir, moons_model, pair_files)]
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fit-quantile", "ood-eval", "shift-match"])
+def test_unknown_seed_flag_exit_2(tmp_path, moons_dir, moons_model, pair_files, command,
+                                  capsys):
+    # these subcommands draw no random numbers, so they take no --seed
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *input_flags(command, moons_dir, moons_model, pair_files),
+              "--out", str(out), "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def command_parser(command):
+    """The parser of ``command``, or of ``gen-data KIND`` with the kind's
+    own destination, ``kind``, added to what it declares."""
+    commands = subparsers(build_parser())
+    name, _, kind = command.partition(" ")
+    if kind:
+        return subparsers(commands[name])[kind], {"kind"}
+    return commands[name], set()
+
+
+def three_class_data(tmp_path):
+    rng = np.random.default_rng(8)
+    labels = np.arange(90) % 3
+    path = tmp_path / "three.csv"
+    save_dataset(Dataset(rng.normal(size=(90, 2)) + 2.0 * labels[:, None], labels, 3), path)
+    return path
+
+
+# per subcommand: its argv without --out, and for each parameter flag the
+# argv that gives it a second value; a second value that is only valid with
+# another flag changed too names both. fit-quantile runs on three classes,
+# where --tau-min and --tau-max each move alone (a binary grid is symmetric)
+FLAG_CHANGES = {
+    "gen-data two-moons": (["--n-per-class", "20", "--ood-n", "5"], {
+        "--n-per-class": ["--n-per-class", "21"], "--noise": ["--noise", "0.3"],
+        "--ood-n": ["--ood-n", "6"], "--ood-center": ["--ood-center", "8,2"],
+        "--seed": ["--seed", "1"]}),
+    "gen-data gaussian-pair": (["--n-per-class", "20"], {
+        "--centers": ["--centers", "0,0,2,2"], "--stds": ["--stds", "0.2,0.3,0.3,0.11"],
+        "--n-per-class": ["--n-per-class", "21"], "--seed": ["--seed", "1"]}),
+    "gen-data latent-binary": (["--n", "40"], {
+        "--g": ["--g", "2.0"], "--g-intercept": ["--g-intercept", "0.5"],
+        "--noise-kind": ["--noise-kind", "heteroskedastic-gaussian",
+                         "--noise-scale", "1,0.5"],
+        "--noise-scale": ["--noise-scale", "2"], "--n": ["--n", "41"],
+        "--dim": ["--dim", "2", "--g", "1,0"], "--seed": ["--seed", "1"]}),
+    "fit-quantile": (["--anchors", "12", "--dense", "60"], {
+        "--anchors": ["--anchors", "10"], "--dense": ["--dense", "50"],
+        "--tau-min": ["--tau-min", "0.05"], "--tau-max": ["--tau-max", "0.95"],
+        "--l2-reg": ["--l2-reg", "0.1"], "--max-iter": ["--max-iter", "2"],
+        "--tol": ["--tol", "0.01"]}),
+    "ood-eval": ([], {"--k": ["--k", "5"]}),
+    "calib-eval": (["--severities", "0,1"], {
+        "--severities": ["--severities", "0,2"],
+        "--corruption": ["--corruption", "feature-scaling"],
+        "--bins": ["--bins", "3"], "--binning": ["--binning", "equal-width"],
+        "--seed": ["--seed", "1"]}),
+    "xcorr": ([], {}),
+    "shift-match": ([], {"--family": ["--family", "affine"],
+                         "--true-angle": ["--true-angle", "10"]}),
+}
+
+
+def flag_argv(command, moons_dir, moons_model, pair_files, tmp_path):
+    argv = input_flags(command, moons_dir, moons_model, pair_files)
+    if command == "fit-quantile":
+        argv = ["--data", str(three_class_data(tmp_path))]
+    return [*command.split(" "), *argv, *FLAG_CHANGES[command][0]]
+
+
+def results(out):
+    """The result files of a run: all but its echo and its timings."""
+    return {p.name: p.read_bytes() for p in out.iterdir()
+            if p.name not in ("resolved_config.json", "run_meta.json")}
+
+
+@pytest.mark.parametrize("command", [c for c in FLAG_CHANGES if FLAG_CHANGES[c][1]])
+def test_every_flag_changes_a_result(tmp_path, moons_dir, moons_model, pair_files,
+                                     command):
+    # accepted input is honoured: a second value of any parameter flag moves
+    # some result file, so no flag is read and then dropped
+    parser, _ = command_parser(command)
+    params = {a.option_strings[0] for a in parser._actions if a.option_strings
+              and a.dest not in ("help", "out", "config") and a.type is not os.path.abspath}
+    changes = FLAG_CHANGES[command][1]
+    assert set(changes) == params
+    argv = flag_argv(command, moons_dir, moons_model, pair_files, tmp_path)
+    assert main([*argv, "--out", str(tmp_path / "base")]) == 0
+    base = results(tmp_path / "base")
+    unchanged = []
+    for i, (flag, change) in enumerate(changes.items()):
+        out = tmp_path / f"v{i}"
+        assert main([*argv, *change, "--out", str(out)]) == 0, flag
+        if results(out) == base:
+            unchanged.append(flag)
+    assert unchanged == []
+
+
+@pytest.mark.parametrize("command", list(FLAG_CHANGES))
+def test_resolved_config_echoes_every_argument(tmp_path, moons_dir, moons_model,
+                                               pair_files, command):
+    # one rule for every subcommand: each parsed destination but --out and
+    # --config, under its own name, input paths absolute, plus the subcommand
+    parser, extra = command_parser(command)
+    dests = {a.dest for a in parser._actions} | extra
+    argv = flag_argv(command, moons_dir, moons_model, pair_files, tmp_path)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    resolved = json.loads((tmp_path / "o" / "resolved_config.json").read_text())
+    assert set(resolved) == dests - {"help", "out", "config"} | {"subcommand"}
+    assert resolved["subcommand"] == command.split(" ")[0]
+    for action in parser._actions:
+        if action.type is os.path.abspath and resolved[action.dest] is not None:
+            assert os.path.isabs(resolved[action.dest]), action.dest

@@ -16,42 +16,82 @@ DEFAULT_LOF_K = 20
 # onto duplicate points.
 _LRD_EPS = 1e-12
 
+# How far a row's (k+1)-th candidate distance must exceed its k-th, relative
+# to it, for the tree's candidates to settle the row: the tree's distances
+# and ``_distances`` differ by rounding, of order d * 2**-53 relative.
+_TIE_MARGIN = 1e-9
+
 # The ID acceptance rate at which ``tnr_at_tpr`` reads the OOD rejection rate.
 _TPR_LEVEL = 0.95
+
+
+def _distances(points, reference, rows, cols):
+    """Euclidean distances from ``points[rows]`` to ``reference[cols]``, for
+    index arrays that broadcast together. The squares are summed coordinate
+    by coordinate in order (a cumulative sum), as ``cdist`` sums them, so a
+    pair gives the same bits wherever it is computed."""
+    diff = reference[cols] - points[rows]
+    return np.sqrt(np.cumsum(diff * diff, axis=-1)[..., -1])
 
 
 def _k_nearest(points, reference, k, exclude_self):
     """Exact k nearest reference rows of each point: (indices, distances).
 
-    Rows are processed in blocks of ``quantile._block_rows(m)``, so memory
-    is O(block) rather than O(n * m). Per row, the k-th smallest distance
-    comes from ``np.partition``; the neighbourhood is every index strictly
-    below it plus the lowest-indexed ties at it, and is returned ordered by
-    (distance, index). That is exactly the first k entries of a stable
-    argsort of the full distance row. With ``exclude_self`` the points are
-    the reference itself and row i skips column i.
+    A row's neighbourhood is its first k reference rows in (distance, index)
+    order: every row below its k-th distance, then the lowest-indexed ties
+    at it. With ``exclude_self`` the points are the reference itself and
+    row i skips reference row i.
+
+    A k-d tree (``cKDTree``) gives each row k + 1 candidates (k + 2 with
+    ``exclude_self``, self then dropped). Their distances are recomputed by
+    ``_distances`` and ordered by (distance, index). Where the (k+1)-th
+    candidate lies farther than the k-th by more than ``_TIE_MARGIN``, no
+    other reference row can come before it, and the first k candidates are
+    the neighbourhood. The other rows (ties at the k-th distance, or copies
+    of a point that crowd self out of the candidates) take every reference
+    row within their k-th distance plus the margin, from the tree's ball
+    query, and select from those by the same order. Memory is the tree,
+    O(n * k) candidates and the tied rows' balls; the recomputed distances
+    are taken in blocks of ``quantile._block_rows`` rows.
     """
-    from scipy.spatial.distance import cdist
+    from scipy.spatial import cKDTree
 
     n, m = points.shape[0], reference.shape[0]
-    step = _block_rows(m)
+    tree = cKDTree(reference)
+    width = min(k + 1 + exclude_self, m)
+    candidates = tree.query(points, width)[1].reshape(n, width)
+    step = _block_rows(width * reference.shape[1])
     nn = np.empty((n, k), dtype=np.intp)
     nn_dist = np.empty((n, k))
     for start in range(0, n, step):
-        stop = min(start + step, n)
-        dist = cdist(points[start:stop], reference)
+        cand = candidates[start:start + step]
+        own = start + np.arange(cand.shape[0])[:, None]
+        dist = _distances(points, reference, own, cand)
         if exclude_self:
-            np.fill_diagonal(dist[:, start:stop], np.inf)
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-        below = dist < kth
-        ties = dist == kth
-        need = k - below.sum(axis=1, keepdims=True)
-        keep = below | (ties & (np.cumsum(ties, axis=1) <= need))
-        idx = np.nonzero(keep)[1].reshape(stop - start, k)  # ascending index
-        near = np.take_along_axis(dist, idx, axis=1)
-        order = np.argsort(near, axis=1, kind="stable")
-        nn[start:stop] = np.take_along_axis(idx, order, axis=1)
-        nn_dist[start:stop] = np.take_along_axis(near, order, axis=1)
+            dist[cand == own] = np.inf
+        order = np.lexsort((cand, dist), axis=1)
+        cand = np.take_along_axis(cand, order, axis=1)
+        dist = np.take_along_axis(dist, order, axis=1)
+        nn[start:start + step] = cand[:, :k]
+        nn_dist[start:start + step] = dist[:, :k]
+
+        # with width = m every row is a candidate, and self's inf clears
+        tied = np.flatnonzero(~(dist[:, k] > dist[:, k - 1] * (1 + _TIE_MARGIN)))
+        if tied.size == 0:
+            continue
+        radius = dist[tied, k - 1] * (1 + _TIE_MARGIN)
+        tied += start
+        balls = tree.query_ball_point(points[tied], radius)
+        row = np.repeat(tied, [len(ball) for ball in balls])
+        col = np.concatenate(balls).astype(np.intp)
+        if exclude_self:
+            row, col = row[col != row], col[col != row]
+        near = _distances(points, reference, row, col)
+        order = np.lexsort((col, near, row))
+        # each tied row keeps at least k of its ball, grouped in row order
+        pick = order[np.searchsorted(row[order], tied)[:, None] + np.arange(k)]
+        nn[tied] = col[pick]
+        nn_dist[tied] = near[pick]
     return nn, nn_dist
 
 
@@ -62,8 +102,12 @@ def lof_scores(reference, queries, k=DEFAULT_LOF_K):
     reachability distance max(k-distance(neighbor), actual distance),
     local reachability density as inverse mean reachability, and the LOF
     as the ratio of neighbor densities to the query's own. Neighborhoods
-    are the exact k nearest points (self excluded inside the reference).
-    Returned negated so that higher = more in-distribution.
+    are the exact k nearest points (self excluded inside the reference),
+    ties at the k-th distance going to the lowest reference index. A k-d
+    tree finds them (see ``_k_nearest``): each row costs O(k) candidate
+    distances, and only rows tied at their k-th distance look further.
+    ``k`` must be an integer. Returned negated so that higher = more
+    in-distribution.
     """
     reference = np.asarray(reference, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -72,12 +116,17 @@ def lof_scores(reference, queries, k=DEFAULT_LOF_K):
     if queries.ndim == 1:
         queries = queries[:, None]
     m = reference.shape[0]
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValidationError(f"k must be an integer, got {k!r}")
+    k = int(k)
     if k >= m:
         raise ValidationError(f"k={k} must be smaller than the reference size {m}")
     if k < 1:
         raise ValidationError("k must be at least 1")
     if queries.shape[1] != reference.shape[1]:
         raise ValidationError("reference and queries must share dimensionality")
+    if reference.shape[1] == 0:
+        raise ValidationError("reference and queries need at least one coordinate")
     if not (np.all(np.isfinite(reference)) and np.all(np.isfinite(queries))):
         raise ValidationError("reference and queries must be finite")
 

@@ -26,9 +26,10 @@ from .linear import FitConfig, LinearClassifier, fit_weighted_logistic, normaliz
 
 _MONO_TOL = 1e-9
 # bytes per row block (see _block_rows) of the reductions over tau, the shift
-# objective and the LOF search; a block and its temporaries then stay within
-# a 2 MiB L2 cache: on a 2-vCPU Xeon, 4 MiB blocks ran the 2 000-row moons
-# passes over tau about 2x slower
+# objective and the LOF search's recompute of its candidate distances (the
+# tree search itself holds no distance block); a block and its temporaries
+# then stay within a 2 MiB L2 cache: on a 2-vCPU Xeon, 4 MiB blocks ran the
+# 2 000-row moons passes over tau about 2x slower
 _BLOCK_BYTES = 2**20
 _SCHEMA_VERSION = 1
 

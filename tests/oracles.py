@@ -60,6 +60,41 @@ def lof_bruteforce(reference, queries, k):
     return out
 
 
+def k_nearest_cdist(points, reference, k, exclude_self):
+    """Exact k nearest reference rows of each point by full distance rows:
+    (indices, distances), the search ``lof_scores`` ran before its k-d tree.
+
+    Rows go in blocks of about 1 MiB of ``cdist`` distances. Per row, the
+    k-th smallest distance comes from ``np.partition``; the neighbourhood is
+    every index strictly below it plus the lowest-indexed ties at it,
+    ordered by (distance, index): the first k entries of a stable argsort of
+    the full row. With ``exclude_self`` the points are the reference itself
+    and row i skips column i.
+    """
+    from scipy.spatial.distance import cdist
+
+    n, m = points.shape[0], reference.shape[0]
+    step = max(1, 2**17 // m)
+    nn = np.empty((n, k), dtype=np.intp)
+    nn_dist = np.empty((n, k))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        dist = cdist(points[start:stop], reference)
+        if exclude_self:
+            np.fill_diagonal(dist[:, start:stop], np.inf)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        below = dist < kth
+        ties = dist == kth
+        need = k - below.sum(axis=1, keepdims=True)
+        keep = below | (ties & (np.cumsum(ties, axis=1) <= need))
+        idx = np.nonzero(keep)[1].reshape(stop - start, k)  # ascending index
+        near = np.take_along_axis(dist, idx, axis=1)
+        order = np.argsort(near, axis=1, kind="stable")
+        nn[start:stop] = np.take_along_axis(idx, order, axis=1)
+        nn_dist[start:stop] = np.take_along_axis(near, order, axis=1)
+    return nn, nn_dist
+
+
 def auroc_midrank_loop(scores, is_id):
     """Rank-sum AUROC with midranks assigned by walking each tie group of
     the sorted scores."""

@@ -18,12 +18,14 @@ from quantrep import (
     represent,
     tnr_at_tpr,
 )
+from quantrep.ood import _k_nearest
 from quantrep.quantile import _BLOCK_BYTES, QuantileGrid, fit_base_classifiers
 
 from oracles import (
     auroc_midrank_loop,
     auroc_pairwise,
     detection_accuracy_sweep,
+    k_nearest_cdist,
     lof_bruteforce,
     tnr_at_tpr_loop,
 )
@@ -99,10 +101,97 @@ class TestLof:
         with pytest.raises(ValidationError):
             lof_scores(ref, ref, k=0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.True_, "2"])
+    def test_non_integer_k_rejected(self, k):
+        ref = np.arange(10.0)[:, None]
+        with pytest.raises(ValidationError, match="integer"):
+            lof_scores(ref, ref, k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        ref = np.random.default_rng(13).normal(size=(30, 2))
+        for k in (np.int64(4), np.int32(4), np.uint8(4)):
+            np.testing.assert_array_equal(lof_scores(ref, ref[:5], k=k),
+                                          lof_scores(ref, ref[:5], k=4))
+
+    def test_no_coordinates_rejected(self):
+        with pytest.raises(ValidationError):
+            lof_scores(np.zeros((5, 0)), np.zeros((2, 0)), k=2)
+
     def test_nonfinite_rejected(self):
         ref = np.arange(10.0)[:, None]
         with pytest.raises(ValidationError):
             lof_scores(ref, np.array([[np.nan]]), k=2)
+
+
+class TestNeighbourSearch:
+    """The k-d tree search returns the neighbourhoods of the full-row
+    ``cdist`` search: the same indices in the same order, and distances
+    equal to 1e-14 relative."""
+
+    def _assert_matches_cdist(self, reference, k, queries):
+        """Both modes of ``_k_nearest`` against the oracle; returns the
+        number of rows tied at their k-th distance, which the tree's
+        candidates cannot settle and the ball query decides."""
+        tied = 0
+        for points, exclude_self in ((reference, True), (queries, False)):
+            got = _k_nearest(points, reference, k, exclude_self)
+            want = k_nearest_cdist(points, reference, k, exclude_self)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
+            if points.shape[0] and k + 1 + exclude_self <= reference.shape[0]:
+                d = k_nearest_cdist(points, reference, k + 1, exclude_self)[1]
+                tied += int(np.count_nonzero(d[:, k] == d[:, k - 1]))
+        return tied
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_gaussian(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        ref = rng.normal(size=(300, dim))
+        queries = rng.normal(size=(120, dim)) * 1.5
+        for k in (1, 5, 20):
+            self._assert_matches_cdist(ref, k, queries)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rounded_coordinates_tie_at_the_kth_distance(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        ref = np.round(rng.normal(size=(300, dim)), 1)
+        queries = np.round(rng.normal(size=(100, dim)), 1)
+        tied = sum(self._assert_matches_cdist(ref, k, queries) for k in (1, 4, 9))
+        assert tied > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_every_point_repeated(self, k):
+        # four copies of each point: with k + 2 <= 4 the tree's candidates
+        # may all be copies, self among them or not
+        rng = np.random.default_rng(60)
+        base = rng.normal(size=(40, 2))
+        ref = np.repeat(base, 4, axis=0)
+        queries = np.vstack([base[::3], rng.normal(size=(20, 2))])
+        assert self._assert_matches_cdist(ref, k, queries) > 0
+
+    def test_near_rank_one_32d(self):
+        rng = np.random.default_rng(70)
+        direction = rng.normal(size=32)
+        ref = (rng.normal(size=(600, 1)) * direction
+               + 6e-4 * rng.normal(size=(600, 32)) * np.linalg.norm(direction) / np.sqrt(32))
+        queries = rng.normal(size=(150, 1)) * direction * 1.2
+        s = np.linalg.svd(ref - ref.mean(axis=0), compute_uv=False)
+        assert 1e-4 < s[1] / s[0] < 1e-3
+        self._assert_matches_cdist(ref, 20, queries + 1e-3 * rng.normal(size=(150, 32)))
+
+    def test_k_at_the_ends(self):
+        rng = np.random.default_rng(80)
+        ref = rng.normal(size=(25, 3))
+        queries = rng.normal(size=(10, 3))
+        for k in (1, ref.shape[0] - 1):
+            self._assert_matches_cdist(ref, k, queries)
+
+    def test_empty_points(self):
+        ref = np.random.default_rng(90).normal(size=(12, 2))
+        for exclude_self in (True, False):
+            nn, dist = _k_nearest(ref[:0], ref, 3, exclude_self)
+            want = k_nearest_cdist(ref[:0], ref, 3, exclude_self)
+            assert nn.shape == dist.shape == want[0].shape == (0, 3)
 
 
 class TestAuroc:

@@ -65,6 +65,7 @@ from .quantile import (
     coefficient_cross_correlation,
     duality_residual,
     fit_base_classifiers,
+    fit_diagnostics,
     fit_quantile_model,
     interpolate_coefficients,
     load_model,

@@ -41,6 +41,7 @@ from .quantile import (
     _base_logits,
     coefficient_cross_correlation,
     fit_base_classifiers,
+    fit_diagnostics,
     fit_quantile_model,
     load_model,
     metric_factor,
@@ -220,47 +221,51 @@ def cmd_gen_data(args, stages):
     stages("save")
 
 
+def _check_fit(model, fit_config, epoch=""):
+    """``fit_diagnostics`` of a freshly fitted model, which raises on a task
+    with no information, and one stderr warning line if any of its fits
+    (those of the anchors, and the base fit if it ran here) did not meet
+    the stopping rule; ``epoch`` prefixes the warning."""
+    diagnostics = fit_diagnostics(model)
+    counts = {"anchor": sum(diagnostics["nonconverged_anchors"]),
+              "base": diagnostics["base_converged"].count(False)}
+    unmet = " and ".join(f"{n} {kind} fits" for kind, n in counts.items() if n)
+    if unmet:
+        print(f"warning: {epoch}{unmet} did not meet the stopping rule "
+              f"(tol={fit_config.tol:g} relative to the total sample weight, "
+              f"max_iter={fit_config.max_iter})", file=sys.stderr)
+    return diagnostics
+
+
 def cmd_fit_quantile(args, stages):
     cfg = _resolve(args, FIT_DEFAULTS)
     fit_config = _fit_config(cfg)
     grid = _grid(cfg)
     dataset = load_dataset(args.data)
-    bases = (_load_bases(args.base_model) if args.base_model
-             else fit_base_classifiers(dataset, fit_config))
+    bases = _load_bases(args.base_model) if args.base_model else None
+    stages("load")
+    if bases is None:
+        bases = fit_base_classifiers(dataset, fit_config)
     stages("base_fit")
 
     model = fit_quantile_model(dataset, bases, grid=grid, fit_config=fit_config)
     stages("quantile_fit")
 
-    nonconverged = [sum(not c.converged for c in t.anchor_classifiers)
-                    for t in model.tasks]
-    degenerate = [sum(c.degenerate for c in t.anchor_classifiers)
-                  for t in model.tasks]
-    iterations = [sum(c.iterations for c in t.anchor_classifiers)
-                  for t in model.tasks]
-    for task, count in zip(model.tasks, degenerate):
-        if count == len(task.anchor_classifiers):
-            raise FitError("every anchor fit is degenerate: the pseudo-labels are "
-                           "one class at every tau, so the task carries no "
-                           "information", class_id=task.class_id)
-    if sum(nonconverged):
-        print(f"warning: {sum(nonconverged)} anchor fits did not meet the "
-              f"stopping rule (tol={fit_config.tol:g} relative to the total "
-              f"sample weight, max_iter={fit_config.max_iter})", file=sys.stderr)
+    diagnostics = _check_fit(model, fit_config)
     mono = monotonicity_violation_rate(model, dataset.features, dataset.weights)
+    stages("diagnostics")
     save_model(model, args.out)
     _save_bases(os.path.join(args.out, "base.json"), bases)
     _write_json(os.path.join(args.out, "manifest.json"), {
-        "schema_version": 2,
+        "schema_version": 3,
         "grid": {"n_anchor": cfg["anchors"], "n_dense": cfg["dense"],
                  "tau_min": cfg["tau_min"], "tau_max": cfg["tau_max"]},
         "data": {"n": dataset.n, "d": dataset.d, "k": dataset.k},
         "monotonicity_violation_rate": mono.aggregate,
         "median_agreement": [t.median_agreement for t in model.tasks],
-        "nonconverged_anchors": nonconverged,
-        "anchor_iterations": iterations,
-        "degenerate_anchors": degenerate,
+        **diagnostics,
     })
+    stages("save")
 
 
 def _load_input(path, what, subcommand, model):
@@ -354,21 +359,27 @@ def cmd_shift_match(args, stages):
     # the search's input rules, checked before either model is fitted
     _check_search_inputs(args.family, data_t0.d, data_t0.k, data_t1)
     stages("load")
-    model_t0 = fit_quantile_model(data_t0, fit_base_classifiers(data_t0))
+    fit_config = FitConfig()  # shift-match fits with the library defaults
+    model_t0 = fit_quantile_model(data_t0, fit_base_classifiers(data_t0, fit_config),
+                                  fit_config=fit_config)
+    fit_t0 = _check_fit(model_t0, fit_config, "t0: ")
     stages("fit_t0")
-    est = estimate_transform(args.family, model_t0, data_t1)
+    est = estimate_transform(args.family, model_t0, data_t1, fit_config=fit_config)
+    fit_t1 = _check_fit(est.model_t1, fit_config, "t1: ")
     stages("estimate")
 
     obj = est.transform.to_json_dict()
     obj.update({"objective": est.objective,
                 "identifiable": est.identifiable,
-                "near_ties": [t.to_json_dict() for t in est.near_ties]})
+                "near_ties": [t.to_json_dict() for t in est.near_ties],
+                "fit_t0": fit_t0, "fit_t1": fit_t1})
     _write_json(os.path.join(args.out, "estimate.json"), obj)
     _write_csv(os.path.join(args.out, "report.csv"), [
         ["true_angle", "estimated_angle", "objective"],
         [args.true_angle,
          math.degrees(est.transform.angle) if args.family == "orthogonal-2d" else None,
          est.objective]])
+    stages("save")
 
 
 def _add_param_flags(parser, defaults):

@@ -43,15 +43,17 @@ class LinearClassifier:
     When ``normalized`` is set, the L2 norm of the concatenated
     (weights, bias) vector is 1. ``converged``, ``degenerate`` and
     ``iterations`` (solver steps, 0 for a degenerate fit) are fit
-    diagnostics and are not serialized.
+    diagnostics and are not serialized: a classifier read back by
+    ``from_json_dict`` was not fitted there, so its ``converged`` and
+    ``iterations`` are None.
     """
 
     weights: np.ndarray
     bias: float
     normalized: bool = False
-    converged: bool = True
+    converged: bool | None = True
     degenerate: bool = False
-    iterations: int = 0
+    iterations: int | None = 0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -88,7 +90,7 @@ class LinearClassifier:
     def from_json_dict(cls, obj):
         clf = cls(np.asarray(obj["weights"], dtype=np.float64),
                   float(obj["bias"]),
-                  normalized=bool(obj["normalized"]))
+                  normalized=bool(obj["normalized"]), converged=None, iterations=None)
         if not (np.all(np.isfinite(clf.weights)) and np.isfinite(clf.bias)):
             raise ValueError("classifier weights and bias must be finite")
         return clf

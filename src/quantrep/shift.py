@@ -173,13 +173,16 @@ class TransformEstimate:
     t0 dense field (bias column dropped, stacked over tasks) of rank below
     d: the field then sees only a subspace of the features, and the
     objective cannot tell the map from maps that differ off it. Either
-    makes the estimate not identifiable.
+    makes the estimate not identifiable. ``model_t1`` is the quantile
+    model ``estimate_transform`` fitted on the t1 epoch, for its fit
+    diagnostics (``quantile.fit_diagnostics``).
     """
 
     transform: Transform
     objective: float
     near_ties: list = field(default_factory=list)
     rank_deficient: bool = False
+    model_t1: QuantileModel | None = None
 
     @property
     def identifiable(self):
@@ -282,6 +285,12 @@ def estimate_transform(family, model_t0: QuantileModel, data_t1,
     An affine estimate is also not identifiable when the t0 dense field is
     rank deficient (see :class:`TransformEstimate`). Inputs the family
     cannot take raise before the t1 model is fitted.
+
+    The t1 model is returned in ``model_t1`` and is not checked here: like
+    ``fit_quantile_model``, this searches on a model whose anchors are all
+    degenerate (a one-class t1 epoch), which tests of symmetric
+    constructions rely on. A caller that rejects such an epoch calls
+    ``quantile.fit_diagnostics`` on ``model_t1``, after the search has run.
     """
     _check_search_inputs(family, model_t0.feature_dim, model_t0.class_count, data_t1)
     fit_config = fit_config or FitConfig()
@@ -291,5 +300,8 @@ def estimate_transform(family, model_t0: QuantileModel, data_t1,
 
     gap = FieldGap(model_t0, model_t1, data_t1.features)
     if family == "orthogonal-2d":
-        return _estimate_orthogonal(gap)
-    return _estimate_affine(gap, model_t0, data_t1.d)
+        estimate = _estimate_orthogonal(gap)
+    else:
+        estimate = _estimate_affine(gap, model_t0, data_t1.d)
+    estimate.model_t1 = model_t1
+    return estimate

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import inspect
 import json
@@ -118,11 +119,11 @@ def pair_files(tmp_path_factory):
 # below points at a file that does not exist
 RUN_STAGES = {
     "gen-data": ({"generate", "save"}, "--config"),
-    "fit-quantile": ({"base_fit", "quantile_fit"}, "--data"),
+    "fit-quantile": ({"load", "base_fit", "quantile_fit", "diagnostics", "save"}, "--data"),
     "ood-eval": ({"load", "quantile_rep_lof", "baseline_lof", "metrics"}, "--test-ood"),
     "calib-eval": ({"load", "sweep"}, "--data"),
     "xcorr": ({"load", "correlation"}, "--data"),
-    "shift-match": ({"load", "fit_t0", "estimate"}, "--data-t1"),
+    "shift-match": ({"load", "fit_t0", "estimate", "save"}, "--data-t1"),
 }
 
 
@@ -154,6 +155,25 @@ def test_run_protocol(tmp_path, moons_dir, moons_model, pair_files, command):
                  input_flag, str(tmp_path / "absent")]) == 2
     assert not (failed / "resolved_config.json").exists()
     assert not (failed / "run_meta.json").exists()
+
+
+def test_fitting_stages_cover_the_run(tmp_path, moons_dir, pair_files):
+    # the stages of the two fitting subcommands are README.md's list, and
+    # together they take all of `total` but the protocol's own writes
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        documented = dict(re.findall(r"^\| `([a-z-]+)` \| (`.*`) \|$", fh.read(), re.M))
+    runs = {"fit-quantile": ["--data", str(moons_dir / "id.csv"),
+                             "--anchors", "12", "--dense", "60"],
+            "shift-match": ["--data-t0", str(pair_files[0]),
+                            "--data-t1", str(pair_files[1])]}
+    for command, argv in runs.items():
+        out = tmp_path / command
+        assert main([command, *argv, "--out", str(out)]) == 0
+        timings = json.loads((out / "run_meta.json").read_text())["timings_sec"]
+        total = timings.pop("total")
+        assert set(timings) == set(re.findall(r"`(\w+)`", documented[command])), command
+        assert abs(sum(timings.values()) - total) <= 0.01, (command, timings, total)
 
 
 class TestGenData:
@@ -373,8 +393,23 @@ class TestFitQuantile:
         assert "did not meet the stopping rule" in err
         capped = json.loads((out / "manifest.json").read_text())
         assert capped["nonconverged_anchors"][0] > 0
-        # one L-BFGS iteration per fitted anchor, none for a one-class anchor
+        # one Newton step per fitted anchor, none for a one-class anchor
         assert 0 < capped["anchor_iterations"][0] <= 12 - capped["degenerate_anchors"][0]
+        # the base fit stops after its one step too; the same line names it
+        assert (capped["base_converged"], capped["base_iterations"]) == ([False], [1])
+        assert "1 base fits" in err
+
+    def test_manifest_base_diagnostics(self, tmp_path, moons_dir, moons_model):
+        manifest = json.loads((moons_model / "manifest.json").read_text())
+        assert manifest["schema_version"] == 3
+        assert manifest["base_converged"] == [True]
+        assert manifest["base_iterations"][0] > 0
+        # a given base was not fitted by this run: it has no diagnostics
+        out = run_fit(tmp_path, "given", moons_dir / "id.csv",
+                      ("--base-model", str(moons_model / "base.json")))
+        given = json.loads((out / "manifest.json").read_text())
+        assert (given["base_converged"], given["base_iterations"]) == ([None], [None])
+        assert given["anchor_iterations"] == manifest["anchor_iterations"]
 
     def test_rerun_byte_identical_results(self, tmp_path, moons_dir):
         a = run_fit(tmp_path, "da", moons_dir / "id.csv")
@@ -853,6 +888,12 @@ class TestShiftMatch:
         est = json.loads((out / "estimate.json").read_text())
         assert est["family"] == "orthogonal-2d"
         assert "objective" in est and "near_ties" in est
+        for epoch in ("fit_t0", "fit_t1"):
+            fit = est[epoch]
+            assert set(fit) == {"nonconverged_anchors", "degenerate_anchors",
+                                "anchor_iterations", "base_converged", "base_iterations"}
+            assert fit["nonconverged_anchors"] == [0] and fit["base_converged"] == [True]
+            assert 0 <= fit["degenerate_anchors"][0] < 100
         with open(out / "report.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["true_angle"] == "0"
@@ -911,6 +952,38 @@ class TestShiftMatch:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (out / "estimate.json").exists()
+
+
+def _degenerate_input(kind, path):
+    """A dataset with no information for a quantile model: every label one
+    class, a single row, or features at +-1e308, where the base fit
+    overflows at its first step."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 2))
+    ds = {"one-class": Dataset(x, np.zeros(40, dtype=int), 2),
+          "one-row": Dataset(x[:1], np.array([1]), 2),
+          "huge": Dataset(np.where(x > 0, 1e308, -1e308), np.arange(40) % 2, 2)}[kind]
+    save_dataset(ds, path)
+    return path
+
+
+@pytest.mark.parametrize("role", ["fit-quantile", "t0", "t1"])
+@pytest.mark.parametrize("kind", ["one-class", "one-row", "huge"])
+def test_degenerate_input_exit_3(tmp_path, pair_files, capsys, kind, role):
+    data = str(_degenerate_input(kind, tmp_path / f"{kind}.csv"))
+    out = tmp_path / "out"
+    argv = {"fit-quantile": ["fit-quantile", "--data", data],
+            "t0": ["shift-match", "--data-t0", data, "--data-t1", str(pair_files[1])],
+            "t1": ["shift-match", "--data-t0", str(pair_files[0]), "--data-t1", data],
+            }[role]
+    # numpy reports the overflow of the +-1e308 fits
+    with pytest.warns(RuntimeWarning) if kind == "huge" else contextlib.nullcontext():
+        rc = main([*argv, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "every anchor fit is degenerate" in err
+    assert ("the base fit did not converge" in err) == (kind == "huge")
+    assert list(out.iterdir()) == []
 
 
 class TestEmptyInputs:

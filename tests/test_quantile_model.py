@@ -7,11 +7,13 @@ import pytest
 from quantrep import (
     Dataset,
     FitConfig,
+    FitError,
     LinearClassifier,
     QuantileGrid,
     QuantileModel,
     ValidationError,
     coefficient_cross_correlation,
+    fit_diagnostics,
     fit_quantile_model,
     load_model,
     model_class_probabilities,
@@ -50,6 +52,9 @@ class TestFitQuantileModel:
         assert all(b2 <= b1 + 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_constant_positive_base_gives_degenerate_anchors(self):
+        # fit_quantile_model returns an all-degenerate model rather than
+        # raise: c03 fits one-class instances and c08 a zero base, and both
+        # read such models. Rejecting them is fit_diagnostics' job (below).
         x = np.linspace(-1, 1, 20)[:, None]
         ds = Dataset(x, (x[:, 0] > 0).astype(int), 2)
         base = LinearClassifier(np.zeros(1), 30.0)  # probability ~ 1 everywhere
@@ -60,6 +65,35 @@ class TestFitQuantileModel:
         rep = represent(model, x)
         assert np.all(rep.values[:, 1, :] > 0)
         assert np.ptp(rep.values[:, 1, :]) == 0.0
+        with pytest.raises(FitError, match="every anchor fit is degenerate") as exc:
+            fit_diagnostics(model)
+        assert exc.value.class_id == 1
+
+    def test_fit_diagnostics_counts(self):
+        ds = separable_1d(seed=3)
+        bases = fit_base_classifiers(ds)
+        model = fit_quantile_model(ds, bases, grid=SMALL_GRID)
+        diag = fit_diagnostics(model)
+        anchors = model.tasks[0].anchor_classifiers
+        assert diag == {
+            "nonconverged_anchors": [sum(not c.converged for c in anchors)],
+            "degenerate_anchors": [sum(c.degenerate for c in anchors)],
+            "anchor_iterations": [sum(c.iterations for c in anchors)],
+            "base_converged": [True],
+            "base_iterations": [bases[0].iterations],
+        }
+        assert diag["anchor_iterations"][0] > 0 and diag["base_iterations"][0] > 0
+        # a base read from a file was not fitted here: no base diagnostics
+        loaded = [LinearClassifier.from_json_dict(b.to_json_dict()) for b in bases]
+        diag = fit_diagnostics(fit_quantile_model(ds, loaded, grid=SMALL_GRID))
+        assert (diag["base_converged"], diag["base_iterations"]) == ([None], [None])
+
+    def test_fit_diagnostics_needs_the_bases(self, tmp_path):
+        model = fit_quantile_model(separable_1d(), LinearClassifier(np.ones(1), 0.0),
+                                   grid=SMALL_GRID)
+        save_model(model, tmp_path)
+        with pytest.raises(ValidationError, match="bases"):
+            fit_diagnostics(load_model(tmp_path / "model.json"))
 
     def test_deterministic_given_seeds(self):
         ds = separable_1d(seed=3)

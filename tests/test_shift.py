@@ -300,6 +300,11 @@ class TestEstimateTransform:
         err = abs((math.degrees(est.transform.angle) + 180) % 360 - 180)
         assert not est.transform.reflect
         assert err < 5.0
+        # the t1 model it searched on is returned, with its bases
+        ref = fit_model(fresh, grid=model.grid)
+        np.testing.assert_array_equal(est.model_t1.tasks[0].dense_coefficients,
+                                      ref.tasks[0].dense_coefficients)
+        assert est.model_t1.bases[0].converged
 
     def test_point_symmetric_construction_ties(self):
         rng = np.random.default_rng(4)

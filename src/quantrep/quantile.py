@@ -284,17 +284,12 @@ class QuantileModel:
     the tau grid and the interpolated dense coefficient field. A binary
     model's class-0 field is the negated, tau-reflected class-1 field, so
     its dense grid must be symmetric about 1/2. Other layouts raise.
-
-    ``bases`` holds, for a model ``fit_quantile_model`` returned, the base
-    classifiers of its tasks, in task order, for ``fit_diagnostics``; it is
-    not serialized, so a loaded model has None.
     """
 
     grid: QuantileGrid
     tasks: list
     class_count: int
     feature_dim: int
-    bases: list | None = None
 
     def __post_init__(self):
         stored = [t.class_id for t in self.tasks]
@@ -404,14 +399,17 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
             weights=dataset.weights))
         tasks.append(QuantileTask(class_id, anchors, dense,
                                   median_agreement=agreement))
-    return QuantileModel(grid, tasks, dataset.k, features.shape[1], bases=bases)
+    return QuantileModel(grid, tasks, dataset.k, features.shape[1])
 
 
-def fit_diagnostics(model: QuantileModel):
-    """The deterministic fit diagnostics of a fitted model, one list entry
-    per task: its anchors' non-converged, degenerate and Newton-step counts,
+def fit_diagnostics(model: QuantileModel, bases):
+    """The deterministic fit diagnostics of a model ``fit_quantile_model``
+    returned, given the ``bases`` it was fitted from, one list entry per
+    task: its anchors' non-converged, degenerate and Newton-step counts,
     and its base's ``converged`` and ``iterations`` (None for a base read
-    from a file, which was not fitted here).
+    from a file, which was not fitted here). A model read from a file has
+    no fit record (its anchors' ``iterations`` are None) and raises
+    ``ValidationError``.
 
     Raises ``FitError`` when every anchor of a task is degenerate: its
     pseudo-labels are one class at every tau, so the task carries no
@@ -419,19 +417,19 @@ def fit_diagnostics(model: QuantileModel):
     tests of one-class instances and of symmetric constructions fit them on
     purpose; a caller that needs a usable representation checks it here.
     """
-    if model.bases is None:
-        raise ValidationError("fit diagnostics need the model's bases: "
-                              "a model fit_quantile_model returned")
+    bases, _ = _resolve_bases(bases, model.class_count)
     anchors = [t.anchor_classifiers for t in model.tasks]
+    if any(c.iterations is None for a in anchors for c in a):
+        raise ValidationError("fit diagnostics need a fitted model and its bases; "
+                              "a model read from a file has no fit record")
     diagnostics = {
         "nonconverged_anchors": [sum(not c.converged for c in a) for a in anchors],
         "degenerate_anchors": [sum(c.degenerate for c in a) for a in anchors],
         "anchor_iterations": [sum(c.iterations for c in a) for a in anchors],
-        "base_converged": [b.converged for b in model.bases],
-        "base_iterations": [b.iterations for b in model.bases],
+        "base_converged": [b.converged for b in bases],
+        "base_iterations": [b.iterations for b in bases],
     }
-    for task, base, count in zip(model.tasks, model.bases,
-                                 diagnostics["degenerate_anchors"]):
+    for task, base, count in zip(model.tasks, bases, diagnostics["degenerate_anchors"]):
         if count == len(task.anchor_classifiers):
             unmet = "; the base fit did not converge" if base.converged is False else ""
             raise FitError("every anchor fit is degenerate: the pseudo-labels are "

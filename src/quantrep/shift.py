@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .linear import FitConfig
-from .quantile import (
-    QuantileModel,
-    _block_rows,
-    fit_base_classifiers,
-    fit_quantile_model,
-)
+from .quantile import QuantileModel, _block_rows
 
 _MAX_CONDITION = 1e8
 _ANGLE_STEP = math.radians(1.0)  # rotation scan; also the tie detector's grid
@@ -173,16 +167,13 @@ class TransformEstimate:
     t0 dense field (bias column dropped, stacked over tasks) of rank below
     d: the field then sees only a subspace of the features, and the
     objective cannot tell the map from maps that differ off it. Either
-    makes the estimate not identifiable. ``model_t1`` is the quantile
-    model ``estimate_transform`` fitted on the t1 epoch, for its fit
-    diagnostics (``quantile.fit_diagnostics``).
+    makes the estimate not identifiable.
     """
 
     transform: Transform
     objective: float
     near_ties: list = field(default_factory=list)
     rank_deficient: bool = False
-    model_t1: QuantileModel | None = None
 
     @property
     def identifiable(self):
@@ -236,7 +227,7 @@ def _affine_objective(theta, gap, d):
     return gap(p, theta[d * d:]) if np.linalg.cond(p) < _MAX_CONDITION else np.inf
 
 
-def _estimate_affine(gap, model_t0, d):
+def _estimate_affine(gap, model_t0):
     """One Powell search over the inverse map x -> P x + q from the identity.
 
     The t0 logits at ``P x + q`` are affine in (P, q), so the objective, a
@@ -248,6 +239,7 @@ def _estimate_affine(gap, model_t0, d):
     """
     from scipy.optimize import minimize
 
+    d = model_t0.feature_dim
     theta0 = np.concatenate([np.eye(d).ravel(), np.zeros(d)])
     theta = minimize(_affine_objective, theta0, args=(gap, d), method="Powell").x
     inv_p = np.linalg.inv(theta[:d * d].reshape(d, d))
@@ -257,13 +249,14 @@ def _estimate_affine(gap, model_t0, d):
                              rank_deficient=bool(np.linalg.matrix_rank(field_t0) < d))
 
 
-def _check_search_inputs(family, feature_dim, class_count, data_t1):
-    """The inputs a search over ``family`` takes: a t1 epoch with the t0
-    model's feature dimension and class count, 2-d features for rotations
+def _check_search_inputs(family, shape_t0, shape_t1):
+    """The inputs a search over ``family`` takes: two epochs of one
+    ``(feature dimension, class count)`` shape, 2-d features for rotations
     and at most 10 for affine maps. Cheap, so callers run it before any fit."""
-    if (data_t1.d, data_t1.k) != (feature_dim, class_count):
-        raise ValidationError(f"t1 data has {data_t1.d} features and {data_t1.k} classes, "
-                              f"t0 has {feature_dim} and {class_count}")
+    if shape_t1 != shape_t0:
+        raise ValidationError("t1 has {} features and {} classes, "
+                              "t0 has {} and {}".format(*shape_t1, *shape_t0))
+    feature_dim = shape_t0[0]
     if family == "orthogonal-2d":
         if feature_dim != 2:
             raise ConfigError("orthogonal-2d requires 2-d features")
@@ -274,34 +267,22 @@ def _check_search_inputs(family, feature_dim, class_count, data_t1):
         raise ConfigError(f"unknown transform family: {family!r}")
 
 
-def estimate_transform(family, model_t0: QuantileModel, data_t1,
-                       fit_config: FitConfig | None = None):
-    """Fit a quantile model on the newer labeled epoch, on ``model_t0``'s
-    grid, then minimize the matching objective over the chosen family.
+def estimate_transform(family, model_t0: QuantileModel, model_t1: QuantileModel,
+                       samples_t1):
+    """Minimize the matching objective of two fitted models (see
+    :func:`matching_objective`, which takes the same models and samples)
+    over the chosen family. Fits nothing: the caller fits each epoch's
+    model, the t1 model on ``model_t0``'s grid, and checks it.
 
     Returns a :class:`TransformEstimate` whose ``near_ties`` lists grid
     members indistinguishable from the optimum; a nonempty list signals a
     non-identifiable (symmetric) construction rather than a unique answer.
     An affine estimate is also not identifiable when the t0 dense field is
-    rank deficient (see :class:`TransformEstimate`). Inputs the family
-    cannot take raise before the t1 model is fitted.
-
-    The t1 model is returned in ``model_t1`` and is not checked here: like
-    ``fit_quantile_model``, this searches on a model whose anchors are all
-    degenerate (a one-class t1 epoch), which tests of symmetric
-    constructions rely on. A caller that rejects such an epoch calls
-    ``quantile.fit_diagnostics`` on ``model_t1``, after the search has run.
+    rank deficient (see :class:`TransformEstimate`).
     """
-    _check_search_inputs(family, model_t0.feature_dim, model_t0.class_count, data_t1)
-    fit_config = fit_config or FitConfig()
-    bases1 = fit_base_classifiers(data_t1, fit_config)
-    model_t1 = fit_quantile_model(data_t1, bases1, grid=model_t0.grid,
-                                  fit_config=fit_config)
-
-    gap = FieldGap(model_t0, model_t1, data_t1.features)
+    _check_search_inputs(family, (model_t0.feature_dim, model_t0.class_count),
+                         (model_t1.feature_dim, model_t1.class_count))
+    gap = FieldGap(model_t0, model_t1, samples_t1)
     if family == "orthogonal-2d":
-        estimate = _estimate_orthogonal(gap)
-    else:
-        estimate = _estimate_affine(gap, model_t0, data_t1.d)
-    estimate.model_t1 = model_t1
-    return estimate
+        return _estimate_orthogonal(gap)
+    return _estimate_affine(gap, model_t0)

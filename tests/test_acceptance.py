@@ -247,7 +247,9 @@ def test_c08_rotation_recovery_and_tie_detection():
         truth = Transform("orthogonal-2d", angle=true_angle)
         fresh = gen_gaussian_pair(A6_CENTERS, A6_STDS, 400, seed=1000 + seed)
         data_t1 = Dataset(truth.apply(fresh.features), fresh.labels, 2)
-        est = estimate_transform("orthogonal-2d", model_t0, data_t1, fit_config=fc)
+        model_t1 = fit_quantile_model(data_t1, fit_base_classifiers(data_t1, fc),
+                                      grid=model_t0.grid, fit_config=fc)
+        est = estimate_transform("orthogonal-2d", model_t0, model_t1, data_t1.features)
 
         def ang_err(a, b):
             d = (a - b) % (2 * math.pi)
@@ -280,7 +282,7 @@ def test_c08_rotation_recovery_and_tie_detection():
                                  d1.features)
     tie_gap = abs(obj_pos - obj_neg)
     assert tie_gap <= 1e-6
-    est = estimate_transform("orthogonal-2d", m0, d1, fit_config=FitConfig())
+    est = estimate_transform("orthogonal-2d", m0, m1, d1.features)
     assert not est.identifiable and len(est.near_ties) > 0
     _report(8, f"rotation recovered within 5 deg on 5 seeds (errors "
                f"{[round(e, 2) for e in errors]}); symmetric construction tie "

@@ -38,14 +38,16 @@ print(json.dumps(seen))
 """
 
 
-def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model):
+def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pair_files):
     # every CLI call pays for its imports: scipy.stats would add about half
     # a second, and scipy.interpolate (for CubicSpline) 33 modules and about
     # 80 ms to a 1 s import of quantrep.cli. scipy is imported where it is
     # called, so gen-data, xcorr and fit-quantile (numpy Newton fits, with
-    # or without a given base) run on numpy alone.
+    # or without a given base) run on numpy alone, and so does a shift-match
+    # whose t1 epoch fails its fit check before the search.
     src = os.path.dirname(os.path.dirname(quantrep.__file__))
     data, model = str(moons_dir / "id.csv"), str(moons_model)
+    one_class = str(_degenerate_input("one-class", tmp_path / "one-class.csv"))
     fit = ["fit-quantile", "--data", data, "--anchors", "6", "--dense", "30"]
     steps = [
         ["two-moons", ["gen-data", "two-moons", "--n-per-class", "20", "--ood-n", "10"]],
@@ -54,6 +56,7 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model):
         ["xcorr", ["xcorr", "--model", model, "--data", data]],
         ["fit-quantile", fit],
         ["fit-quantile-base", [*fit, "--base-model", str(moons_model / "base.json")]],
+        ["shift-match-one-class-t1", _degenerate_argv("t1", one_class, pair_files)],
         ["ood-eval", ["ood-eval", "--model", model, "--train", data, "--test-id", data,
                       "--test-ood", str(moons_dir / "ood.csv")]],
     ]
@@ -70,6 +73,7 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model):
     for tag in ("two-moons", "gaussian-pair", "latent-binary", "xcorr", "fit-quantile",
                 "fit-quantile-base"):
         assert seen[tag] == [0, []], tag
+    assert seen["shift-match-one-class-t1"] == [3, []]
     rc, loaded = seen["ood-eval"]
     assert rc == 0 and "scipy.spatial" in loaded and "scipy.optimize" not in loaded
 
@@ -123,7 +127,7 @@ RUN_STAGES = {
     "ood-eval": ({"load", "quantile_rep_lof", "baseline_lof", "metrics"}, "--test-ood"),
     "calib-eval": ({"load", "sweep"}, "--data"),
     "xcorr": ({"load", "correlation"}, "--data"),
-    "shift-match": ({"load", "fit_t0", "estimate", "save"}, "--data-t1"),
+    "shift-match": ({"load", "fit_t0", "fit_t1", "estimate", "save"}, "--data-t1"),
 }
 
 
@@ -934,13 +938,11 @@ class TestShiftMatch:
     def test_bad_inputs_exit_2_before_any_fit(self, tmp_path, monkeypatch, capsys,
                                                family, t0_shape, t1_shape):
         import quantrep.cli as cli
-        import quantrep.shift as shift
 
         def no_fit(*args, **kwargs):
             raise AssertionError("a model was fitted before the inputs were checked")
 
         monkeypatch.setattr(cli, "fit_quantile_model", no_fit)
-        monkeypatch.setattr(shift, "fit_quantile_model", no_fit)
         rng = np.random.default_rng(4)
         paths = []
         for tag, (d, k) in (("t0", t0_shape), ("t1", t1_shape)):
@@ -967,15 +969,25 @@ def _degenerate_input(kind, path):
     return path
 
 
-@pytest.mark.parametrize("role", ["fit-quantile", "t0", "t1"])
-@pytest.mark.parametrize("kind", ["one-class", "one-row", "huge"])
-def test_degenerate_input_exit_3(tmp_path, pair_files, capsys, kind, role):
-    data = str(_degenerate_input(kind, tmp_path / f"{kind}.csv"))
-    out = tmp_path / "out"
-    argv = {"fit-quantile": ["fit-quantile", "--data", data],
+def _degenerate_argv(role, data, pair_files):
+    return {"fit-quantile": ["fit-quantile", "--data", data],
             "t0": ["shift-match", "--data-t0", data, "--data-t1", str(pair_files[1])],
             "t1": ["shift-match", "--data-t0", str(pair_files[0]), "--data-t1", data],
             }[role]
+
+
+@pytest.mark.parametrize("role", ["fit-quantile", "t0", "t1"])
+@pytest.mark.parametrize("kind", ["one-class", "one-row", "huge"])
+def test_degenerate_input_exit_3(tmp_path, pair_files, monkeypatch, capsys, kind, role):
+    import quantrep.shift as shift
+
+    def no_search(*args):
+        raise AssertionError("the search ran before both epochs were checked")
+
+    monkeypatch.setattr(shift.FieldGap, "__call__", no_search)
+    data = str(_degenerate_input(kind, tmp_path / f"{kind}.csv"))
+    out = tmp_path / "out"
+    argv = _degenerate_argv(role, data, pair_files)
     # numpy reports the overflow of the +-1e308 fits
     with pytest.warns(RuntimeWarning) if kind == "huge" else contextlib.nullcontext():
         rc = main([*argv, "--out", str(out)])
@@ -1088,6 +1100,23 @@ def test_bad_number_exit_2(tmp_path, moons_dir, moons_model, pair_files, argv, c
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["calib-eval", "--bins", "1000000000000"],
+    ["gen-data", "latent-binary", "--n", "1000000000000"],
+    ["gen-data", "two-moons", "--n-per-class", "1000000000000"],
+    ["fit-quantile", "--dense", "1000000000000"],
+], ids=["calib-eval-bins", "latent-binary-n", "two-moons-n-per-class", "fit-quantile-dense"])
+def test_size_past_memory_exit_2(tmp_path, moons_dir, moons_model, pair_files, argv,
+                                 capsys):
+    # 10**12 float64 values (7.3 TiB): numpy refuses the array at once
+    argv = [*argv, *input_flags(argv[0], moons_dir, moons_model, pair_files)]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert list(out.iterdir()) == []
 
 

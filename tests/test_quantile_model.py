@@ -66,14 +66,14 @@ class TestFitQuantileModel:
         assert np.all(rep.values[:, 1, :] > 0)
         assert np.ptp(rep.values[:, 1, :]) == 0.0
         with pytest.raises(FitError, match="every anchor fit is degenerate") as exc:
-            fit_diagnostics(model)
+            fit_diagnostics(model, base)
         assert exc.value.class_id == 1
 
     def test_fit_diagnostics_counts(self):
         ds = separable_1d(seed=3)
         bases = fit_base_classifiers(ds)
         model = fit_quantile_model(ds, bases, grid=SMALL_GRID)
-        diag = fit_diagnostics(model)
+        diag = fit_diagnostics(model, bases)
         anchors = model.tasks[0].anchor_classifiers
         assert diag == {
             "nonconverged_anchors": [sum(not c.converged for c in anchors)],
@@ -85,15 +85,19 @@ class TestFitQuantileModel:
         assert diag["anchor_iterations"][0] > 0 and diag["base_iterations"][0] > 0
         # a base read from a file was not fitted here: no base diagnostics
         loaded = [LinearClassifier.from_json_dict(b.to_json_dict()) for b in bases]
-        diag = fit_diagnostics(fit_quantile_model(ds, loaded, grid=SMALL_GRID))
+        diag = fit_diagnostics(fit_quantile_model(ds, loaded, grid=SMALL_GRID), loaded)
         assert (diag["base_converged"], diag["base_iterations"]) == ([None], [None])
 
     def test_fit_diagnostics_needs_the_bases(self, tmp_path):
-        model = fit_quantile_model(separable_1d(), LinearClassifier(np.ones(1), 0.0),
-                                   grid=SMALL_GRID)
+        # the caller that fitted the model passes its bases, one per task;
+        # a model read from a file has no fit record to count, bases or not
+        base = LinearClassifier(np.ones(1), 0.0)
+        model = fit_quantile_model(separable_1d(), base, grid=SMALL_GRID)
+        with pytest.raises(ValidationError, match="base classifier"):
+            fit_diagnostics(model, [base, base])
         save_model(model, tmp_path)
-        with pytest.raises(ValidationError, match="bases"):
-            fit_diagnostics(load_model(tmp_path / "model.json"))
+        with pytest.raises(ValidationError, match="no fit record"):
+            fit_diagnostics(load_model(tmp_path / "model.json"), base)
 
     def test_deterministic_given_seeds(self):
         ds = separable_1d(seed=3)

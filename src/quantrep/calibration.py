@@ -142,15 +142,56 @@ class IsotonicMap:
         return self.values[idx]
 
 
+def _pava(y, w):
+    """Weighted pool-adjacent-violators: Algorithm 1 of Busing (JSS 2022),
+    the one scipy's ``isotonic_regression`` runs, step for step.
+
+    Returns the start index and the weighted mean of each block of the
+    nondecreasing least-squares fit; adjacent blocks whose means tie are
+    pooled. A pooled block is carried as its mean and weight, and the sum
+    it re-enters a pool with is their product, in scipy's order, so block
+    means that tie to rounding are pooled exactly when scipy pools them.
+    """
+    x, w = list(y), list(w)  # block b lives in x[b], w[b]
+    starts = [0]
+    b, xb_prev, wb_prev = 0, x[0], w[0]
+    i = 1
+    while i < len(x):
+        xb, wb = x[i], w[i]
+        if xb_prev >= xb:
+            b -= 1
+            sb = wb_prev * xb_prev + wb * xb
+            wb += wb_prev
+            xb = sb / wb
+            while i + 1 < len(x) and xb >= x[i + 1]:
+                i += 1
+                sb += w[i] * x[i]
+                wb += w[i]
+                xb = sb / wb
+            while b >= 0 and x[b] >= xb:
+                sb += w[b] * x[b]
+                wb += w[b]
+                xb = sb / wb
+                b -= 1
+            b += 1
+            del starts[b + 1:]
+        else:
+            b += 1
+            starts.append(i)
+        x[b] = xb_prev = xb
+        w[b] = wb_prev = wb
+        i += 1
+    return starts, x[:b + 1]
+
+
 def isotonic_fit(scores, correctness) -> IsotonicMap:
-    """Pool-adjacent-violators (scipy's ``isotonic_regression``): the
-    nondecreasing map minimizing squared error of correctness on scores.
+    """Pool-adjacent-violators (:func:`_pava`, scipy's algorithm in plain
+    Python): the nondecreasing map minimizing squared error of correctness
+    on scores.
 
     Tied scores are pre-pooled so the result is a genuine function of the
     score.
     """
-    from scipy.optimize import isotonic_regression
-
     scores = np.asarray(scores, dtype=np.float64)
     correctness = np.asarray(correctness, dtype=np.float64)
     if scores.shape != correctness.shape:
@@ -160,9 +201,8 @@ def isotonic_fit(scores, correctness) -> IsotonicMap:
     # single-outcome input is fine here: the solution is the constant map
     s, inverse, group_w = np.unique(scores, return_inverse=True, return_counts=True)
     group_y = np.bincount(inverse, weights=correctness) / group_w
-    fit = isotonic_regression(group_y, weights=group_w)
-    block_starts = fit.blocks[:-1]
-    return IsotonicMap(s[block_starts], fit.x[block_starts])
+    starts, values = _pava(group_y.tolist(), group_w.astype(np.float64).tolist())
+    return IsotonicMap(s[starts], np.array(values))
 
 
 # ---------------------------------------------------------------------------

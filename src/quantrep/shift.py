@@ -5,9 +5,10 @@ The quantile models fitted on the two epochs describe the same labeled
 distribution in different coordinates, so the logit fields should agree
 once the newer features are mapped back through the inverse transform.
 The estimator minimizes the mean absolute logit discrepancy over a
-transform family with derivative-free scipy searches: a 1 degree scan
-refined by bounded Brent for rotations, and one Powell search over the
-inverse map, where the objective is convex, for affine maps.
+transform family with derivative-free searches: for rotations a 1 degree
+scan on two threads, refined by bounded Brent (a port of scipy's loop, so
+the search loads no scipy module), and for affine maps one scipy Powell
+search over the inverse map, where the objective is convex.
 
 A search evaluates that objective thousands of times for one pair of
 models and one t1 sample, so it is a :class:`FieldGap` of the inverse map
@@ -18,6 +19,7 @@ searches move in (P, q) and build a :class:`Transform` only to report.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +110,9 @@ class FieldGap:
     with ``x~ = (x, 1)`` and ``C0' = [W0 P | b0 + W0 q]``, so each call
     builds ``D = C0' - C1`` per task and returns the mean of |x~ @ D.T|
     over samples, tasks and dense taus. That field is evaluated in row
-    blocks of about ``_BLOCK_BYTES`` into one buffer owned by this
-    evaluator; two evaluators never share a buffer.
+    blocks of about ``_BLOCK_BYTES`` into a buffer this evaluator keeps for
+    each calling thread, so threads may call one evaluator at once; two
+    evaluators or two threads never share a buffer.
 
     For binary models this is also the mean over the whole representations:
     the class-0 slice ``represent`` mirrors is the class-1 slice negated and
@@ -130,19 +133,23 @@ class FieldGap:
         self._pairs = [(t0.dense_coefficients, t1.dense_coefficients)
                        for t0, t1 in zip(model_t0.tasks, model_t1.tasks)]
         n_dense = model_t1.grid.n_dense
-        self._buf = np.empty((min(samples.shape[0], _block_rows(n_dense)), n_dense))
+        self._buf_shape = (min(samples.shape[0], _block_rows(n_dense)), n_dense)
+        self._local = threading.local()
 
     def __call__(self, p, q):
         n, d = self._padded.shape[0], self._padded.shape[1] - 1
         if p.shape[0] != d:
             raise ValidationError("feature dimension does not match transform")
-        rows, n_dense = self._buf.shape
+        buf = getattr(self._local, "buf", None)
+        if buf is None:
+            buf = self._local.buf = np.empty(self._buf_shape)
+        rows, n_dense = buf.shape
         total = 0.0
         for coef0, coef1 in self._pairs:
             w0 = coef0[:, :d]
             diff = np.column_stack([w0 @ p, coef0[:, d] + w0 @ q]) - coef1
             for lo in range(0, n, rows):
-                block = self._buf[:min(rows, n - lo)]
+                block = buf[:min(rows, n - lo)]
                 np.matmul(self._padded[lo:lo + rows], diff.T, out=block)
                 np.abs(block, out=block)
                 total += float(block.sum())
@@ -180,26 +187,108 @@ class TransformEstimate:
         return not self.near_ties and not self.rank_deficient
 
 
-def _estimate_orthogonal(gap):
-    from scipy.optimize import minimize_scalar
+def _bounded_brent(func, lo, hi, xatol):
+    """Minimize ``func`` on ``[lo, hi]``: Brent's bounded method, the loop
+    of scipy's ``minimize_scalar(method="bounded")`` step for step, with its
+    default cap of 500 evaluations. Returns ``(x, f(x), evaluations)``."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx, num
+
+
+def _rotation_gap(gap, angle, reflect):
+    """``gap`` at the inverse of the rotation ``(angle, reflect)``."""
+    return gap(_rotation(angle, reflect).T, np.zeros(2))
+
+
+def _rotation_scan(gap):
+    """``[(objective, angle, reflect), ...]`` on the 1 degree grid, rotations
+    then reflections. The grid's two interleaved halves run on two threads:
+    the objective's numpy calls release the interpreter lock."""
+    # imported here, not with the module: it loads logging, ~10 ms that
+    # every CLI start would pay
+    from concurrent.futures import ThreadPoolExecutor
 
     n_steps = int(round(2.0 * math.pi / _ANGLE_STEP))
-    grid_vals = []  # (objective, angle, reflect)
+    grid = [(i * _ANGLE_STEP, reflect) for reflect in (False, True) for i in range(n_steps)]
 
-    def objective_at(angle, reflect):
-        return gap(_rotation(angle, reflect).T, np.zeros(2))
+    def scan(half):
+        return [_rotation_gap(gap, angle, reflect) for angle, reflect in grid[half::2]]
 
-    for reflect in (False, True):
-        for i in range(n_steps):
-            angle = i * _ANGLE_STEP
-            grid_vals.append((objective_at(angle, reflect), angle, reflect))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        halves = list(pool.map(scan, (0, 1)))
+    values = [0.0] * len(grid)
+    values[0::2], values[1::2] = halves
+    return [(obj, angle, reflect) for obj, (angle, reflect) in zip(values, grid)]
 
+
+def _estimate_orthogonal(gap):
+    grid_vals = _rotation_scan(gap)
     best_obj, best_angle, best_reflect = min(grid_vals, key=lambda v: v[0])
-    refined = minimize_scalar(lambda a: objective_at(a, best_reflect),
-                              bounds=(best_angle - _ANGLE_STEP, best_angle + _ANGLE_STEP),
-                              method="bounded", options={"xatol": _REFINE_TOL})
-    if refined.fun <= best_obj:
-        best_obj, best_angle = float(refined.fun), float(refined.x)
+    x, fun, _ = _bounded_brent(lambda a: _rotation_gap(gap, a, best_reflect),
+                               best_angle - _ANGLE_STEP, best_angle + _ANGLE_STEP,
+                               _REFINE_TOL)
+    if fun <= best_obj:
+        best_obj, best_angle = float(fun), float(x)
 
     best = Transform("orthogonal-2d", angle=best_angle % (2.0 * math.pi),
                      reflect=best_reflect)

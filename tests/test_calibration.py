@@ -19,7 +19,7 @@ from quantrep import (
     platt_apply,
     platt_fit,
 )
-from quantrep.calibration import _logit
+from quantrep.calibration import _logit, _pava
 from quantrep.quantile import QuantileTask
 
 from oracles import ece_bruteforce, isotonic_minmax
@@ -195,6 +195,33 @@ class TestIsotonic:
             iso = isotonic_fit(scores, correct)
             s_levels, fitted = isotonic_minmax(scores, correct)
             np.testing.assert_allclose(iso(s_levels), fitted, atol=1e-12)
+
+    def test_pava_matches_scipy_bitwise(self):
+        # scipy's isotonic_regression runs the same algorithm, so blocks and
+        # values agree exactly. Odd cases pool 0/1 outcomes into groups of
+        # integer weight, as isotonic_fit does: there pooled means tie, and
+        # tie to rounding, often
+        from scipy.optimize import isotonic_regression
+
+        rng = np.random.default_rng(21)
+        for case in range(2000):
+            if case % 2:
+                n = int(rng.integers(1, 400))
+                scores = rng.integers(0, int(rng.integers(1, 100)), n)
+                _, inverse, w = np.unique(scores, return_inverse=True, return_counts=True)
+                y = np.bincount(inverse, weights=rng.integers(0, 2, n)) / w
+                w = w.astype(np.float64)
+            elif case % 4:
+                n = int(rng.integers(1, 100))
+                y, w = rng.normal(size=n), rng.uniform(0.1, 3.0, n)
+            else:
+                n = int(rng.integers(1, 100))
+                y = np.round(rng.uniform(0, 1, n), 1)
+                w = rng.integers(1, 5, n).astype(np.float64)
+            ref = isotonic_regression(y, weights=w)
+            starts, values = _pava(y.tolist(), w.tolist())
+            assert starts == ref.blocks[:-1].tolist(), case
+            assert values == ref.x[ref.blocks[:-1]].tolist(), case
 
     def test_nondecreasing_output(self):
         rng = np.random.default_rng(9)

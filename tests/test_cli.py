@@ -43,12 +43,16 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pa
     # a second, and scipy.interpolate (for CubicSpline) 33 modules and about
     # 80 ms to a 1 s import of quantrep.cli. scipy is imported where it is
     # called, so gen-data, xcorr and fit-quantile (numpy Newton fits, with
-    # or without a given base) run on numpy alone, and so does a shift-match
-    # whose t1 epoch fails its fit check before the search.
+    # or without a given base) run on numpy alone. So do calib-eval, whose
+    # isotonic map runs a port of scipy's pool-adjacent-violators, and the
+    # rotation search of shift-match, whose bounded Brent is a port of
+    # scipy's; its affine search still loads scipy.optimize for Powell. A
+    # shift-match whose t1 epoch fails its fit check loads none either.
     src = os.path.dirname(os.path.dirname(quantrep.__file__))
     data, model = str(moons_dir / "id.csv"), str(moons_model)
     one_class = str(_degenerate_input("one-class", tmp_path / "one-class.csv"))
     fit = ["fit-quantile", "--data", data, "--anchors", "6", "--dense", "30"]
+    shift = ["shift-match", "--data-t0", str(pair_files[0]), "--data-t1", str(pair_files[1])]
     steps = [
         ["two-moons", ["gen-data", "two-moons", "--n-per-class", "20", "--ood-n", "10"]],
         ["gaussian-pair", ["gen-data", "gaussian-pair", "--n-per-class", "20"]],
@@ -57,8 +61,14 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pa
         ["fit-quantile", fit],
         ["fit-quantile-base", [*fit, "--base-model", str(moons_model / "base.json")]],
         ["shift-match-one-class-t1", _degenerate_argv("t1", one_class, pair_files)],
+        ["calib-eval", ["calib-eval", "--model", model, "--data", data,
+                        "--severities", "0,1"]],
+        ["shift-match-orthogonal", [*shift, "--family", "orthogonal-2d"]],
         ["ood-eval", ["ood-eval", "--model", model, "--train", data, "--test-id", data,
                       "--test-ood", str(moons_dir / "ood.csv")]],
+        # last: the probe lists every module loaded so far, and this step
+        # loads scipy.optimize
+        ["shift-match-affine", [*shift, "--family", "affine"]],
     ]
     steps = [[tag, [*argv, "--out", str(tmp_path / tag)]] for tag, argv in steps]
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(steps)],
@@ -71,11 +81,13 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pa
     assert {f"quantrep.{name}" for name in ("cli", "datasets", "linear", "quantile", "ood",
                                             "calibration", "shift")} <= set(seen["quantrep"])
     for tag in ("two-moons", "gaussian-pair", "latent-binary", "xcorr", "fit-quantile",
-                "fit-quantile-base"):
+                "fit-quantile-base", "calib-eval", "shift-match-orthogonal"):
         assert seen[tag] == [0, []], tag
     assert seen["shift-match-one-class-t1"] == [3, []]
     rc, loaded = seen["ood-eval"]
     assert rc == 0 and "scipy.spatial" in loaded and "scipy.optimize" not in loaded
+    rc, loaded = seen["shift-match-affine"]
+    assert rc == 0 and "scipy.optimize" in loaded
 
 
 def run_fit(tmp_path, tag, data, extra=()):

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from quantrep import (
     matching_objective,
 )
 from quantrep.quantile import _BLOCK_BYTES, QuantileGrid, fit_base_classifiers, represent
-from quantrep.shift import FieldGap, _affine_objective, _estimate_orthogonal
+from quantrep.shift import (_ANGLE_STEP, FieldGap, _affine_objective, _bounded_brent,
+                            _estimate_orthogonal, _rotation, _rotation_scan)
 
 CENTERS = np.array([[0.0, 0.0], [1.0, 1.0]])
 STDS = np.array([[0.1, 0.3], [0.3, 0.11]])
@@ -279,6 +282,68 @@ class TestFieldGap:
         assert abs(diff) <= 1e-9
         assert ([(t.angle, t.reflect) for t in est.near_ties]
                 == [(t.angle, t.reflect) for t in ref.near_ties])
+
+    def test_threads_sharing_one_evaluator_agree_with_serial_calls(self, binary_pair):
+        # more threads than cores, switching often: a block buffer shared by
+        # two threads would mix one call's block into another's sum
+        gap = FieldGap(*binary_pair)
+        maps = [tr.inverse_map() for tr in random_transforms(14, 4)]
+        serial = [gap(*m) for m in maps]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(lambda: [gap(*m) for m in maps]) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial] * 8
+
+
+BRENT_CASES = {
+    "smooth": (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
+    "smooth-cosine": (math.cos, 2.0, 4.0),
+    "smooth-quartic": (lambda x: (x - 1e-3) ** 4 - x, -0.5, 0.8),
+    "kinked": (lambda x: abs(x - 0.123), -1.0, 1.0),
+    "kinked-twice": (lambda x: abs(x - 0.123) + 0.25 * abs(x + 0.4), -1.0, 1.0),
+    "constant": (lambda x: 1.5, 0.0, 1.0),
+    "minimum-at-lower-end": (lambda x: x, 0.5, 1.5),
+    "minimum-at-upper-end": (lambda x: -x ** 3, -0.2, 0.7),
+}
+
+
+class TestRotationSearch:
+    @pytest.mark.parametrize("xatol", [1e-4, 1e-9])
+    @pytest.mark.parametrize("case", list(BRENT_CASES))
+    def test_bounded_brent_matches_scipy_bitwise(self, case, xatol):
+        from scipy.optimize import minimize_scalar
+
+        func, lo, hi = BRENT_CASES[case]
+        ref = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+        assert _bounded_brent(func, lo, hi, xatol) == (ref.x, ref.fun, ref.nfev)
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_bounded_brent_on_a_rotation_objective_matches_scipy(self, binary_pair, reflect):
+        from scipy.optimize import minimize_scalar
+
+        gap = FieldGap(*binary_pair)
+
+        def objective(angle):
+            return gap(_rotation(angle, reflect).T, np.zeros(2))
+
+        lo, hi = -_ANGLE_STEP, _ANGLE_STEP
+        ref = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-4})
+        assert _bounded_brent(objective, lo, hi, 1e-4) == (ref.x, ref.fun, ref.nfev)
+
+    @pytest.mark.parametrize("pair", ["binary_pair", "three_class_pair"])
+    def test_threaded_scan_equals_serial_loop(self, pair, request):
+        gap = FieldGap(*request.getfixturevalue(pair))
+        serial = [(gap(_rotation(i * _ANGLE_STEP, reflect).T, np.zeros(2)),
+                   i * _ANGLE_STEP, reflect)
+                  for reflect in (False, True) for i in range(360)]
+        assert _rotation_scan(gap) == serial
 
 
 class TestEstimateTransform:

@@ -143,51 +143,29 @@ class IsotonicMap:
 
 
 def _pava(y, w):
-    """Weighted pool-adjacent-violators: Algorithm 1 of Busing (JSS 2022),
-    the one scipy's ``isotonic_regression`` runs, step for step.
+    """Weighted pool-adjacent-violators (Ayer et al., 1955) on a stack of
+    blocks.
 
     Returns the start index and the weighted mean of each block of the
-    nondecreasing least-squares fit; adjacent blocks whose means tie are
-    pooled. A pooled block is carried as its mean and weight, and the sum
-    it re-enters a pool with is their product, in scipy's order, so block
-    means that tie to rounding are pooled exactly when scipy pools them.
+    nondecreasing least-squares fit of ``y`` with weights ``w``. A new
+    value pools with the block before it while that block's mean is ``>=``
+    its own, so adjacent blocks whose means tie are pooled. A block keeps
+    its exact weighted sum; a value that never pools keeps its own bits.
     """
-    x, w = list(y), list(w)  # block b lives in x[b], w[b]
-    starts = [0]
-    b, xb_prev, wb_prev = 0, x[0], w[0]
-    i = 1
-    while i < len(x):
-        xb, wb = x[i], w[i]
-        if xb_prev >= xb:
-            b -= 1
-            sb = wb_prev * xb_prev + wb * xb
-            wb += wb_prev
-            xb = sb / wb
-            while i + 1 < len(x) and xb >= x[i + 1]:
-                i += 1
-                sb += w[i] * x[i]
-                wb += w[i]
-                xb = sb / wb
-            while b >= 0 and x[b] >= xb:
-                sb += w[b] * x[b]
-                wb += w[b]
-                xb = sb / wb
-                b -= 1
-            b += 1
-            del starts[b + 1:]
-        else:
-            b += 1
-            starts.append(i)
-        x[b] = xb_prev = xb
-        w[b] = wb_prev = wb
-        i += 1
-    return starts, x[:b + 1]
+    blocks = []  # (start, weighted sum, weight, mean)
+    for i, (yi, wi) in enumerate(zip(y, w)):
+        start, total, weight, mean = i, yi * wi, wi, yi
+        while blocks and blocks[-1][3] >= mean:
+            start, prev_total, prev_weight, _ = blocks.pop()
+            total, weight = prev_total + total, prev_weight + weight
+            mean = total / weight
+        blocks.append((start, total, weight, mean))
+    return [b[0] for b in blocks], [b[3] for b in blocks]
 
 
 def isotonic_fit(scores, correctness) -> IsotonicMap:
-    """Pool-adjacent-violators (:func:`_pava`, scipy's algorithm in plain
-    Python): the nondecreasing map minimizing squared error of correctness
-    on scores.
+    """Pool-adjacent-violators (:func:`_pava`, in plain Python): the
+    nondecreasing map minimizing squared error of correctness on scores.
 
     Tied scores are pre-pooled so the result is a genuine function of the
     score.

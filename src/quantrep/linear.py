@@ -91,6 +91,9 @@ class LinearClassifier:
         clf = cls(np.asarray(obj["weights"], dtype=np.float64),
                   float(obj["bias"]),
                   normalized=bool(obj["normalized"]), converged=None, iterations=None)
+        if clf.weights.ndim != 1:
+            raise ValueError(f"classifier weights must be a list of numbers, "
+                             f"not an array of shape {clf.weights.shape}")
         if not (np.all(np.isfinite(clf.weights)) and np.isfinite(clf.bias)):
             raise ValueError("classifier weights and bias must be finite")
         return clf

@@ -6,9 +6,9 @@ distribution in different coordinates, so the logit fields should agree
 once the newer features are mapped back through the inverse transform.
 The estimator minimizes the mean absolute logit discrepancy over a
 transform family with derivative-free searches: for rotations a 1 degree
-scan on two threads, refined by bounded Brent (a port of scipy's loop, so
-the search loads no scipy module), and for affine maps one scipy Powell
-search over the inverse map, where the objective is convex.
+scan on two threads, refined by a golden-section search in plain Python
+(so the search loads no scipy module), and for affine maps one scipy
+Powell search over the inverse map, where the objective is convex.
 
 A search evaluates that objective thousands of times for one pair of
 models and one t1 sample, so it is a :class:`FieldGap` of the inverse map
@@ -29,7 +29,7 @@ from .quantile import QuantileModel, _block_rows
 
 _MAX_CONDITION = 1e8
 _ANGLE_STEP = math.radians(1.0)  # rotation scan; also the tie detector's grid
-_REFINE_TOL = 1e-4               # radians, bounded-Brent stop width
+_REFINE_TOL = 1e-4               # radians, golden-section final bracket width
 _TIE_TOL = 1e-6                  # near-optimum reporting threshold
 
 
@@ -187,72 +187,25 @@ class TransformEstimate:
         return not self.near_ties and not self.rank_deficient
 
 
-def _bounded_brent(func, lo, hi, xatol):
-    """Minimize ``func`` on ``[lo, hi]``: Brent's bounded method, the loop
-    of scipy's ``minimize_scalar(method="bounded")`` step for step, with its
-    default cap of 500 evaluations. Returns ``(x, f(x), evaluations)``."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+def _golden_section(func, lo, hi, xatol):
+    """Minimize ``func`` on ``[lo, hi]`` by golden-section search (Kiefer,
+    1953): shrink the bracket by the golden ratio per evaluation, keeping
+    the side of the lower of two interior points, until it is at most
+    ``xatol`` wide. Returns ``(x, f(x))`` at the better interior point."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = func(c), func(d)
+    while b - a > xatol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = func(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx, num
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = func(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def _rotation_gap(gap, angle, reflect):
@@ -284,9 +237,9 @@ def _rotation_scan(gap):
 def _estimate_orthogonal(gap):
     grid_vals = _rotation_scan(gap)
     best_obj, best_angle, best_reflect = min(grid_vals, key=lambda v: v[0])
-    x, fun, _ = _bounded_brent(lambda a: _rotation_gap(gap, a, best_reflect),
-                               best_angle - _ANGLE_STEP, best_angle + _ANGLE_STEP,
-                               _REFINE_TOL)
+    x, fun = _golden_section(lambda a: _rotation_gap(gap, a, best_reflect),
+                             best_angle - _ANGLE_STEP, best_angle + _ANGLE_STEP,
+                             _REFINE_TOL)
     if fun <= best_obj:
         best_obj, best_angle = float(fun), float(x)
 

@@ -175,30 +175,20 @@ def ece_bruteforce(confidences, correctness, edges, bin_of):
     return total
 
 
-def isotonic_minmax(scores, correctness):
+def isotonic_minmax(scores, correctness, weights=None):
     """Isotonic regression via the min-max characterization on the
-    tie-pooled sequence: mu*(i) = min_{j>=i} max_{l<=j} wmean(y[l..j])."""
+    tie-pooled sequence: mu*(i) = min_{j>=i} max_{l<=j} wmean(y[l..j]),
+    each point weighted by ``weights`` (ones when omitted)."""
     scores = np.asarray(scores, dtype=np.float64)
     correctness = np.asarray(correctness, dtype=np.float64)
-    s = np.unique(scores)
-    w = np.array([np.sum(scores == v) for v in s], dtype=np.float64)
-    y = np.array([np.mean(correctness[scores == v]) for v in s])
-    g = s.size
-
-    def wmean(lo, hi):
-        ww = w[lo:hi + 1]
-        return float(np.dot(ww, y[lo:hi + 1]) / ww.sum())
-
-    fitted = np.zeros(g)
-    for i in range(g):
-        best = math.inf
-        for j in range(i, g):
-            worst = -math.inf
-            for lo in range(0, j + 1):
-                worst = max(worst, wmean(lo, j))
-            best = min(best, worst)
-        fitted[i] = best
-    return s, fitted
+    weights = np.ones_like(scores) if weights is None else np.asarray(weights, dtype=np.float64)
+    s, inverse = np.unique(scores, return_inverse=True)
+    w = np.bincount(inverse, weights=weights)
+    wy = np.bincount(inverse, weights=weights * correctness)
+    # worst[j] = max over l <= j of wmean(y[l..j]), every l at once as the
+    # sums run from j back to 0
+    worst = [np.max(np.cumsum(wy[j::-1]) / np.cumsum(w[j::-1])) for j in range(s.size)]
+    return s, np.minimum.accumulate(worst[::-1])[::-1]
 
 
 def threshold_prediction(x, threshold, ascending):

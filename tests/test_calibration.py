@@ -196,13 +196,14 @@ class TestIsotonic:
             s_levels, fitted = isotonic_minmax(scores, correct)
             np.testing.assert_allclose(iso(s_levels), fitted, atol=1e-12)
 
-    def test_pava_matches_scipy_bitwise(self):
-        # scipy's isotonic_regression runs the same algorithm, so blocks and
-        # values agree exactly. Odd cases pool 0/1 outcomes into groups of
-        # integer weight, as isotonic_fit does: there pooled means tie, and
-        # tie to rounding, often
-        from scipy.optimize import isotonic_regression
-
+    def test_pava_attains_the_minmax_optimum(self):
+        # the min-max formula is the least-squares nondecreasing fit. Odd
+        # generated cases pool 0/1 outcomes into groups of integer weight,
+        # as isotonic_fit does: there pooled means tie, and tie to rounding,
+        # often. The fixed cases add n = 1 and pooled means that tie exactly
+        cases = [([0.7], [2.0]), ([1.0, 0.0, 1.0, 0.0], [1.0] * 4),
+                 ([0.5, 0.5, 0.5], [1.0, 3.0, 0.5]),
+                 ([1.0, 0.0, 0.75, 0.25], [1.0, 1.0, 2.0, 2.0])]
         rng = np.random.default_rng(21)
         for case in range(2000):
             if case % 2:
@@ -218,10 +219,15 @@ class TestIsotonic:
                 n = int(rng.integers(1, 100))
                 y = np.round(rng.uniform(0, 1, n), 1)
                 w = rng.integers(1, 5, n).astype(np.float64)
-            ref = isotonic_regression(y, weights=w)
-            starts, values = _pava(y.tolist(), w.tolist())
-            assert starts == ref.blocks[:-1].tolist(), case
-            assert values == ref.x[ref.blocks[:-1]].tolist(), case
+            cases.append((y.tolist(), w.tolist()))
+        for case, (y, w) in enumerate(cases):
+            starts, values = _pava(y, w)
+            assert starts[0] == 0 and starts == sorted(set(starts)), case
+            # blocks whose means tie are pooled, so the means rise strictly
+            assert all(a < b for a, b in zip(values, values[1:])), case
+            fitted = np.repeat(values, np.diff(starts + [len(y)]))
+            _, ref = isotonic_minmax(np.arange(len(y)), y, w)
+            np.testing.assert_allclose(fitted, ref, rtol=1e-12, atol=1e-12, err_msg=str(case))
 
     def test_nondecreasing_output(self):
         rng = np.random.default_rng(9)

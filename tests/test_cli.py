@@ -44,9 +44,9 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pa
     # 80 ms to a 1 s import of quantrep.cli. scipy is imported where it is
     # called, so gen-data, xcorr and fit-quantile (numpy Newton fits, with
     # or without a given base) run on numpy alone. So do calib-eval, whose
-    # isotonic map runs a port of scipy's pool-adjacent-violators, and the
-    # rotation search of shift-match, whose bounded Brent is a port of
-    # scipy's; its affine search still loads scipy.optimize for Powell. A
+    # isotonic map is pool-adjacent-violators in plain Python, and the
+    # rotation search of shift-match, whose refine is a plain golden-section
+    # search; its affine search still loads scipy.optimize for Powell. A
     # shift-match whose t1 epoch fails its fit check loads none either.
     src = os.path.dirname(os.path.dirname(quantrep.__file__))
     data, model = str(moons_dir / "id.csv"), str(moons_model)
@@ -718,6 +718,36 @@ class TestOodEval:
                    "--test-ood", str(moons_dir / "ood.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+
+@pytest.fixture(scope="module")
+def one_feature_model(tmp_path_factory):
+    """A latent-binary file of one feature and the model fitted on it."""
+    root = tmp_path_factory.mktemp("one_feature")
+    assert main(["gen-data", "latent-binary", "--out", str(root / "d"), "--n", "200",
+                 "--dim", "1", "--g", "1"]) == 0
+    data = root / "d" / "data.csv"
+    return data, run_fit(root, "m", data)
+
+
+@pytest.mark.parametrize("weights", [5.4, [[1.0, 2.0]]], ids=["scalar", "matrix"])
+@pytest.mark.parametrize("command", ["ood-eval", "calib-eval", "fit-quantile"])
+def test_base_weights_not_a_vector_exit_2(tmp_path, one_feature_model, command, weights,
+                                          capsys):
+    # on a one-feature model a one-row matrix has the model's width, so only
+    # the rule that weights are a vector rejects it
+    data, model = one_feature_model
+    model = shutil.copytree(model, tmp_path / "m")
+    base = json.loads((model / "base.json").read_text())
+    base["classifiers"][0]["weights"] = weights
+    (model / "base.json").write_text(json.dumps(base))
+    argv = {"fit-quantile": ["--data", data, "--base-model", model / "base.json"],
+            "calib-eval": ["--model", model, "--data", data],
+            "ood-eval": ["--model", model, "--train", data, "--test-id", data,
+                         "--test-ood", data]}[command]
+    assert main([command, *map(str, argv), "--out", str(tmp_path / "out")]) == 2
+    assert f"malformed base model file {model / 'base.json'}" in capsys.readouterr().err
 
 
 class TestCalibEval:

@@ -18,8 +18,9 @@ from quantrep import (
     matching_objective,
 )
 from quantrep.quantile import _BLOCK_BYTES, QuantileGrid, fit_base_classifiers, represent
-from quantrep.shift import (_ANGLE_STEP, FieldGap, _affine_objective, _bounded_brent,
-                            _estimate_orthogonal, _rotation, _rotation_scan)
+from quantrep.shift import (_ANGLE_STEP, _REFINE_TOL, FieldGap, _affine_objective,
+                            _estimate_orthogonal, _golden_section, _rotation,
+                            _rotation_scan)
 
 CENTERS = np.array([[0.0, 0.0], [1.0, 1.0]])
 STDS = np.array([[0.1, 0.3], [0.3, 0.11]])
@@ -300,42 +301,46 @@ class TestFieldGap:
         assert results == [serial] * 8
 
 
-BRENT_CASES = {
-    "smooth": (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
-    "smooth-cosine": (math.cos, 2.0, 4.0),
-    "smooth-quartic": (lambda x: (x - 1e-3) ** 4 - x, -0.5, 0.8),
-    "kinked": (lambda x: abs(x - 0.123), -1.0, 1.0),
-    "kinked-twice": (lambda x: abs(x - 0.123) + 0.25 * abs(x + 0.4), -1.0, 1.0),
-    "constant": (lambda x: 1.5, 0.0, 1.0),
-    "minimum-at-lower-end": (lambda x: x, 0.5, 1.5),
-    "minimum-at-upper-end": (lambda x: -x ** 3, -0.2, 0.7),
+SEARCH_CASES = {  # (func, lo, hi, minimiser); any point minimises a constant
+    "smooth": (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 0.3),
+    "smooth-cosine": (math.cos, 2.0, 4.0, math.pi),
+    "smooth-quartic": (lambda x: (x - 1e-3) ** 4 - x, -0.5, 0.8, 1e-3 + 4.0 ** (-1 / 3)),
+    "kinked": (lambda x: abs(x - 0.123), -1.0, 1.0, 0.123),
+    "kinked-twice": (lambda x: abs(x - 0.123) + 0.25 * abs(x + 0.4), -1.0, 1.0, 0.123),
+    "constant": (lambda x: 1.5, 0.0, 1.0, None),
+    "minimum-at-lower-end": (lambda x: x, 0.5, 1.5, 0.5),
+    "minimum-at-upper-end": (lambda x: -x ** 3, -0.2, 0.7, 0.7),
 }
 
 
 class TestRotationSearch:
     @pytest.mark.parametrize("xatol", [1e-4, 1e-9])
-    @pytest.mark.parametrize("case", list(BRENT_CASES))
-    def test_bounded_brent_matches_scipy_bitwise(self, case, xatol):
-        from scipy.optimize import minimize_scalar
-
-        func, lo, hi = BRENT_CASES[case]
-        ref = minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
-        assert _bounded_brent(func, lo, hi, xatol) == (ref.x, ref.fun, ref.nfev)
+    @pytest.mark.parametrize("case", list(SEARCH_CASES))
+    def test_golden_section_finds_minimiser(self, case, xatol):
+        func, lo, hi, xstar = SEARCH_CASES[case]
+        x, fx = _golden_section(func, lo, hi, xatol)
+        assert fx == func(x)
+        assert lo <= x <= hi
+        if xstar is not None:
+            # comparing values places a smooth minimum only to about
+            # sqrt(eps) * |x*|: closer in, f(x) rounds to f(x*). The cosine
+            # and quartic cases at 1e-9 land there
+            assert abs(x - xstar) <= xatol + math.sqrt(np.finfo(float).eps) * abs(xstar)
 
     @pytest.mark.parametrize("reflect", [False, True])
-    def test_bounded_brent_on_a_rotation_objective_matches_scipy(self, binary_pair, reflect):
-        from scipy.optimize import minimize_scalar
-
+    def test_golden_section_beats_a_fine_rotation_grid(self, binary_pair, reflect):
+        # the bracket _estimate_orthogonal refines: the best 1 degree grid
+        # angle +- one step
         gap = FieldGap(*binary_pair)
 
         def objective(angle):
             return gap(_rotation(angle, reflect).T, np.zeros(2))
 
-        lo, hi = -_ANGLE_STEP, _ANGLE_STEP
-        ref = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-4})
-        assert _bounded_brent(objective, lo, hi, 1e-4) == (ref.x, ref.fun, ref.nfev)
+        _, centre, _ = min(v for v in _rotation_scan(gap) if v[2] == reflect)
+        lo, hi = centre - _ANGLE_STEP, centre + _ANGLE_STEP
+        _, fx = _golden_section(objective, lo, hi, _REFINE_TOL)
+        fine = min(objective(a) for a in np.linspace(lo, hi, int(round((hi - lo) / 1e-5)) + 1))
+        assert fx <= fine * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("pair", ["binary_pair", "three_class_pair"])
     def test_threaded_scan_equals_serial_loop(self, pair, request):

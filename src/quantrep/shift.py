@@ -4,11 +4,14 @@ epochs by matching their quantile representations.
 The quantile models fitted on the two epochs describe the same labeled
 distribution in different coordinates, so the logit fields should agree
 once the newer features are mapped back through the inverse transform.
-The estimator minimizes the mean absolute logit discrepancy over a
-transform family with derivative-free searches: for rotations a 1 degree
-scan on two threads, refined by a golden-section search in plain Python
-(so the search loads no scipy module), and for affine maps one scipy
-Powell search over the inverse map, where the objective is convex.
+The estimator minimizes the mean absolute logit discrepancy at the fitted
+anchor taus over a transform family with derivative-free searches: for
+rotations a 1 degree scan, refined by a golden-section search in plain
+Python (so the search loads no scipy module), and for affine maps one
+scipy Powell search over the inverse map, where the objective is convex.
+The dense field is the spline of the anchors, so averaging over it would
+add no information, only a finer quadrature over tau at ten times the cost
+on the default grid.
 
 A search evaluates that objective thousands of times for one pair of
 models and one t1 sample, so it is a :class:`FieldGap` of the inverse map
@@ -19,7 +22,6 @@ searches move in (P, q) and build a :class:`Transform` only to report.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,46 +106,45 @@ class FieldGap:
     """The matching objective of one pair of models on one t1 sample, as a
     function of the inverse map ``(p, q)``, x -> p x + q.
 
-    The two models must share class count, dense grid and feature
-    dimension, so their stored tasks pair up; the samples must have that
-    dimension too. A t0 task's logits at ``P x + q`` are ``x~ @ C0'.T``
-    with ``x~ = (x, 1)`` and ``C0' = [W0 P | b0 + W0 q]``, so each call
-    builds ``D = C0' - C1`` per task and returns the mean of |x~ @ D.T|
-    over samples, tasks and dense taus. That field is evaluated in row
-    blocks of about ``_BLOCK_BYTES`` into a buffer this evaluator keeps for
-    each calling thread, so threads may call one evaluator at once; two
-    evaluators or two threads never share a buffer.
+    The two models must share class count, anchor taus and feature
+    dimension, so their stored tasks and anchors pair up; the samples must
+    have that dimension too. With ``C`` a task's anchor coefficients, a t0
+    task's logits at ``P x + q`` are ``x~ @ C0'.T`` with ``x~ = (x, 1)`` and
+    ``C0' = [W0 P | b0 + W0 q]``, so each call builds ``D = C0' - C1`` per
+    task and returns the mean of |x~ @ D.T| over samples, tasks and anchor
+    taus. That field is evaluated in row blocks of about ``_BLOCK_BYTES``
+    into a buffer this evaluator owns, so one evaluator must not be called
+    from two threads at once.
 
-    For binary models this is also the mean over the whole representations:
-    the class-0 slice ``represent`` mirrors is the class-1 slice negated and
-    reversed in tau, so its absolute gaps are the stored task's, reordered.
+    For binary models on an anchor grid symmetric about 1/2, as every CLI
+    grid is, this is also the mean over the whole representations at the
+    anchor taus: the class-0 slice ``represent`` mirrors is the class-1
+    slice negated and reversed in tau, so its absolute gaps are the stored
+    task's, reordered.
     """
 
     def __init__(self, model_t0: QuantileModel, model_t1: QuantileModel,
                  samples_t1):
         if (model_t0.class_count != model_t1.class_count
-                or not np.array_equal(model_t0.grid.dense, model_t1.grid.dense)):
-            raise ValidationError("the two models must share grid and class count")
+                or not np.array_equal(model_t0.grid.anchors, model_t1.grid.anchors)):
+            raise ValidationError("the two models must share anchors and class count")
         samples = np.asarray(samples_t1, dtype=np.float64)
         if not model_t0.feature_dim == model_t1.feature_dim == samples.shape[1]:
             raise ValidationError(
                 f"feature dimensions differ: t0 model {model_t0.feature_dim}, "
                 f"t1 model {model_t1.feature_dim}, samples {samples.shape[1]}")
         self._padded = np.column_stack([samples, np.ones(samples.shape[0])])
-        self._pairs = [(t0.dense_coefficients, t1.dense_coefficients)
+        self._pairs = [(t0.anchor_coefficients(), t1.anchor_coefficients())
                        for t0, t1 in zip(model_t0.tasks, model_t1.tasks)]
-        n_dense = model_t1.grid.n_dense
-        self._buf_shape = (min(samples.shape[0], _block_rows(n_dense)), n_dense)
-        self._local = threading.local()
+        n_anchor = model_t1.grid.anchors.size
+        self._buf = np.empty((min(samples.shape[0], _block_rows(n_anchor)), n_anchor))
 
     def __call__(self, p, q):
         n, d = self._padded.shape[0], self._padded.shape[1] - 1
         if p.shape[0] != d:
             raise ValidationError("feature dimension does not match transform")
-        buf = getattr(self._local, "buf", None)
-        if buf is None:
-            buf = self._local.buf = np.empty(self._buf_shape)
-        rows, n_dense = buf.shape
+        buf = self._buf
+        rows, n_anchor = buf.shape
         total = 0.0
         for coef0, coef1 in self._pairs:
             w0 = coef0[:, :d]
@@ -153,12 +154,12 @@ class FieldGap:
                 np.matmul(self._padded[lo:lo + rows], diff.T, out=block)
                 np.abs(block, out=block)
                 total += float(block.sum())
-        return total / (len(self._pairs) * n * n_dense)
+        return total / (len(self._pairs) * n * n_anchor)
 
 
 def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
                        inv_transform: Transform, samples_t1):
-    """Mean over samples, stored tasks and dense taus of the absolute logit
+    """Mean over samples, stored tasks and anchor taus of the absolute logit
     gap between the old model at the mapped-back point and the new model at
     the point itself (see :class:`FieldGap`). Zero when both pictures agree
     exactly."""
@@ -171,7 +172,7 @@ class TransformEstimate:
 
     ``near_ties`` lists grid members within 1e-6 of the optimum (a
     symmetric construction). ``rank_deficient`` marks an affine search on a
-    t0 dense field (bias column dropped, stacked over tasks) of rank below
+    t0 anchor field (bias column dropped, stacked over tasks) of rank below
     d: the field then sees only a subspace of the features, and the
     objective cannot tell the map from maps that differ off it. Either
     makes the estimate not identifiable.
@@ -215,23 +216,10 @@ def _rotation_gap(gap, angle, reflect):
 
 def _rotation_scan(gap):
     """``[(objective, angle, reflect), ...]`` on the 1 degree grid, rotations
-    then reflections. The grid's two interleaved halves run on two threads:
-    the objective's numpy calls release the interpreter lock."""
-    # imported here, not with the module: it loads logging, ~10 ms that
-    # every CLI start would pay
-    from concurrent.futures import ThreadPoolExecutor
-
+    then reflections."""
     n_steps = int(round(2.0 * math.pi / _ANGLE_STEP))
-    grid = [(i * _ANGLE_STEP, reflect) for reflect in (False, True) for i in range(n_steps)]
-
-    def scan(half):
-        return [_rotation_gap(gap, angle, reflect) for angle, reflect in grid[half::2]]
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        halves = list(pool.map(scan, (0, 1)))
-    values = [0.0] * len(grid)
-    values[0::2], values[1::2] = halves
-    return [(obj, angle, reflect) for obj, (angle, reflect) in zip(values, grid)]
+    return [(_rotation_gap(gap, i * _ANGLE_STEP, reflect), i * _ANGLE_STEP, reflect)
+            for reflect in (False, True) for i in range(n_steps)]
 
 
 def _estimate_orthogonal(gap):
@@ -286,7 +274,7 @@ def _estimate_affine(gap, model_t0):
     theta = minimize(_affine_objective, theta0, args=(gap, d), method="Powell").x
     inv_p = np.linalg.inv(theta[:d * d].reshape(d, d))
     best = Transform("affine", matrix=inv_p, offset=-inv_p @ theta[d * d:])
-    field_t0 = np.vstack([t.dense_coefficients[:, :d] for t in model_t0.tasks])
+    field_t0 = np.vstack([t.anchor_coefficients()[:, :d] for t in model_t0.tasks])
     return TransformEstimate(best, gap(*best.inverse_map()), [],
                              rank_deficient=bool(np.linalg.matrix_rank(field_t0) < d))
 
@@ -319,7 +307,7 @@ def estimate_transform(family, model_t0: QuantileModel, model_t1: QuantileModel,
     Returns a :class:`TransformEstimate` whose ``near_ties`` lists grid
     members indistinguishable from the optimum; a nonempty list signals a
     non-identifiable (symmetric) construction rather than a unique answer.
-    An affine estimate is also not identifiable when the t0 dense field is
+    An affine estimate is also not identifiable when the t0 anchor field is
     rank deficient (see :class:`TransformEstimate`).
     """
     _check_search_inputs(family, (model_t0.feature_dim, model_t0.class_count),

@@ -33,7 +33,7 @@ def loaded(prefix):
 import quantrep.cli
 seen = {"import": loaded("scipy"), "quantrep": loaded("quantrep")}
 for tag, argv in json.loads(sys.argv[1]):
-    seen[tag] = [quantrep.cli.main(argv), loaded("scipy")]
+    seen[tag] = [quantrep.cli.main(argv), loaded("scipy"), loaded("concurrent")]
 print(json.dumps(seen))
 """
 
@@ -47,7 +47,9 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pa
     # isotonic map is pool-adjacent-violators in plain Python, and the
     # rotation search of shift-match, whose refine is a plain golden-section
     # search; its affine search still loads scipy.optimize for Powell. A
-    # shift-match whose t1 epoch fails its fit check loads none either.
+    # shift-match whose t1 epoch fails its fit check loads none either. No
+    # step up to the rotation search loads concurrent.futures (with logging,
+    # about 10 ms): the scan is one plain loop.
     src = os.path.dirname(os.path.dirname(quantrep.__file__))
     data, model = str(moons_dir / "id.csv"), str(moons_model)
     one_class = str(_degenerate_input("one-class", tmp_path / "one-class.csv"))
@@ -82,11 +84,11 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pa
                                             "calibration", "shift")} <= set(seen["quantrep"])
     for tag in ("two-moons", "gaussian-pair", "latent-binary", "xcorr", "fit-quantile",
                 "fit-quantile-base", "calib-eval", "shift-match-orthogonal"):
-        assert seen[tag] == [0, []], tag
-    assert seen["shift-match-one-class-t1"] == [3, []]
-    rc, loaded = seen["ood-eval"]
+        assert seen[tag] == [0, [], []], tag
+    assert seen["shift-match-one-class-t1"] == [3, [], []]
+    rc, loaded, _ = seen["ood-eval"]
     assert rc == 0 and "scipy.spatial" in loaded and "scipy.optimize" not in loaded
-    rc, loaded = seen["shift-match-affine"]
+    rc, loaded, _ = seen["shift-match-affine"]
     assert rc == 0 and "scipy.optimize" in loaded
 
 
@@ -957,7 +959,7 @@ class TestShiftMatch:
 
     def test_affine_on_separable_pair_not_identifiable(self, tmp_path):
         # two well-separated gaussians: every anchor has the same direction,
-        # so the t0 dense field has rank 1 and cannot pin a 2-d affine map
+        # so the t0 anchor field has rank 1 and cannot pin a 2-d affine map
         for tag, seed in (("t0", "3"), ("t1", "5")):
             assert main(["gen-data", "gaussian-pair", "--out", str(tmp_path / tag),
                          "--n-per-class", "50", "--seed", seed]) == 0

@@ -16,9 +16,9 @@ DEFAULT_LOF_K = 20
 # onto duplicate points.
 _LRD_EPS = 1e-12
 
-# How far a row's (k+1)-th candidate distance must exceed its k-th, relative
-# to it, for the tree's candidates to settle the row: the tree's distances
-# and ``_distances`` differ by rounding, of order d * 2**-53 relative.
+# How far a row's last candidate distance (self aside) must exceed its k-th,
+# relative to it, for the tree's candidates to settle the row: the tree's
+# distances and ``_distances`` differ by rounding, of order d * 2**-53 relative.
 _TIE_MARGIN = 1e-9
 
 # The ID acceptance rate at which ``tnr_at_tpr`` reads the OOD rejection rate.
@@ -27,11 +27,14 @@ _TPR_LEVEL = 0.95
 
 def _distances(points, reference, rows, cols):
     """Euclidean distances from ``points[rows]`` to ``reference[cols]``, for
-    index arrays that broadcast together. The squares are summed coordinate
-    by coordinate in order (a cumulative sum), as ``cdist`` sums them, so a
-    pair gives the same bits wherever it is computed."""
-    diff = reference[cols] - points[rows]
-    return np.sqrt(np.cumsum(diff * diff, axis=-1)[..., -1])
+    ``rows`` that broadcasts to the shape of ``cols``. The squares are summed
+    coordinate by coordinate in order (a cumulative sum), as ``cdist`` sums
+    them, so a pair gives the same bits wherever it is computed. Each step
+    works in place on the gathered ``reference[cols]``, the one array allocated."""
+    diff = reference[cols]
+    diff -= points[rows]
+    diff *= diff
+    return np.sqrt(np.cumsum(diff, axis=-1, out=diff)[..., -1])
 
 
 def _k_nearest(points, reference, k, exclude_self):
@@ -42,56 +45,44 @@ def _k_nearest(points, reference, k, exclude_self):
     at it. With ``exclude_self`` the points are the reference itself and
     row i skips reference row i.
 
-    A k-d tree (``cKDTree``) gives each row k + 1 candidates (k + 2 with
-    ``exclude_self``, self then dropped). Their distances are recomputed by
-    ``_distances`` and ordered by (distance, index). Where the (k+1)-th
-    candidate lies farther than the k-th by more than ``_TIE_MARGIN``, no
-    other reference row can come before it, and the first k candidates are
-    the neighbourhood. The other rows (ties at the k-th distance, or copies
-    of a point that crowd self out of the candidates) take every reference
-    row within their k-th distance plus the margin, from the tree's ball
-    query, and select from those by the same order. Memory is the tree,
-    O(n * k) candidates and the tied rows' balls; the recomputed distances
-    are taken in blocks of ``quantile._block_rows`` rows.
+    A k-d tree (``cKDTree``) gives each pending row ``width`` candidates,
+    k + 1 at first (k + 2 with ``exclude_self``). Their distances are
+    recomputed by ``_distances``, ordered by (distance, index) with self
+    last, and the first k are written. A row is settled where its last
+    candidate other than self lies farther than the k-th by more than
+    ``_TIE_MARGIN``: no other reference row can come before it. The rest
+    (ties, or copies of a point that crowd self out) are queried again at
+    twice the width, up to m, where every reference row is a candidate.
+    Each query takes one block of ``quantile._block_rows`` rows, so memory
+    past the tree and the output is one block at every width.
     """
     from scipy.spatial import cKDTree
 
     n, m = points.shape[0], reference.shape[0]
     tree = cKDTree(reference)
-    width = min(k + 1 + exclude_self, m)
-    candidates = tree.query(points, width)[1].reshape(n, width)
-    step = _block_rows(width * reference.shape[1])
     nn = np.empty((n, k), dtype=np.intp)
     nn_dist = np.empty((n, k))
-    for start in range(0, n, step):
-        cand = candidates[start:start + step]
-        own = start + np.arange(cand.shape[0])[:, None]
-        dist = _distances(points, reference, own, cand)
-        if exclude_self:
-            dist[cand == own] = np.inf
-        order = np.lexsort((cand, dist), axis=1)
-        cand = np.take_along_axis(cand, order, axis=1)
-        dist = np.take_along_axis(dist, order, axis=1)
-        nn[start:start + step] = cand[:, :k]
-        nn_dist[start:start + step] = dist[:, :k]
-
-        # with width = m every row is a candidate, and self's inf clears
-        tied = np.flatnonzero(~(dist[:, k] > dist[:, k - 1] * (1 + _TIE_MARGIN)))
-        if tied.size == 0:
-            continue
-        radius = dist[tied, k - 1] * (1 + _TIE_MARGIN)
-        tied += start
-        balls = tree.query_ball_point(points[tied], radius)
-        row = np.repeat(tied, [len(ball) for ball in balls])
-        col = np.concatenate(balls).astype(np.intp)
-        if exclude_self:
-            row, col = row[col != row], col[col != row]
-        near = _distances(points, reference, row, col)
-        order = np.lexsort((col, near, row))
-        # each tied row keeps at least k of its ball, grouped in row order
-        pick = order[np.searchsorted(row[order], tied)[:, None] + np.arange(k)]
-        nn[tied] = col[pick]
-        nn_dist[tied] = near[pick]
+    pending = np.arange(n)
+    width = k + 1 + exclude_self
+    while pending.size:
+        width = min(width, m)
+        unsettled, step = [], _block_rows(width * reference.shape[1])
+        for start in range(0, pending.size, step):
+            rows = pending[start:start + step]
+            cand = tree.query(points[rows], width)[1]
+            dist = _distances(points, reference, rows[:, None], cand)
+            if exclude_self:
+                dist[cand == rows[:, None]] = np.inf
+            order = np.lexsort((cand, dist), axis=1)
+            cand = np.take_along_axis(cand, order, axis=1)
+            dist = np.take_along_axis(dist, order, axis=1)
+            nn[rows] = cand[:, :k]
+            nn_dist[rows] = dist[:, :k]
+            # self's inf sorts last; at width m every reference row is a candidate
+            last = dist[:, width - 1 - exclude_self]
+            unsettled.append(rows[(width < m) & ~(last > dist[:, k - 1] * (1 + _TIE_MARGIN))])
+        pending = np.concatenate(unsettled)
+        width *= 2
     return nn, nn_dist
 
 
@@ -105,7 +96,8 @@ def lof_scores(reference, queries, k=DEFAULT_LOF_K):
     are the exact k nearest points (self excluded inside the reference),
     ties at the k-th distance going to the lowest reference index. A k-d
     tree finds them (see ``_k_nearest``): each row costs O(k) candidate
-    distances, and only rows tied at their k-th distance look further.
+    distances, and only rows tied at their k-th distance are queried again,
+    at twice the width each time, one row block at a time.
     ``k`` must be an integer. Returned negated so that higher = more
     in-distribution.
     """

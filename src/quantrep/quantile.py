@@ -26,10 +26,10 @@ from .linear import FitConfig, LinearClassifier, fit_weighted_logistic, normaliz
 
 _MONO_TOL = 1e-9
 # bytes per row block (see _block_rows) of the reductions over tau, the shift
-# objective and the LOF search's recompute of its candidate distances (the
-# tree search itself holds no distance block); a block and its temporaries
-# then stay within a 2 MiB L2 cache: on a 2-vCPU Xeon, 4 MiB blocks ran the
-# 2 000-row moons passes over tau about 2x slower
+# objective and every pass of the LOF search, whose tree query and distance
+# recompute take one block of candidates at any width; a block and its
+# temporaries then stay within a 2 MiB L2 cache: on a 2-vCPU Xeon, 4 MiB
+# blocks ran the 2 000-row moons passes over tau about 2x slower
 _BLOCK_BYTES = 2**20
 _SCHEMA_VERSION = 1
 
@@ -612,7 +612,8 @@ def load_model(model_path) -> QuantileModel:
 
     Each task's dense field is the spline through its stored anchors
     (``_dense_field``, as in the fit); ``model_dense.bin`` is not read. The
-    schema version, the width of every anchor, and the tasks and grid (as
+    schema version, the width of every anchor, each ``median_agreement``
+    (null or a number in [0, 1]), and the tasks and grid (as
     :class:`QuantileModel` does) are checked; a missing or malformed field
     or any mismatch raises ``ValidationError``.
     """
@@ -638,6 +639,10 @@ def load_model(model_path) -> QuantileModel:
                     f"an anchor of class {t['class_id']} in {model_path} does not "
                     f"have feature_dim = {feature_dim} weights")
             agreement = t["median_agreement"]
+            if not (agreement is None
+                    or type(agreement) in (int, float) and 0 <= agreement <= 1):
+                raise ValueError(f"median_agreement must be null or in [0, 1], "
+                                 f"not {agreement!r}")
             tasks.append(QuantileTask(
                 t["class_id"], anchors, _dense_field(grid, anchors),
                 median_agreement=float("nan") if agreement is None else agreement))

@@ -170,12 +170,13 @@ def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
 class TransformEstimate:
     """The best transform found and its objective.
 
-    ``near_ties`` lists grid members within 1e-6 of the optimum (a
-    symmetric construction). ``rank_deficient`` marks an affine search on a
-    t0 anchor field (bias column dropped, stacked over tasks) of rank below
-    d: the field then sees only a subspace of the features, and the
-    objective cannot tell the map from maps that differ off it. Either
-    makes the estimate not identifiable.
+    ``near_ties`` lists grid members within 1e-6 of the best grid value, so
+    that refining the best alone hides no twin (a symmetric construction).
+    ``rank_deficient`` marks an affine search on a t0 anchor field (bias
+    column dropped, stacked over tasks) of rank below d: the field then
+    sees only a subspace of the features, and the objective cannot tell the
+    map from maps that differ off it. Either makes the estimate not
+    identifiable.
     """
 
     transform: Transform
@@ -224,19 +225,19 @@ def _rotation_scan(gap):
 
 def _estimate_orthogonal(gap):
     grid_vals = _rotation_scan(gap)
-    best_obj, best_angle, best_reflect = min(grid_vals, key=lambda v: v[0])
+    grid_best, best_angle, best_reflect = min(grid_vals, key=lambda v: v[0])
     x, fun = _golden_section(lambda a: _rotation_gap(gap, a, best_reflect),
                              best_angle - _ANGLE_STEP, best_angle + _ANGLE_STEP,
                              _REFINE_TOL)
-    if fun <= best_obj:
-        best_obj, best_angle = float(fun), float(x)
+    best_obj, best_angle = ((float(fun), float(x)) if fun <= grid_best
+                            else (grid_best, best_angle))
 
     best = Transform("orthogonal-2d", angle=best_angle % (2.0 * math.pi),
                      reflect=best_reflect)
     ties = [
         Transform("orthogonal-2d", angle=angle, reflect=reflect)
         for obj, angle, reflect in grid_vals
-        if obj <= best_obj + _TIE_TOL
+        if obj <= grid_best + _TIE_TOL
         and not (reflect == best_reflect
                  and _angle_distance(angle, best_angle) <= 2.0 * _ANGLE_STEP)
     ]

@@ -606,7 +606,8 @@ class TestOodEval:
     @pytest.mark.parametrize("damage", ["schema-version", "task-count",
                                         "class-count-type", "missing-field",
                                         "weights-length", "bias-type",
-                                        "weight-nan", "bias-inf"])
+                                        "weight-nan", "bias-inf",
+                                        "agreement-text", "agreement-range"])
     def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
@@ -626,6 +627,10 @@ class TestOodEval:
             meta["tasks"][0]["anchor_classifiers"][3]["weights"][0] = float("nan")
         elif damage == "bias-inf":
             meta["tasks"][0]["anchor_classifiers"][3]["bias"] = float("inf")
+        elif damage == "agreement-text":
+            meta["tasks"][0]["median_agreement"] = "x"
+        elif damage == "agreement-range":
+            meta["tasks"][0]["median_agreement"] = 1.5
         else:
             meta["tasks"][0]["anchor_classifiers"][3]["bias"] = "x"
         meta_path.write_text(json.dumps(meta))

@@ -73,12 +73,18 @@ class TestLof:
 
     def test_chunked_search_matches_single_chunk(self, monkeypatch):
         rng = np.random.default_rng(11)
-        ref = np.round(rng.normal(size=(90, 2)), 1)
+        rounded = np.round(rng.normal(size=(90, 2)), 1)
+        # three points, 26 to 33 copies each: the tied rows widen to 28 to
+        # 64 candidates, three rows or one a block below
+        copies = rng.integers(0, 3, (90, 1)) * np.array([1.0, 0.5])
         queries = np.round(rng.normal(size=(40, 2)), 1)
-        whole = lof_scores(ref, queries, k=6)
-        # 200 distances per block: two rows of a 90-point reference
-        monkeypatch.setattr("quantrep.quantile._BLOCK_BYTES", 200 * 8)
-        np.testing.assert_array_equal(lof_scores(ref, queries, k=6), whole)
+        for ref in (rounded, copies):
+            whole = lof_scores(ref, np.vstack([queries, ref[:10]]), k=6)
+            with monkeypatch.context() as patch:
+                # 200 floats per block: the coordinates of 100 candidates
+                patch.setattr("quantrep.quantile._BLOCK_BYTES", 200 * 8)
+                np.testing.assert_array_equal(
+                    lof_scores(ref, np.vstack([queries, ref[:10]]), k=6), whole)
 
     def test_search_never_holds_the_distance_matrix(self):
         # the 2 000 x 2 000 reference distances alone are 30 MiB
@@ -92,6 +98,22 @@ class TestLof:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 8 * _BLOCK_BYTES
+
+    def test_ties_never_hold_more_than_a_few_blocks(self):
+        # every row has about 1 000 copies, so the search widens to 1 344 or
+        # 1 408 candidates a row; their indices and distances for all 2 400
+        # rows would be 50 MiB
+        rng = np.random.default_rng(14)
+        ref = np.repeat(rng.integers(0, 2, (2000, 1)), 2, axis=1).astype(np.float64)
+        lof_scores(ref[:50], ref[:5])  # imports scipy.spatial untraced
+        tracemalloc.start()
+        try:
+            scores = lof_scores(ref, ref[:400])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(scores, -1.0)
         assert peak < 8 * _BLOCK_BYTES
 
     def test_k_validated(self):
@@ -126,12 +148,13 @@ class TestLof:
 class TestNeighbourSearch:
     """The k-d tree search returns the neighbourhoods of the full-row
     ``cdist`` search: the same indices in the same order, and distances
-    equal to 1e-14 relative."""
+    equal to 1e-14 relative, however many times it widens a row's
+    candidates."""
 
     def _assert_matches_cdist(self, reference, k, queries):
         """Both modes of ``_k_nearest`` against the oracle; returns the
-        number of rows tied at their k-th distance, which the tree's
-        candidates cannot settle and the ball query decides."""
+        number of rows tied at their k-th distance, which the tree's first
+        k + 1 candidates cannot settle and a wider query decides."""
         tied = 0
         for points, exclude_self in ((reference, True), (queries, False)):
             got = _k_nearest(points, reference, k, exclude_self)
@@ -169,6 +192,17 @@ class TestNeighbourSearch:
         queries = np.vstack([base[::3], rng.normal(size=(20, 2))])
         assert self._assert_matches_cdist(ref, k, queries) > 0
 
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    def test_every_point_repeated_ten_times(self, k):
+        # ten copies of each point tie every row at distance 0 until the
+        # candidates take all ten and one more: k = 1 widens two or three
+        # times, k = 5 once, and k = 9 once for the queries
+        rng = np.random.default_rng(61)
+        base = rng.normal(size=(30, 2))
+        ref = np.repeat(base, 10, axis=0)
+        queries = np.vstack([base[::4], rng.normal(size=(20, 2))])
+        assert self._assert_matches_cdist(ref, k, queries) > 0
+
     def test_near_rank_one_32d(self):
         rng = np.random.default_rng(70)
         direction = rng.normal(size=32)
@@ -183,8 +217,12 @@ class TestNeighbourSearch:
         rng = np.random.default_rng(80)
         ref = rng.normal(size=(25, 3))
         queries = rng.normal(size=(10, 3))
-        for k in (1, ref.shape[0] - 1):
-            self._assert_matches_cdist(ref, k, queries)
+        # identical rows tie every candidate with every other, so only the
+        # full-width rule settles them
+        same = np.full((16, 3), 0.25)
+        for r, q in ((ref, queries), (same, np.vstack([same[:3], np.ones((2, 3))]))):
+            for k in (1, r.shape[0] - 1):
+                self._assert_matches_cdist(r, k, q)
 
     def test_empty_points(self):
         ref = np.random.default_rng(90).normal(size=(12, 2))

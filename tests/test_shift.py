@@ -16,9 +16,9 @@ from quantrep import (
     matching_objective,
 )
 from quantrep.quantile import _BLOCK_BYTES, QuantileGrid, fit_base_classifiers, represent
-from quantrep.shift import (_ANGLE_STEP, _REFINE_TOL, FieldGap, _affine_objective,
-                            _estimate_orthogonal, _golden_section, _rotation,
-                            _rotation_scan)
+from quantrep.shift import (_ANGLE_STEP, _REFINE_TOL, _TIE_TOL, FieldGap,
+                            _affine_objective, _estimate_orthogonal, _golden_section,
+                            _rotation, _rotation_scan)
 
 CENTERS = np.array([[0.0, 0.0], [1.0, 1.0]])
 STDS = np.array([[0.1, 0.3], [0.3, 0.11]])
@@ -387,6 +387,34 @@ class TestEstimateTransform:
         est = estimate_transform("orthogonal-2d", model, model_t1, d1.features)
         assert not est.identifiable
         assert len(est.near_ties) > 0
+
+    def test_mirror_symmetric_field_reports_its_reflected_twin(self):
+        # classes mirrored about the x-axis give a t0 field along e1 (to
+        # rounding), which reads the inverse maps R^T and (R D)^T = D R^T
+        # alike: the reflection at each angle is an exact twin of the
+        # rotation. The refine takes the optimum more than the tie
+        # threshold below the best grid value, and the twin's grid point
+        # must still count as a tie
+        def mirrored(seed, n=100):
+            rng = np.random.default_rng(seed)
+            a = np.array([-1.0, 0.5]) + rng.normal(0, 0.6, (n, 2))
+            b = np.array([1.0, 0.5]) + rng.normal(0, 0.6, (n, 2))
+            flip = np.array([1.0, -1.0])
+            return Dataset(np.vstack([a, a * flip, b, b * flip]),
+                           np.repeat([0, 1], 2 * n), 2)
+
+        m0 = fit_model(mirrored(0))
+        assert np.abs(m0.tasks[0].anchor_coefficients()[:, 1]).max() < 1e-12
+        truth = Transform("orthogonal-2d", angle=math.radians(123.4))
+        fresh = mirrored(1)
+        d1 = Dataset(truth.apply(fresh.features), fresh.labels, 2)
+        m1 = fit_model(d1)
+        grid_best = min(v[0] for v in _rotation_scan(FieldGap(m0, m1, d1.features)))
+        est = estimate_transform("orthogonal-2d", m0, m1, d1.features)
+        assert est.objective < grid_best - _TIE_TOL
+        assert not est.identifiable
+        assert [(round(math.degrees(t.angle), 6), t.reflect) for t in est.near_ties] == [
+            (123.0, not est.transform.reflect)]
 
     def test_affine_identity_recovery(self, t0_model):
         data, model = t0_model

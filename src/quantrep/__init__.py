@@ -17,7 +17,6 @@ from .calibration import (
     isotonic_fit,
     model_class_probabilities,
     msp_confidence,
-    platt_apply,
     platt_fit,
 )
 from .datasets import (
@@ -31,12 +30,9 @@ from .datasets import (
     save_dataset,
 )
 from .errors import (
-    ConfigError,
-    DegenerateClassifierError,
     FitError,
     ParseError,
     QuantrepError,
-    UndefinedMetricError,
     ValidationError,
 )
 from .linear import (

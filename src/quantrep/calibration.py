@@ -2,7 +2,8 @@
 measurement, post-hoc correction maps, and the corruption sweep.
 
 The probabilities reduce the representation over tau one row block at a
-time (``quantile._row_blocks``); the full tensor is never built.
+time (``quantile._row_blocks``); the full tensor is never built. The MSP
+base and the Platt map are read as the sigmoid of their ``decision``.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import _check_seed
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .linear import FitConfig, _sigmoid, fit_weighted_logistic
 from .quantile import QuantileModel, _base_logits, _row_blocks
 
@@ -55,7 +56,7 @@ def _bin_indices(confidences, m, binning):
         # interior edges only; equal confidences always share a bin
         idx = np.searchsorted(edges[1:-1], confidences, side="right")
     else:
-        raise ConfigError(f"unknown binning: {binning!r}")
+        raise ValidationError(f"unknown binning: {binning!r}")
     return edges, idx
 
 
@@ -106,7 +107,8 @@ def msp_confidence(probabilities):
 # ---------------------------------------------------------------------------
 
 def platt_fit(scores, correctness):
-    """Fit (a, b) so that sigmoid(a*s + b) minimizes log loss; convex.
+    """The one-feature ``LinearClassifier`` whose sigmoid(decision(s)) =
+    sigmoid(a*s + b) minimizes log loss; convex.
 
     An unregularised one-feature logistic fit, started flat at the base
     rate so that constant scores keep slope 0. One outcome alone gives the
@@ -118,14 +120,8 @@ def platt_fit(scores, correctness):
         raise ValidationError("scores and correctness must be nonempty, of equal length")
     rate = float(correctness.mean())
     warm = [0.0, math.log(rate / (1.0 - rate))] if 0.0 < rate < 1.0 else None
-    clf = fit_weighted_logistic(scores[:, None], correctness,
-                                config=FitConfig(l2_reg=0.0), warm_start=warm)
-    return float(clf.weights[0]), clf.bias
-
-
-def platt_apply(scores, ab):
-    a, b = ab
-    return _sigmoid(a * np.asarray(scores, dtype=np.float64) + b)
+    return fit_weighted_logistic(scores[:, None], correctness,
+                                 config=FitConfig(l2_reg=0.0), warm_start=warm)
 
 
 @dataclass
@@ -195,7 +191,7 @@ def corrupt_features(features, corruption, severity, seed=0):
     _check_seed(seed)
     features = np.asarray(features, dtype=np.float64)
     if corruption not in CORRUPTIONS:
-        raise ConfigError(f"unknown corruption: {corruption!r}")
+        raise ValidationError(f"unknown corruption: {corruption!r}")
     if severity == 0:
         return features.copy()
     sigma = features.std(axis=0)
@@ -273,7 +269,8 @@ def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
         for method, confidence, hits in (
             ("QUANT", conf, correct),
             ("MSP", msp_conf, msp_correct),
-            ("QUANT+platt", np.clip(platt_apply(_logit(conf), platt_map), 0.0, 1.0), correct),
+            ("QUANT+platt", np.clip(_sigmoid(platt_map.decision(_logit(conf))), 0.0, 1.0),
+             correct),
             ("QUANT+isotonic", np.clip(iso_map(conf), 0.0, 1.0), correct),
         ):
             value, _ = ece(confidence, hits, m=m, binning=binning)

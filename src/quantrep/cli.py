@@ -479,8 +479,11 @@ def main(argv=None):
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (QuantrepError, OSError, json.JSONDecodeError, MemoryError) as exc:
-        # MemoryError: a size flag past what numpy can allocate
+    except (QuantrepError, OSError, json.JSONDecodeError, MemoryError, ValueError) as exc:
+        # a size flag past what numpy can allocate (MemoryError) or index
+        # ("Maximum allowed size/dimension exceeded"); other ValueErrors are faults
+        if type(exc) is ValueError and not str(exc).startswith("Maximum allowed "):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

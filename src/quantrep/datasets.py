@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 # Features are serialized with 17 significant digits so that a float64
 # save/load round trip is bit exact.
@@ -96,7 +96,7 @@ class LatentModelSpec:
         if not (np.all(np.isfinite(self.g_coefficients)) and np.isfinite(self.g_intercept)):
             raise ValidationError("g coefficients and g_intercept must be finite")
         if self.noise_kind not in ("homoskedastic-gaussian", "heteroskedastic-gaussian"):
-            raise ConfigError(f"unsupported noise_kind: {self.noise_kind!r}")
+            raise ValidationError(f"unsupported noise_kind: {self.noise_kind!r}")
         if self.noise_kind == "homoskedastic-gaussian":
             if not np.isscalar(self.noise_scale) or not 0 < self.noise_scale < np.inf:
                 raise ValidationError("homoskedastic noise_scale must be a positive "
@@ -128,13 +128,11 @@ class LatentModelSpec:
 
 
 class LatentOracle:
-    """Base classifier that knows the generating latent model exactly."""
+    """Base classifier that knows the generating latent model exactly: its
+    ``decision`` is the posterior's logit."""
 
     def __init__(self, spec: LatentModelSpec):
         self.spec = spec
-
-    def predict_proba(self, features):
-        return self.spec.posterior(features)
 
     def decision(self, features):
         """The posterior's logit, log P - log(1 - P), unclipped in both tails."""
@@ -145,17 +143,13 @@ class LatentOracle:
 
 
 def save_dataset(dataset: Dataset, path):
-    cols = [f"f{j}" for j in range(dataset.d)] + ["label"]
+    cols = [(f"f{j}", _FLOAT_FMT, dataset.features[:, j]) for j in range(dataset.d)]
+    cols.append(("label", "%d", dataset.labels))
     if dataset.weights is not None:
-        cols.append("weight")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(dataset.n):
-            row = [_FLOAT_FMT % v for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            if dataset.weights is not None:
-                row.append(_FLOAT_FMT % dataset.weights[i])
-            fh.write(",".join(row) + "\n")
+        cols.append(("weight", _FLOAT_FMT, dataset.weights))
+    names, fmt, values = zip(*cols)
+    np.savetxt(path, np.column_stack(values), fmt=fmt, delimiter=",",
+               header=",".join(names), comments="")
 
 
 def load_dataset(path):
@@ -263,7 +257,7 @@ def gen_latent_binary(spec: LatentModelSpec, n, seed=0):
     with features drawn uniformly on [-3, 3]^d.
 
     The analytic posterior P(y=1|x) is ``spec.posterior(features)``;
-    ``LatentOracle(spec)`` serves it as a base classifier.
+    ``LatentOracle(spec)`` serves its logit as a base classifier.
     """
     _check_seed(seed)
     if n < 1:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Validation/usage problems map to CLI exit code 2, numerical fit failures
-to exit code 3.
+One type per CLI exit code: ``ValidationError`` (bad input or usage, with
+``ParseError`` for a malformed dataset file) maps to exit code 2,
+``FitError`` (a numerical fit failure) to exit code 3.
 """
 
 
@@ -21,18 +22,6 @@ class ParseError(ValidationError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class ConfigError(ValidationError):
-    """Unsupported or inconsistent configuration."""
-
-
-class UndefinedMetricError(ValidationError):
-    """Metric is undefined for the given input (e.g. single-class ground truth)."""
-
-
-class DegenerateClassifierError(ValidationError):
-    """Classifier has no usable decision direction (all-zero coefficients)."""
 
 
 class FitError(QuantrepError, RuntimeError):

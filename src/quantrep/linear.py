@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClassifierError, ValidationError
+from .errors import ValidationError
 
 # Logit assigned to the observed class when a fit sees a single label.
 _DEGENERATE_LOGIT = 25.0
@@ -72,9 +72,6 @@ class LinearClassifier:
             )
         return features @ self.weights + self.bias
 
-    def predict_proba(self, features):
-        return _sigmoid(self.decision(features))
-
     def coefficients(self):
         """Concatenated (weights, bias) vector of length d+1."""
         return np.concatenate([self.weights, [self.bias]])
@@ -122,7 +119,7 @@ def normalize_l2(clf: LinearClassifier) -> LinearClassifier:
     coef = clf.coefficients()
     nrm = np.linalg.norm(coef)
     if nrm == 0.0:
-        raise DegenerateClassifierError("cannot normalize an all-zero classifier")
+        raise ValidationError("cannot normalize an all-zero classifier")
     return LinearClassifier(clf.weights / nrm, clf.bias / nrm, normalized=True,
                             converged=clf.converged, degenerate=clf.degenerate,
                             iterations=clf.iterations)

@@ -6,7 +6,7 @@ Scores follow one convention throughout: higher means more in-distribution.
 import numpy as np
 
 from .datasets import Dataset
-from .errors import UndefinedMetricError, ValidationError
+from .errors import ValidationError
 from .linear import FitConfig
 from .quantile import QuantileModel, _block_rows, fit_base_classifiers, fit_quantile_model
 
@@ -147,7 +147,7 @@ def _roc(scores, is_id):
     n_id = int(is_id.sum())
     n_ood = is_id.size - n_id
     if n_id == 0 or n_ood == 0:
-        raise UndefinedMetricError("OOD metrics need both ID and OOD samples")
+        raise ValidationError("OOD metrics need both ID and OOD samples")
     if not np.all(np.isfinite(scores)):
         raise ValidationError("OOD scores must be finite")
     uniq, group = np.unique(scores, return_inverse=True)

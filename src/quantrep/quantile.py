@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, QuantrepError, ValidationError
-from .linear import FitConfig, LinearClassifier, fit_weighted_logistic, normalize_l2
+from .linear import (FitConfig, LinearClassifier, _sigmoid, fit_weighted_logistic,
+                     normalize_l2)
 
 _MONO_TOL = 1e-9
 # bytes per row block (see _block_rows) of the reductions over tau, the shift
@@ -42,14 +43,9 @@ def _as_float_array(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def _maybe_scalar(out, *inputs):
-    if all(np.isscalar(v) or np.ndim(v) == 0 for v in inputs):
-        return float(out)
-    return out
-
-
 def check_loss(y_hat, y, tau):
-    """Asymmetric absolute (pinball) loss.
+    """Asymmetric absolute (pinball) loss, elementwise over the broadcast
+    inputs: an array, 0-d for scalar input, as for each loss here.
 
     tau * (y - y_hat) when the residual is positive, (1 - tau) * (y_hat - y)
     otherwise. At tau = 0.5 the sample mean equals half the MAE.
@@ -58,13 +54,12 @@ def check_loss(y_hat, y, tau):
     if np.any(tau_a <= 0) or np.any(tau_a >= 1):
         raise ValidationError("tau must lie in the open interval (0,1)")
     resid = y_a - y_hat_a
-    out = np.where(resid > 0, tau_a * resid, (1.0 - tau_a) * (-resid))
-    return _maybe_scalar(out, y_hat, y, tau)
+    return np.where(resid > 0, tau_a * resid, (1.0 - tau_a) * (-resid))
 
 
 def binary_check_loss(y_hat, y, tau):
-    """Check loss specialized to binary targets: tau*(1-y_hat) if y=1,
-    (1-tau)*y_hat if y=0."""
+    """Check loss specialized to binary targets, elementwise: tau*(1-y_hat)
+    if y=1, (1-tau)*y_hat if y=0."""
     y_hat_a, y_a, tau_a = map(_as_float_array, (y_hat, y, tau))
     if np.any(tau_a <= 0) or np.any(tau_a >= 1):
         raise ValidationError("tau must lie in the open interval (0,1)")
@@ -72,18 +67,16 @@ def binary_check_loss(y_hat, y, tau):
         raise ValidationError("y_hat must lie in [0,1]")
     if not np.all((y_a == 0) | (y_a == 1)):
         raise ValidationError("y must be binary 0/1")
-    out = np.where(y_a == 1, tau_a * (1.0 - y_hat_a), (1.0 - tau_a) * y_hat_a)
-    return _maybe_scalar(out, y_hat, y, tau)
+    return np.where(y_a == 1, tau_a * (1.0 - y_hat_a), (1.0 - tau_a) * y_hat_a)
 
 
 def duality_residual(y_hat, y, tau):
-    """rho(y_hat, y; tau) - rho(1-tau, y; 1-y_hat); identically zero."""
+    """rho(y_hat, y; tau) - rho(1-tau, y; 1-y_hat), elementwise; identically zero."""
     y_hat_a, tau_a = _as_float_array(y_hat), _as_float_array(tau)
     if np.any(y_hat_a <= 0) or np.any(y_hat_a >= 1):
         raise ValidationError("y_hat must lie in the open interval (0,1)")
-    out = binary_check_loss(y_hat_a, y, tau_a) - binary_check_loss(
+    return binary_check_loss(y_hat_a, y, tau_a) - binary_check_loss(
         1.0 - tau_a, y, 1.0 - y_hat_a)
-    return _maybe_scalar(out, y_hat, y, tau)
 
 
 def simultaneous_loss(predictions, labels, grid, mode="probability"):
@@ -281,9 +274,9 @@ def _check_binary_grid(class_count, grid):
 @dataclass
 class QuantileModel:
     """The tasks ``_task_classes`` names, each with anchor classifiers over
-    the tau grid and the interpolated dense coefficient field. A binary
-    model's class-0 field is the negated, tau-reflected class-1 field, so
-    its dense grid must be symmetric about 1/2. Other layouts raise.
+    the tau grid and the interpolated dense coefficient field, of 2 classes
+    or more. A binary model's class-0 field is the negated, tau-reflected
+    class-1 field, so its dense grid must be symmetric about 1/2.
     """
 
     grid: QuantileGrid
@@ -292,12 +285,16 @@ class QuantileModel:
     feature_dim: int
 
     def __post_init__(self):
+        k = self.class_count
+        if k < 2:
+            raise ValidationError(f"a model needs at least 2 classes, got {k}")
         stored = [t.class_id for t in self.tasks]
-        if stored != _task_classes(self.class_count):
+        # the count first, so that a huge class_count builds no list of ids
+        if len(stored) != (1 if k == 2 else k) or stored != _task_classes(k):
             raise ValidationError(
-                f"a {self.class_count}-class model stores the tasks of classes "
-                f"{_task_classes(self.class_count)}, got {stored}")
-        _check_binary_grid(self.class_count, self.grid)
+                f"a {k}-class model stores the tasks of classes "
+                f"{[1] if k == 2 else f'0 to {k - 1}'}, got {stored}")
+        _check_binary_grid(k, self.grid)
 
 
 @dataclass
@@ -305,20 +302,18 @@ class QuantileRepresentation:
     """Logit tensor of shape (n_samples, class_count, n_dense)."""
 
     values: np.ndarray
-    grid: QuantileGrid
-
-    @property
-    def n(self):
-        return self.values.shape[0]
 
     def flattened(self):
         """(n, class_count * n_dense) view used as detector input."""
-        return self.values.reshape(self.n, -1)
+        return self.values.reshape(self.values.shape[0], -1)
 
 
 def _resolve_bases(base, k):
-    """The base classifiers, one per task of ``_task_classes(k)``, and those ids."""
-    bases = [base] if hasattr(base, "predict_proba") else list(base)
+    """The base classifiers, one per task of ``_task_classes(k)``, and those
+    ids: ``base`` is one object with ``decision`` (its logits) or a list."""
+    bases = list(base) if np.iterable(base) and not hasattr(base, "decision") else [base]
+    if not all(hasattr(b, "decision") for b in bases):
+        raise ValidationError("a base classifier needs a decision(features) method")
     class_ids = _task_classes(k)
     if len(bases) != len(class_ids):
         raise ValidationError(f"need {len(class_ids)} base classifier(s) for "
@@ -356,9 +351,10 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
     """Fit anchor classifiers for every (class, anchor tau) pseudo-dataset.
 
     Per class and anchor tau: threshold the base one-vs-rest probabilities
-    at 1 - tau to form pseudo-labels, weight them inversely to pseudo-class
-    weight (scaling the dataset's sample weights, if any), fit a weighted
-    logistic classifier, and normalize it. The dense coefficient field then
+    (the sigmoid of its ``decision`` logits) at 1 - tau to form
+    pseudo-labels, weight them inversely to pseudo-class weight (scaling
+    the dataset's sample weights, if any), fit a weighted logistic
+    classifier, and normalize it. The dense coefficient field then
     comes from cubic interpolation across anchors. Each task's median
     agreement (median anchor vs base at 0.5) is weighted by the sample
     weights. Deterministic for a fixed config. Binary data takes one base
@@ -372,11 +368,9 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
 
     tasks = []
     for base_clf, class_id in zip(bases, class_ids):
-        probs = np.asarray(base_clf.predict_proba(features), dtype=np.float64)
-        if not np.all(np.isfinite(probs)) or probs.min() < 0 or probs.max() > 1:
-            raise ValidationError(
-                f"base classifier for class {class_id} produced probabilities "
-                "outside [0,1]")
+        probs = _sigmoid(base_clf.decision(features))
+        if np.any(np.isnan(probs)):
+            raise ValidationError(f"base classifier for class {class_id} produced NaN logits")
         anchors = []
         warm = None  # consecutive anchors share most pseudo-labels
         for tau in grid.anchors:
@@ -458,7 +452,7 @@ def represent(model: QuantileModel, features) -> QuantileRepresentation:
     else:
         for task in model.tasks:
             task.logits(features, out=values[:, task.class_id, :])
-    return QuantileRepresentation(values, model.grid)
+    return QuantileRepresentation(values)
 
 
 def metric_factor(model: QuantileModel):
@@ -503,8 +497,9 @@ def _row_blocks(model: QuantileModel, features):
 
 @dataclass
 class MonotonicityReport:
+    """The weighted fraction of decreasing adjacent pairs over all profiles."""
+
     aggregate: float
-    per_profile: np.ndarray  # (n, class_count)
 
 
 def monotonicity_violation_rate(model: QuantileModel, features,
@@ -513,18 +508,16 @@ def monotonicity_violation_rate(model: QuantileModel, features,
     ``features`` that decrease by more than the tolerance. Monotonicity
     holds for the ideal solution; here it is measured, not assumed.
 
-    ``per_profile`` is the fraction per sample and class. ``aggregate`` is
-    the count over all profiles, each sample's count weighted by
-    ``weights`` (unit weights if not given), over the weighted number of
+    ``aggregate`` is each sample's count over its class profiles, weighted
+    by ``weights`` (unit weights if not given), over the weighted number of
     adjacent pairs.
     """
     counts = np.concatenate([
-        np.count_nonzero(v[:, :, 1:] < v[:, :, :-1] - _MONO_TOL, axis=2)
+        np.count_nonzero(v[:, :, 1:] < v[:, :, :-1] - _MONO_TOL, axis=(1, 2))
         for v in _row_blocks(model, features)])
     w = np.ones(counts.shape[0]) if weights is None else _as_float_array(weights)
     pairs = model.class_count * (model.grid.n_dense - 1)
-    aggregate = float((w @ counts.sum(axis=1)) / (w.sum() * pairs))
-    return MonotonicityReport(aggregate, counts / (model.grid.n_dense - 1))
+    return MonotonicityReport(float((w @ counts) / (w.sum() * pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +605,10 @@ def load_model(model_path) -> QuantileModel:
 
     Each task's dense field is the spline through its stored anchors
     (``_dense_field``, as in the fit); ``model_dense.bin`` is not read. The
-    schema version, the width of every anchor, each ``median_agreement``
-    (null or a number in [0, 1]), and the tasks and grid (as
-    :class:`QuantileModel` does) are checked; a missing or malformed field
-    or any mismatch raises ``ValidationError``.
+    schema version, the width and unit norm (to 1e-12) of every anchor,
+    each ``median_agreement`` (null or a number in [0, 1]), and the class
+    count, tasks and grid (as :class:`QuantileModel` does) are checked; a
+    missing or malformed field or any mismatch raises ``ValidationError``.
     """
     with open(model_path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -634,10 +627,11 @@ def load_model(model_path) -> QuantileModel:
         tasks = []
         for t in obj["tasks"]:
             anchors = [LinearClassifier.from_json_dict(c) for c in t["anchor_classifiers"]]
-            if any(c.weights.shape != (feature_dim,) for c in anchors):
+            if any(c.weights.shape != (feature_dim,)
+                   or abs(np.linalg.norm(c.coefficients()) - 1.0) > 1e-12 for c in anchors):
                 raise ValidationError(
                     f"an anchor of class {t['class_id']} in {model_path} does not "
-                    f"have feature_dim = {feature_dim} weights")
+                    f"have feature_dim = {feature_dim} weights of unit (weights, bias) norm")
             agreement = t["median_agreement"]
             if not (agreement is None
                     or type(agreement) in (int, float) and 0 <= agreement <= 1):

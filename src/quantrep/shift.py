@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .quantile import QuantileModel, _block_rows
 
 _MAX_CONDITION = 1e8
@@ -74,7 +74,7 @@ class Transform:
                 raise ValidationError("affine matrix is not invertible enough")
             self._inverse = np.linalg.inv(self.matrix)
         else:
-            raise ConfigError(f"unknown transform family: {self.family!r}")
+            raise ValidationError(f"unknown transform family: {self.family!r}")
 
     def _check(self, features):
         features = np.asarray(features, dtype=np.float64)
@@ -290,12 +290,12 @@ def _check_search_inputs(family, shape_t0, shape_t1):
     feature_dim = shape_t0[0]
     if family == "orthogonal-2d":
         if feature_dim != 2:
-            raise ConfigError("orthogonal-2d requires 2-d features")
+            raise ValidationError("orthogonal-2d requires 2-d features")
     elif family == "affine":
         if feature_dim > 10:
-            raise ConfigError("affine search supported for d <= 10")
+            raise ValidationError("affine search supported for d <= 10")
     else:
-        raise ConfigError(f"unknown transform family: {family!r}")
+        raise ValidationError(f"unknown transform family: {family!r}")
 
 
 def estimate_transform(family, model_t0: QuantileModel, model_t1: QuantileModel,

@@ -16,10 +16,10 @@ from quantrep import (
     isotonic_fit,
     model_class_probabilities,
     msp_confidence,
-    platt_apply,
     platt_fit,
 )
 from quantrep.calibration import _logit, _pava
+from quantrep.linear import _sigmoid
 from quantrep.quantile import QuantileTask
 
 from oracles import ece_bruteforce, isotonic_minmax
@@ -145,29 +145,38 @@ class TestPlatt:
         correct = (rng.uniform(size=4000) < p).astype(float)
         scores = _logit(p)
         before, _ = ece(p, correct, m=10, binning="quantile")
-        ab = platt_fit(scores, correct)
-        after, _ = ece(platt_apply(scores, ab), correct, m=10, binning="quantile")
+        platt = platt_fit(scores, correct)
+        after, _ = ece(_sigmoid(platt.decision(scores)), correct, m=10, binning="quantile")
         assert after <= before + 1e-3
 
     def test_constant_scores_give_base_rate(self):
         correct = np.array([1.0, 0.0, 1.0, 1.0])
-        ab = platt_fit(np.full(4, 0.3), correct)
-        assert abs(ab[0]) < 1e-6
-        np.testing.assert_allclose(platt_apply(np.full(4, 0.3), ab), 0.75,
+        platt = platt_fit(np.full(4, 0.3), correct)
+        assert abs(platt.weights[0]) < 1e-6
+        np.testing.assert_allclose(_sigmoid(platt.decision(np.full(4, 0.3))), 0.75,
                                    atol=1e-6)
 
     def test_positive_slope_for_predictive_scores(self):
         rng = np.random.default_rng(7)
         scores = rng.normal(size=500)
         correct = (rng.uniform(size=500) < 1 / (1 + np.exp(-2 * scores))).astype(float)
-        a, _ = platt_fit(scores, correct)
-        assert a > 0
+        assert platt_fit(scores, correct).weights[0] > 0
 
     def test_single_outcome_gives_constant_map(self):
         # the one-label rule of fit_weighted_logistic: slope 0, bias +-25
         scores = np.array([0.1, 0.2, 0.7])
-        assert platt_fit(scores, np.ones(3)) == (0.0, 25.0)
-        assert platt_fit(scores, np.zeros(3)) == (0.0, -25.0)
+        for outcome, bias in ((1, 25.0), (0, -25.0)):
+            platt = platt_fit(scores, np.full(3, outcome))
+            assert (platt.weights.tolist(), platt.bias) == ([0.0], bias)
+
+    def test_decision_is_slope_times_score_plus_bias(self):
+        # the map's logits are a * s + b of its fitted (a, b), bit for bit
+        rng = np.random.default_rng(8)
+        scores = np.concatenate([rng.normal(scale=3.0, size=997), [0.0, -0.0, 1e-300]])
+        correct = (rng.uniform(size=1000) < 0.7).astype(float)
+        platt = platt_fit(scores, correct)
+        a, b = float(platt.weights[0]), platt.bias
+        np.testing.assert_array_equal(platt.decision(scores), a * scores + b)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

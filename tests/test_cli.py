@@ -16,7 +16,7 @@ import quantrep
 from quantrep import (Dataset, LatentModelSpec, gen_gaussian_pair, gen_latent_binary,
                       gen_two_moons, load_dataset, save_dataset)
 from quantrep.cli import FIT_DEFAULTS, GEN_DEFAULTS, build_parser, main
-from quantrep.errors import DegenerateClassifierError
+from quantrep.errors import ValidationError
 
 
 def read(path):
@@ -560,7 +560,7 @@ class TestFitQuantile:
         base_dir = run_fit(tmp_path, "bm", moons_dir / "id.csv")
 
         def boom(*args, **kwargs):
-            raise DegenerateClassifierError("synthetic failure")
+            raise ValidationError("synthetic failure")
 
         # fail inside the anchor loop (the base model is loaded from disk)
         monkeypatch.setattr(q, "fit_weighted_logistic", boom)
@@ -607,7 +607,9 @@ class TestOodEval:
                                         "class-count-type", "missing-field",
                                         "weights-length", "bias-type",
                                         "weight-nan", "bias-inf",
-                                        "agreement-text", "agreement-range"])
+                                        "agreement-text", "agreement-range",
+                                        "class-count-one", "class-count-huge",
+                                        "anchor-norm"])
     def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
@@ -631,6 +633,15 @@ class TestOodEval:
             meta["tasks"][0]["median_agreement"] = "x"
         elif damage == "agreement-range":
             meta["tasks"][0]["median_agreement"] = 1.5
+        elif damage == "class-count-one":
+            meta["class_count"] = 1
+            meta["tasks"][0]["class_id"] = 0
+        elif damage == "class-count-huge":
+            meta["class_count"] = 10**20
+        elif damage == "anchor-norm":
+            for c in meta["tasks"][0]["anchor_classifiers"][:20]:
+                c["weights"] = [3.0 * w for w in c["weights"]]
+                c["bias"] *= 3.0
         else:
             meta["tasks"][0]["anchor_classifiers"][3]["bias"] = "x"
         meta_path.write_text(json.dumps(meta))
@@ -640,7 +651,9 @@ class TestOodEval:
                    "--test-ood", str(moons_dir / "ood.csv"),
                    "--out", str(tmp_path / "ood")])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list((tmp_path / "ood").iterdir()) == []
         # model.json has one reader, so the other subcommands refuse it too
         for cmd in ("calib-eval", "xcorr"):
             assert main([cmd, "--model", str(model), "--data", str(moons_dir / "id.csv"),
@@ -1152,15 +1165,25 @@ def test_bad_number_exit_2(tmp_path, moons_dir, moons_model, pair_files, argv, c
     assert list(out.iterdir()) == []
 
 
+# every size flag, each given 10**20 below
+SIZE_FLAGS = [["fit-quantile", "--anchors"], ["fit-quantile", "--dense"],
+              ["gen-data", "latent-binary", "--n"], ["gen-data", "two-moons", "--n-per-class"],
+              ["gen-data", "two-moons", "--ood-n"],
+              ["gen-data", "gaussian-pair", "--n-per-class"], ["calib-eval", "--bins"]]
+
+
 @pytest.mark.parametrize("argv", [
     ["calib-eval", "--bins", "1000000000000"],
     ["gen-data", "latent-binary", "--n", "1000000000000"],
     ["gen-data", "two-moons", "--n-per-class", "1000000000000"],
     ["fit-quantile", "--dense", "1000000000000"],
-], ids=["calib-eval-bins", "latent-binary-n", "two-moons-n-per-class", "fit-quantile-dense"])
+    *([*argv, "100000000000000000000"] for argv in SIZE_FLAGS),
+], ids=["calib-eval-bins", "latent-binary-n", "two-moons-n-per-class", "fit-quantile-dense",
+        *(f"{argv[-2]}{argv[-1][1:]}-1e20" for argv in SIZE_FLAGS)])
 def test_size_past_memory_exit_2(tmp_path, moons_dir, moons_model, pair_files, argv,
                                  capsys):
-    # 10**12 float64 values (7.3 TiB): numpy refuses the array at once
+    # 10**12 float64 values (7.3 TiB): numpy refuses the array at once, with
+    # a MemoryError; at 10**20, past its index range, with a ValueError
     argv = [*argv, *input_flags(argv[0], moons_dir, moons_model, pair_files)]
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2

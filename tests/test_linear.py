@@ -5,7 +5,6 @@ import pytest
 from scipy.special import expit
 
 from quantrep import (
-    DegenerateClassifierError,
     FitConfig,
     LinearClassifier,
     ValidationError,
@@ -271,7 +270,7 @@ class TestDecision:
 
     def test_sigmoid_identity_at_zero(self):
         clf = LinearClassifier(np.zeros(1), 0.0)
-        assert clf.predict_proba(np.array([[12.0]]))[0] == pytest.approx(0.5)
+        assert _sigmoid(clf.decision(np.array([[12.0]])))[0] == pytest.approx(0.5)
 
     def test_affine_in_features(self):
         clf = normalize_l2(LinearClassifier(np.array([2.0, -1.0]), 0.7))
@@ -285,7 +284,7 @@ class TestDecision:
         x = np.array([-2.0, -1.0, 0.5, 1.0, 3.0])
         clf = fit_weighted_logistic(x, np.array([0, 1, 0, 1, 1]))
         np.testing.assert_array_equal(clf.decision(x), clf.decision(x[:, None]))
-        assert clf.predict_proba(x).shape == (5,)
+        assert _sigmoid(clf.decision(x)).shape == (5,)
 
     def test_dimension_mismatch(self):
         clf = LinearClassifier(np.array([1.0, 2.0]), 0.0)
@@ -320,7 +319,7 @@ class TestNormalize:
                                           np.sign(normalize_l2(raw).decision(x)))
 
     def test_zero_classifier_rejected(self):
-        with pytest.raises(DegenerateClassifierError):
+        with pytest.raises(ValidationError, match="cannot normalize an all-zero classifier"):
             normalize_l2(LinearClassifier(np.zeros(2), 0.0))
 
     def test_argmax_stable_when_norms_equal(self):
@@ -356,16 +355,16 @@ class TestSigmoidMae:
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0, 0, 1, 1])
         clf = fit_sigmoid_mae(x, y, FitConfig(max_iter=3000, tol=1e-12))
-        mae = np.abs(y - clf.predict_proba(x)).sum() / len(y)
+        mae = np.abs(y - _sigmoid(clf.decision(x))).sum() / len(y)
         assert mae < 0.01
 
     def test_all_ones_drives_sigmoid_to_one(self):
         x = np.array([[0.3], [0.7]])
         y = np.array([1, 1])
         clf = fit_sigmoid_mae(x, y)
-        mae = np.abs(y - clf.predict_proba(x)).sum() / len(y)
+        mae = np.abs(y - _sigmoid(clf.decision(x))).sum() / len(y)
         assert mae < 0.01
-        assert clf.predict_proba(x).min() > 0.99
+        assert _sigmoid(clf.decision(x)).min() > 0.99
 
     def test_label_flip_negation_symmetry(self):
         rng = np.random.default_rng(9)
@@ -373,8 +372,8 @@ class TestSigmoidMae:
         y = rng.integers(0, 2, 12)
         clf = LinearClassifier(rng.normal(size=1), rng.normal())
         flipped = LinearClassifier(-clf.weights, -clf.bias)
-        a = np.abs(y - clf.predict_proba(x)).sum()
-        bb = np.abs((1 - y) - flipped.predict_proba(x)).sum()
+        a = np.abs(y - _sigmoid(clf.decision(x))).sum()
+        bb = np.abs((1 - y) - _sigmoid(flipped.decision(x))).sum()
         assert a == pytest.approx(bb, abs=1e-12)
 
 

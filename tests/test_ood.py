@@ -6,7 +6,6 @@ import pytest
 from quantrep import (
     Dataset,
     FitConfig,
-    UndefinedMetricError,
     ValidationError,
     auroc,
     detection_accuracy,
@@ -270,7 +269,7 @@ class TestAuroc:
         assert auroc(3 * scores + 7, is_id) == pytest.approx(base, abs=1e-12)
 
     def test_single_class_rejected(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ValidationError, match="OOD metrics need both ID and OOD samples"):
             auroc(np.ones(4), np.ones(4, dtype=bool))
 
 
@@ -349,7 +348,7 @@ class TestRocInputs:
             metric(np.arange(4.0), np.array([True, False, True]))
 
     def test_single_class_rejected(self, metric):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ValidationError, match="OOD metrics need both ID and OOD samples"):
             metric(np.arange(4.0), np.zeros(4, dtype=bool))
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from quantrep import (
-    ConfigError,
     Dataset,
     FitConfig,
     Transform,
@@ -83,7 +82,7 @@ class TestTransform:
             Transform("affine", matrix=[[1.0, 1.0], [1.0, 1.0]])
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="unknown transform family: 'projective'"):
             Transform("projective")
 
     def test_dimension_mismatch(self):
@@ -441,7 +440,7 @@ class TestEstimateTransform:
 
     def test_unsupported_family(self, t0_model):
         data, model = t0_model
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="unknown transform family: 'projective'"):
             estimate_transform("projective", model, model, data.features)
 
     def test_orthogonal_needs_2d(self):
@@ -452,5 +451,5 @@ class TestEstimateTransform:
         grid = QuantileGrid(np.linspace(0.01, 0.99, 10), np.linspace(0.01, 0.99, 50))
         model = fit_quantile_model(ds, fit_base_classifiers(ds, FitConfig()),
                                    grid=grid, fit_config=FitConfig())
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="orthogonal-2d requires 2-d features"):
             estimate_transform("orthogonal-2d", model, model, ds.features)

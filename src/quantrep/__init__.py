@@ -40,7 +40,6 @@ from .linear import (
     LinearClassifier,
     fit_sigmoid_mae,
     fit_weighted_logistic,
-    normalize_l2,
 )
 from .ood import (
     auroc,

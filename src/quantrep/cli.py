@@ -221,12 +221,12 @@ def cmd_gen_data(args, stages):
     stages("save")
 
 
-def _check_fit(model, bases, fit_config, epoch=""):
-    """``fit_diagnostics`` of a model freshly fitted from ``bases``, which
-    raises on a task with no information, and one stderr warning line if
-    any of its fits (those of the anchors, and the base fit if it ran here)
-    did not meet the stopping rule; ``epoch`` prefixes the warning."""
-    diagnostics = fit_diagnostics(model, bases)
+def _check_fit(model, fit_config, epoch=""):
+    """``fit_diagnostics`` of a freshly fitted model, which raises on a task
+    with no information, and one stderr warning line if any of its fits
+    (those of the anchors, and the base fit if it ran here) did not meet
+    the stopping rule; ``epoch`` prefixes the warning."""
+    diagnostics = fit_diagnostics(model)
     counts = {"anchor": sum(diagnostics["nonconverged_anchors"]),
               "base": diagnostics["base_converged"].count(False)}
     unmet = " and ".join(f"{n} {kind} fits" for kind, n in counts.items() if n)
@@ -251,7 +251,7 @@ def cmd_fit_quantile(args, stages):
     model = fit_quantile_model(dataset, bases, grid=grid, fit_config=fit_config)
     stages("quantile_fit")
 
-    diagnostics = _check_fit(model, bases, fit_config)
+    diagnostics = _check_fit(model, fit_config)
     mono = monotonicity_violation_rate(model, dataset.features, dataset.weights)
     stages("diagnostics")
     save_model(model, args.out)
@@ -364,7 +364,7 @@ def cmd_shift_match(args, stages):
     for epoch, data in (("t0", data_t0), ("t1", data_t1)):
         bases = fit_base_classifiers(data, fit_config)
         model = fit_quantile_model(data, bases, grid=grid, fit_config=fit_config)
-        fits[epoch] = model, _check_fit(model, bases, fit_config, f"{epoch}: ")
+        fits[epoch] = model, _check_fit(model, fit_config, f"{epoch}: ")
         grid = model.grid  # the t1 model is fitted on t0's grid
         stages(f"fit_{epoch}")
     (model_t0, fit_t0), (model_t1, fit_t1) = fits.values()

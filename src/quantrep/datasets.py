@@ -17,11 +17,6 @@ from .errors import ParseError, ValidationError
 # save/load round trip is bit exact.
 _FLOAT_FMT = "%.17g"
 
-# Posteriors live in the open interval (0,1); saturated normal CDF values
-# are nudged inside.
-_P_LO = 1e-300
-_P_HI = 1.0 - 1e-16
-
 
 @dataclass
 class Dataset:
@@ -119,23 +114,16 @@ class LatentModelSpec:
         a, b = self.noise_scale
         return a + b * np.linalg.norm(features, axis=1)
 
-    def posterior(self, features):
-        """Analytic P(g(x) + eps(x) >= 0) for Gaussian noise."""
-        from scipy.special import ndtr
-
-        p = ndtr(self.latent_mean(features) / self.noise_sigma(features))
-        return np.clip(p, _P_LO, _P_HI)
-
 
 class LatentOracle:
     """Base classifier that knows the generating latent model exactly: its
-    ``decision`` is the posterior's logit."""
+    ``decision`` is the logit of P(y=1|x) under Gaussian noise."""
 
     def __init__(self, spec: LatentModelSpec):
         self.spec = spec
 
     def decision(self, features):
-        """The posterior's logit, log P - log(1 - P), unclipped in both tails."""
+        """The logit of P = P(y=1|x), log P - log(1 - P), unclipped in both tails."""
         from scipy.special import log_ndtr
 
         t = self.spec.latent_mean(features) / self.spec.noise_sigma(features)
@@ -256,8 +244,8 @@ def gen_latent_binary(spec: LatentModelSpec, n, seed=0):
     """Draw (x, y) from the latent model z = g(x) + eps(x), y = I[z >= 0],
     with features drawn uniformly on [-3, 3]^d.
 
-    The analytic posterior P(y=1|x) is ``spec.posterior(features)``;
-    ``LatentOracle(spec)`` serves its logit as a base classifier.
+    ``LatentOracle(spec)`` serves the logit of the analytic P(y=1|x) as a
+    base classifier; its sigmoid is that probability.
     """
     _check_seed(seed)
     if n < 1:

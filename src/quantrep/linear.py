@@ -114,17 +114,6 @@ class FitConfig:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
-def normalize_l2(clf: LinearClassifier) -> LinearClassifier:
-    """Scale (weights, bias) to unit L2 norm; decision signs are preserved."""
-    coef = clf.coefficients()
-    nrm = np.linalg.norm(coef)
-    if nrm == 0.0:
-        raise ValidationError("cannot normalize an all-zero classifier")
-    return LinearClassifier(clf.weights / nrm, clf.bias / nrm, normalized=True,
-                            converged=clf.converged, degenerate=clf.degenerate,
-                            iterations=clf.iterations)
-
-
 def _logistic_loss(theta, features, labels01, sample_weights, l2_reg):
     """Sum_i w_i * log(1 + exp(-s_i z_i)) + (l2_reg/2) * ||weights||^2 with
     s_i = 2 y_i - 1 and z = features @ weights + bias (bias unpenalized).

@@ -9,10 +9,10 @@ that the classifier at any other quantile must fit, with no constraint on
 how the base classifier itself was trained.
 
 A fitted model holds, per one-vs-rest task (class 1 alone for binary data,
-see ``represent``), 100 anchor classifiers on a tau grid plus a dense
-coefficient field obtained by natural cubic spline interpolation. Logits
-(not probabilities) are stored throughout, and all stored classifiers
-carry unit L2 coefficient norm so their logits are comparable.
+see ``represent``), a matrix of anchor coefficients, one row per tau of a
+100-point grid, plus the dense coefficient field, its natural cubic
+spline. Logits (not probabilities) are stored throughout, and every anchor
+row has unit L2 norm so their logits are comparable.
 """
 
 import json
@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, QuantrepError, ValidationError
-from .linear import (FitConfig, LinearClassifier, _sigmoid, fit_weighted_logistic,
-                     normalize_l2)
+from .linear import FitConfig, LinearClassifier, _sigmoid, fit_weighted_logistic
 
 _MONO_TOL = 1e-9
 # bytes per row block (see _block_rows) of the reductions over tau, the shift
@@ -231,15 +230,15 @@ def interpolate_coefficients(anchors, anchor_rows, dense):
 
 @dataclass
 class QuantileTask:
-    """One stored task: anchors on the model's grid plus the dense field."""
+    """One stored task: its anchor coefficients, one unit-norm (weights,
+    bias) row per anchor tau, their spline at the dense taus, and the
+    sweep's ``fit_record`` (None for a task read from a file)."""
 
     class_id: int
-    anchor_classifiers: list
-    dense_coefficients: np.ndarray  # (n_dense, d+1)
+    anchor_coefficients: np.ndarray  # (n_anchor, d+1)
+    dense_coefficients: np.ndarray   # (n_dense, d+1)
     median_agreement: float = float("nan")
-
-    def anchor_coefficients(self):
-        return np.stack([c.coefficients() for c in self.anchor_classifiers])
+    fit_record: dict | None = None
 
     def logits(self, features, out=None):
         """(n, n_dense) logits of the dense field at ``features``; with
@@ -273,9 +272,9 @@ def _check_binary_grid(class_count, grid):
 
 @dataclass
 class QuantileModel:
-    """The tasks ``_task_classes`` names, each with anchor classifiers over
-    the tau grid and the interpolated dense coefficient field, of 2 classes
-    or more. A binary model's class-0 field is the negated, tau-reflected
+    """The tasks ``_task_classes`` names, by ``int`` ids, each with its
+    anchor coefficients and the interpolated dense field, of 2 classes or
+    more. A binary model's class-0 field is the negated, tau-reflected
     class-1 field, so its dense grid must be symmetric about 1/2.
     """
 
@@ -289,10 +288,12 @@ class QuantileModel:
         if k < 2:
             raise ValidationError(f"a model needs at least 2 classes, got {k}")
         stored = [t.class_id for t in self.tasks]
-        # the count first, so that a huge class_count builds no list of ids
-        if len(stored) != (1 if k == 2 else k) or stored != _task_classes(k):
+        # the count first, so that a huge class_count builds no list of ids;
+        # a float or bool id compares equal to its int but indexes nothing
+        if (len(stored) != (1 if k == 2 else k)
+                or any(type(c) is not int for c in stored) or stored != _task_classes(k)):
             raise ValidationError(
-                f"a {k}-class model stores the tasks of classes "
+                f"a {k}-class model stores the tasks of integer classes "
                 f"{[1] if k == 2 else f'0 to {k - 1}'}, got {stored}")
         _check_binary_grid(k, self.grid)
 
@@ -340,13 +341,6 @@ def fit_base_classifiers(dataset, fit_config: FitConfig | None = None):
             for c in _task_classes(dataset.k)]
 
 
-def _dense_field(grid, anchors):
-    """The dense coefficient field of one task: the natural spline through
-    its anchor classifiers' coefficients, evaluated at the dense taus."""
-    return interpolate_coefficients(
-        grid.anchors, np.stack([c.coefficients() for c in anchors]), grid.dense)
-
-
 def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileModel:
     """Fit anchor classifiers for every (class, anchor tau) pseudo-dataset.
 
@@ -354,55 +348,64 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
     (the sigmoid of its ``decision`` logits) at 1 - tau to form
     pseudo-labels, weight them inversely to pseudo-class weight (scaling
     the dataset's sample weights, if any), fit a weighted logistic
-    classifier, and normalize it. The dense coefficient field then
-    comes from cubic interpolation across anchors. Each task's median
-    agreement (median anchor vs base at 0.5) is weighted by the sample
-    weights. Deterministic for a fixed config. Binary data takes one base
-    and a grid symmetric about 1/2, both checked before any fit.
+    classifier, and store its coefficients at unit L2 norm as that tau's
+    anchor row (an all-zero fit raises ``FitError``). The dense field is
+    the spline of the anchor rows. Each task's median agreement (median
+    anchor vs base at 0.5) is weighted by the sample weights; its
+    ``fit_record`` sums the anchors' non-converged, degenerate and Newton
+    step counts, with the base's ``converged`` and ``iterations`` if it has
+    them. Deterministic for a fixed config. Binary data takes one base and
+    a grid symmetric about 1/2, both checked before any fit.
     """
     grid = grid or QuantileGrid()
     fit_config = fit_config or FitConfig()
     bases, class_ids = _resolve_bases(base, dataset.k)
     _check_binary_grid(dataset.k, grid)
     features = dataset.features
+    median_idx = int(np.argmin(np.abs(grid.anchors - 0.5)))
 
     tasks = []
     for base_clf, class_id in zip(bases, class_ids):
         probs = _sigmoid(base_clf.decision(features))
         if np.any(np.isnan(probs)):
             raise ValidationError(f"base classifier for class {class_id} produced NaN logits")
-        anchors = []
+        anchors = np.empty((grid.anchors.size, features.shape[1] + 1))
+        record = {"nonconverged_anchors": 0, "degenerate_anchors": 0, "anchor_iterations": 0,
+                  "base_converged": getattr(base_clf, "converged", None),
+                  "base_iterations": getattr(base_clf, "iterations", None)}
         warm = None  # consecutive anchors share most pseudo-labels
-        for tau in grid.anchors:
+        for i, tau in enumerate(grid.anchors):
             try:
                 y_plus = modified_labels(probs, tau)
                 wts = class_balance_weights(y_plus, dataset.weights)
                 clf = fit_weighted_logistic(features, y_plus, wts, fit_config,
                                             warm_start=warm)
-                if not clf.degenerate:
-                    warm = clf.coefficients()
-                anchors.append(normalize_l2(clf))
+                coef = clf.coefficients()
+                norm = np.linalg.norm(coef)
+                if norm == 0.0:
+                    raise ValidationError("cannot normalize an all-zero classifier")
             except QuantrepError as exc:
                 raise FitError(str(exc), class_id=class_id, tau=float(tau)) from exc
-        dense = _dense_field(grid, anchors)
+            if not clf.degenerate:
+                warm = coef
+            anchors[i] = coef / norm
+            record["nonconverged_anchors"] += not clf.converged
+            record["degenerate_anchors"] += clf.degenerate
+            record["anchor_iterations"] += clf.iterations
+        dense = interpolate_coefficients(grid.anchors, anchors, grid.dense)
 
-        median_idx = int(np.argmin(np.abs(grid.anchors - 0.5)))
-        median_clf = anchors[median_idx]
-        agreement = float(np.average(
-            (median_clf.decision(features) >= 0) == (probs > 0.5),
-            weights=dataset.weights))
+        median = anchors[median_idx]
+        agreement = float(np.average((features @ median[:-1] + median[-1] >= 0) == (probs > 0.5),
+                                     weights=dataset.weights))
         tasks.append(QuantileTask(class_id, anchors, dense,
-                                  median_agreement=agreement))
+                                  median_agreement=agreement, fit_record=record))
     return QuantileModel(grid, tasks, dataset.k, features.shape[1])
 
 
-def fit_diagnostics(model: QuantileModel, bases):
+def fit_diagnostics(model: QuantileModel):
     """The deterministic fit diagnostics of a model ``fit_quantile_model``
-    returned, given the ``bases`` it was fitted from, one list entry per
-    task: its anchors' non-converged, degenerate and Newton-step counts,
-    and its base's ``converged`` and ``iterations`` (None for a base read
-    from a file, which was not fitted here). A model read from a file has
-    no fit record (its anchors' ``iterations`` are None) and raises
+    returned: each key of its tasks' ``fit_record`` as a list with one
+    entry per task. A model read from a file has no fit record and raises
     ``ValidationError``.
 
     Raises ``FitError`` when every anchor of a task is degenerate: its
@@ -411,25 +414,17 @@ def fit_diagnostics(model: QuantileModel, bases):
     tests of one-class instances and of symmetric constructions fit them on
     purpose; a caller that needs a usable representation checks it here.
     """
-    bases, _ = _resolve_bases(bases, model.class_count)
-    anchors = [t.anchor_classifiers for t in model.tasks]
-    if any(c.iterations is None for a in anchors for c in a):
-        raise ValidationError("fit diagnostics need a fitted model and its bases; "
+    records = [t.fit_record for t in model.tasks]
+    if any(r is None for r in records):
+        raise ValidationError("fit diagnostics need a fitted model; "
                               "a model read from a file has no fit record")
-    diagnostics = {
-        "nonconverged_anchors": [sum(not c.converged for c in a) for a in anchors],
-        "degenerate_anchors": [sum(c.degenerate for c in a) for a in anchors],
-        "anchor_iterations": [sum(c.iterations for c in a) for a in anchors],
-        "base_converged": [b.converged for b in bases],
-        "base_iterations": [b.iterations for b in bases],
-    }
-    for task, base, count in zip(model.tasks, bases, diagnostics["degenerate_anchors"]):
-        if count == len(task.anchor_classifiers):
-            unmet = "; the base fit did not converge" if base.converged is False else ""
+    for task, rec in zip(model.tasks, records):
+        if rec["degenerate_anchors"] == task.anchor_coefficients.shape[0]:
+            unmet = "; the base fit did not converge" if rec["base_converged"] is False else ""
             raise FitError("every anchor fit is degenerate: the pseudo-labels are "
                            "one class at every tau, so the task carries no "
                            f"information{unmet}", class_id=task.class_id)
-    return diagnostics
+    return {key: [r[key] for r in records] for key in records[0]}
 
 
 def represent(model: QuantileModel, features) -> QuantileRepresentation:
@@ -488,7 +483,9 @@ def _row_blocks(model: QuantileModel, features):
     """Yield ``represent(model, features[lo:hi]).values`` over row blocks of
     about ``_BLOCK_BYTES``, so a per-sample reduction over tau never holds
     the whole (n, class_count, n_dense) tensor. An empty input still gives
-    one (empty) block."""
+    one (empty) block. A one-row block takes BLAS's matrix-vector path, so
+    blocks match ``represent`` to rounding, not bit for bit; they depend on
+    the row count and the model alone, so reruns are byte-identical."""
     features = _as_float_array(features)
     rows = _block_rows(model.class_count * model.grid.n_dense)
     for lo in range(0, max(features.shape[0], 1), rows):
@@ -586,7 +583,9 @@ def save_model(model: QuantileModel, out_dir):
                 "class_id": t.class_id,
                 "median_agreement": None if np.isnan(t.median_agreement)
                 else float(t.median_agreement),
-                "anchor_classifiers": [c.to_json_dict() for c in t.anchor_classifiers],
+                "anchor_classifiers": [
+                    LinearClassifier(row[:-1], row[-1], normalized=True).to_json_dict()
+                    for row in t.anchor_coefficients],
             }
             for t in model.tasks
         ],
@@ -603,8 +602,9 @@ def save_model(model: QuantileModel, out_dir):
 def load_model(model_path) -> QuantileModel:
     """Read a model written by ``save_model`` from ``model.json`` alone.
 
-    Each task's dense field is the spline through its stored anchors
-    (``_dense_field``, as in the fit); ``model_dense.bin`` is not read. The
+    A task's anchors are read by ``LinearClassifier.from_json_dict`` and
+    stacked; its dense field is their spline, as in the fit, and it has no
+    ``fit_record``. ``model_dense.bin`` is not read. The
     schema version, the width and unit norm (to 1e-12) of every anchor,
     each ``median_agreement`` (null or a number in [0, 1]), and the class
     count, tasks and grid (as :class:`QuantileModel` does) are checked; a
@@ -626,9 +626,10 @@ def load_model(model_path) -> QuantileModel:
                 f"class_count and feature_dim in {model_path} must be integers")
         tasks = []
         for t in obj["tasks"]:
-            anchors = [LinearClassifier.from_json_dict(c) for c in t["anchor_classifiers"]]
-            if any(c.weights.shape != (feature_dim,)
-                   or abs(np.linalg.norm(c.coefficients()) - 1.0) > 1e-12 for c in anchors):
+            anchors = [LinearClassifier.from_json_dict(c).coefficients()
+                       for c in t["anchor_classifiers"]]
+            if any(c.shape != (feature_dim + 1,) or abs(np.linalg.norm(c) - 1.0) > 1e-12
+                   for c in anchors):
                 raise ValidationError(
                     f"an anchor of class {t['class_id']} in {model_path} does not "
                     f"have feature_dim = {feature_dim} weights of unit (weights, bias) norm")
@@ -637,8 +638,10 @@ def load_model(model_path) -> QuantileModel:
                     or type(agreement) in (int, float) and 0 <= agreement <= 1):
                 raise ValueError(f"median_agreement must be null or in [0, 1], "
                                  f"not {agreement!r}")
+            anchors = np.stack(anchors)
             tasks.append(QuantileTask(
-                t["class_id"], anchors, _dense_field(grid, anchors),
+                t["class_id"], anchors,
+                interpolate_coefficients(grid.anchors, anchors, grid.dense),
                 median_agreement=float("nan") if agreement is None else agreement))
     except ValidationError:
         raise

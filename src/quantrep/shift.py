@@ -108,8 +108,9 @@ class FieldGap:
 
     The two models must share class count, anchor taus and feature
     dimension, so their stored tasks and anchors pair up; the samples must
-    have that dimension too. With ``C`` a task's anchor coefficients, a t0
-    task's logits at ``P x + q`` are ``x~ @ C0'.T`` with ``x~ = (x, 1)`` and
+    have that dimension too. With ``C`` a task's ``anchor_coefficients``
+    matrix, read as stored, a t0 task's logits at ``P x + q`` are
+    ``x~ @ C0'.T`` with ``x~ = (x, 1)`` and
     ``C0' = [W0 P | b0 + W0 q]``, so each call builds ``D = C0' - C1`` per
     task and returns the mean of |x~ @ D.T| over samples, tasks and anchor
     taus. That field is evaluated in row blocks of about ``_BLOCK_BYTES``
@@ -134,7 +135,7 @@ class FieldGap:
                 f"feature dimensions differ: t0 model {model_t0.feature_dim}, "
                 f"t1 model {model_t1.feature_dim}, samples {samples.shape[1]}")
         self._padded = np.column_stack([samples, np.ones(samples.shape[0])])
-        self._pairs = [(t0.anchor_coefficients(), t1.anchor_coefficients())
+        self._pairs = [(t0.anchor_coefficients, t1.anchor_coefficients)
                        for t0, t1 in zip(model_t0.tasks, model_t1.tasks)]
         n_anchor = model_t1.grid.anchors.size
         self._buf = np.empty((min(samples.shape[0], _block_rows(n_anchor)), n_anchor))
@@ -275,7 +276,7 @@ def _estimate_affine(gap, model_t0):
     theta = minimize(_affine_objective, theta0, args=(gap, d), method="Powell").x
     inv_p = np.linalg.inv(theta[:d * d].reshape(d, d))
     best = Transform("affine", matrix=inv_p, offset=-inv_p @ theta[d * d:])
-    field_t0 = np.vstack([t.anchor_coefficients()[:, :d] for t in model_t0.tasks])
+    field_t0 = np.vstack([t.anchor_coefficients[:, :d] for t in model_t0.tasks])
     return TransformEstimate(best, gap(*best.inverse_map()), [],
                              rank_deficient=bool(np.linalg.matrix_rank(field_t0) < d))
 

@@ -10,12 +10,18 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize
-from scipy.special import expit
+from scipy.special import expit, ndtr
 
 
 def normal_cdf(x):
     """Standard normal CDF via the error function."""
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def latent_posterior(spec, features):
+    """P(y=1|x) = P(g(x) + eps(x) >= 0) of a latent model with Gaussian
+    noise: the normal CDF of its latent mean over its noise scale."""
+    return ndtr(spec.latent_mean(features) / spec.noise_sigma(features))
 
 
 def lof_bruteforce(reference, queries, k):

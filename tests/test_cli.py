@@ -214,7 +214,7 @@ class TestGenData:
         np.testing.assert_allclose(m1, [1.0, 1.0], atol=0.1)
 
     def test_latent_binary_writes_features_and_label(self, tmp_path):
-        # the posterior is not stored: LatentModelSpec(...).posterior rebuilds it
+        # P(y=1|x) is not stored: LatentOracle(spec).decision gives its logit
         rc = main(["gen-data", "latent-binary", "--out", str(tmp_path / "l"),
                    "--n", "100", "--dim", "2", "--g", "1.0,-0.5", "--seed", "3"])
         assert rc == 0
@@ -609,7 +609,7 @@ class TestOodEval:
                                         "weight-nan", "bias-inf",
                                         "agreement-text", "agreement-range",
                                         "class-count-one", "class-count-huge",
-                                        "anchor-norm"])
+                                        "anchor-norm", "class-id-float"])
     def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
@@ -642,6 +642,9 @@ class TestOodEval:
             for c in meta["tasks"][0]["anchor_classifiers"][:20]:
                 c["weights"] = [3.0 * w for w in c["weights"]]
                 c["bias"] *= 3.0
+        elif damage == "class-id-float":
+            # equal to 1, but a float id would index the representation
+            meta["tasks"][0]["class_id"] = 1.0
         else:
             meta["tasks"][0]["anchor_classifiers"][3]["bias"] = "x"
         meta_path.write_text(json.dumps(meta))

@@ -8,6 +8,8 @@ from quantrep import (
     Dataset,
     FitConfig,
     FitError,
+    LatentModelSpec,
+    LatentOracle,
     LinearClassifier,
     QuantileGrid,
     QuantileModel,
@@ -15,6 +17,8 @@ from quantrep import (
     coefficient_cross_correlation,
     fit_diagnostics,
     fit_quantile_model,
+    fit_weighted_logistic,
+    gen_latent_binary,
     load_model,
     model_class_probabilities,
     monotonicity_violation_rate,
@@ -23,6 +27,7 @@ from quantrep import (
     save_model,
 )
 from quantrep import quantile
+from quantrep.linear import _sigmoid
 from quantrep.quantile import QuantileTask, fit_base_classifiers
 
 from oracles import pearson_pair
@@ -39,6 +44,31 @@ def separable_1d(n=200, cut=0.15, margin=0.15, seed=0):
     return Dataset(x, y, 2)
 
 
+def replay_sweep(ds, base, grid):
+    """The anchor fits of one binary task, chained by hand as the sweep
+    chains them: each warm-started from the last non-degenerate fit."""
+    probs = _sigmoid(base.decision(ds.features))
+    fits, warm = [], None
+    for tau in grid.anchors:
+        y = quantile.modified_labels(probs, tau)
+        clf = fit_weighted_logistic(ds.features, y, quantile.class_balance_weights(y),
+                                    warm_start=warm)
+        if not clf.degenerate:
+            warm = clf.coefficients()
+        fits.append(clf)
+    return fits
+
+
+class FixedLogits:
+    """A base that returns the same logits whatever the features."""
+
+    def __init__(self, logits):
+        self.logits = np.asarray(logits, dtype=np.float64)
+
+    def decision(self, features):
+        return self.logits
+
+
 class TestFitQuantileModel:
     def test_anchor_boundaries_nonincreasing_in_tau(self):
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
@@ -46,8 +76,7 @@ class TestFitQuantileModel:
         base = LinearClassifier(np.array([1.0]), 0.0)  # graded, well-calibrated
         model = fit_quantile_model(ds, base, grid=SMALL_GRID)
         task = model.tasks[0]
-        bounds = [-c.bias / c.weights[0] for c in task.anchor_classifiers
-                  if not c.degenerate and abs(c.weights[0]) > 1e-12]
+        bounds = [-b / w for w, b in task.anchor_coefficients if abs(w) > 1e-12]
         assert len(bounds) >= 5
         assert all(b2 <= b1 + 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
 
@@ -59,45 +88,80 @@ class TestFitQuantileModel:
         ds = Dataset(x, (x[:, 0] > 0).astype(int), 2)
         base = LinearClassifier(np.zeros(1), 30.0)  # probability ~ 1 everywhere
         model = fit_quantile_model(ds, base, grid=SMALL_GRID)
-        for clf in model.tasks[0].anchor_classifiers:
-            assert clf.degenerate
-            assert clf.bias > 0
+        task = model.tasks[0]
+        assert task.fit_record["degenerate_anchors"] == SMALL_GRID.anchors.size
+        # a degenerate fit is a constant classifier: no weight, positive bias
+        np.testing.assert_array_equal(task.anchor_coefficients, [[0.0, 1.0]] * 25)
         rep = represent(model, x)
         assert np.all(rep.values[:, 1, :] > 0)
         assert np.ptp(rep.values[:, 1, :]) == 0.0
         with pytest.raises(FitError, match="every anchor fit is degenerate") as exc:
-            fit_diagnostics(model, base)
+            fit_diagnostics(model)
         assert exc.value.class_id == 1
+
+    def test_zero_norm_anchor_raises_fit_error(self):
+        # a base that ignores x splits each point's two copies, so at the
+        # middle taus the balanced logistic optimum is the zero vector, which
+        # has no direction to store
+        x = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+        ds = Dataset(x, np.array([0, 0, 1, 1]), 2)
+        with pytest.raises(FitError, match="all-zero classifier") as exc:
+            fit_quantile_model(ds, FixedLogits([-1.0, -1.0, 1.0, 1.0]), grid=SMALL_GRID)
+        assert exc.value.class_id == 1
+        # the first tau whose pseudo-labels split the copies: 1 - tau < sigmoid(1)
+        assert exc.value.tau == SMALL_GRID.anchors[SMALL_GRID.anchors > 1 - _sigmoid(1.0)][0]
+
+    def test_anchor_rows_are_the_chained_fits_at_unit_norm(self):
+        # each stored row is its tau's fit scaled by its norm, bit for bit,
+        # so it keeps the fit's decision signs
+        ds = separable_1d(seed=3)
+        base = fit_base_classifiers(ds)[0]
+        model = fit_quantile_model(ds, base, grid=SMALL_GRID)
+        fits = replay_sweep(ds, base, SMALL_GRID)
+        raw = np.stack([c.coefficients() for c in fits])
+        np.testing.assert_array_equal(model.tasks[0].anchor_coefficients,
+                                      [c / np.linalg.norm(c) for c in raw])
+        x = np.column_stack([ds.features, np.ones(ds.n)])
+        np.testing.assert_array_equal(np.sign(x @ raw.T),
+                                      np.sign(x @ model.tasks[0].anchor_coefficients.T))
 
     def test_fit_diagnostics_counts(self):
         ds = separable_1d(seed=3)
         bases = fit_base_classifiers(ds)
         model = fit_quantile_model(ds, bases, grid=SMALL_GRID)
-        diag = fit_diagnostics(model, bases)
-        anchors = model.tasks[0].anchor_classifiers
+        diag = fit_diagnostics(model)
+        fits = replay_sweep(ds, bases[0], SMALL_GRID)
         assert diag == {
-            "nonconverged_anchors": [sum(not c.converged for c in anchors)],
-            "degenerate_anchors": [sum(c.degenerate for c in anchors)],
-            "anchor_iterations": [sum(c.iterations for c in anchors)],
+            "nonconverged_anchors": [sum(not c.converged for c in fits)],
+            "degenerate_anchors": [sum(c.degenerate for c in fits)],
+            "anchor_iterations": [sum(c.iterations for c in fits)],
             "base_converged": [True],
             "base_iterations": [bases[0].iterations],
         }
         assert diag["anchor_iterations"][0] > 0 and diag["base_iterations"][0] > 0
         # a base read from a file was not fitted here: no base diagnostics
         loaded = [LinearClassifier.from_json_dict(b.to_json_dict()) for b in bases]
-        diag = fit_diagnostics(fit_quantile_model(ds, loaded, grid=SMALL_GRID), loaded)
+        diag = fit_diagnostics(fit_quantile_model(ds, loaded, grid=SMALL_GRID))
         assert (diag["base_converged"], diag["base_iterations"]) == ([None], [None])
 
+    def test_oracle_base_has_no_fit_record(self):
+        # any object with decision can be the base; an oracle was never fitted
+        spec = LatentModelSpec(np.array([1.0]))
+        ds = gen_latent_binary(spec, 200, seed=1)
+        diag = fit_diagnostics(fit_quantile_model(ds, LatentOracle(spec), grid=SMALL_GRID))
+        assert (diag["base_converged"], diag["base_iterations"]) == ([None], [None])
+        assert diag["anchor_iterations"][0] > 0
+
     def test_fit_diagnostics_needs_the_bases(self, tmp_path):
-        # the caller that fitted the model passes its bases, one per task;
-        # a model read from a file has no fit record to count, bases or not
+        # the fit record is taken while the bases are swept; a model read
+        # from a file was not fitted there and has none, so its fit cannot
+        # be checked
         base = LinearClassifier(np.ones(1), 0.0)
         model = fit_quantile_model(separable_1d(), base, grid=SMALL_GRID)
-        with pytest.raises(ValidationError, match="base classifier"):
-            fit_diagnostics(model, [base, base])
+        assert fit_diagnostics(model)["base_converged"] == [True]
         save_model(model, tmp_path)
         with pytest.raises(ValidationError, match="no fit record"):
-            fit_diagnostics(load_model(tmp_path / "model.json"), base)
+            fit_diagnostics(load_model(tmp_path / "model.json"))
 
     def test_deterministic_given_seeds(self):
         ds = separable_1d(seed=3)
@@ -117,7 +181,7 @@ class TestFitQuantileModel:
         duplicated = Dataset(np.vstack([x, x[:6]]), np.concatenate([y, y[:6]]), 2)
         fc = FitConfig(l2_reg=0.1, max_iter=5000, tol=1e-12)
         a, b = (fit_quantile_model(ds, fit_base_classifiers(ds, fc), grid=SMALL_GRID,
-                                   fit_config=fc).tasks[0].anchor_coefficients()
+                                   fit_config=fc).tasks[0].anchor_coefficients
                 for ds in (weighted, duplicated))
         np.testing.assert_allclose(a, b, atol=1e-8)
 
@@ -125,7 +189,7 @@ class TestFitQuantileModel:
         ds = separable_1d(seed=4)
         base = fit_base_classifiers(ds, FitConfig(l2_reg=0.5))[0]
         model = fit_quantile_model(ds, base, grid=SMALL_GRID)
-        co = model.tasks[0].anchor_coefficients()
+        co = model.tasks[0].anchor_coefficients
         np.testing.assert_allclose(np.linalg.norm(co, axis=1), 1.0, atol=1e-12)
 
     def test_dense_matches_anchors_at_anchor_taus(self):
@@ -135,9 +199,9 @@ class TestFitQuantileModel:
         task = model.tasks[0]
         from quantrep import interpolate_coefficients
         at_anchors = interpolate_coefficients(model.grid.anchors,
-                                              task.anchor_coefficients(),
+                                              task.anchor_coefficients,
                                               model.grid.anchors)
-        assert np.abs(at_anchors - task.anchor_coefficients()).max() < 1e-9
+        assert np.abs(at_anchors - task.anchor_coefficients).max() < 1e-9
 
     def test_median_anchor_agrees_with_base(self):
         ds = separable_1d(seed=6)
@@ -405,11 +469,12 @@ class TestSerialization:
         np.testing.assert_array_equal(back.grid.dense, model.grid.dense)
         np.testing.assert_array_equal(back.tasks[0].dense_coefficients,
                                       model.tasks[0].dense_coefficients)
-        for a, b in zip(model.tasks[0].anchor_classifiers,
-                        back.tasks[0].anchor_classifiers):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            assert a.bias == b.bias
-            assert b.normalized
+        np.testing.assert_array_equal(back.tasks[0].anchor_coefficients,
+                                      model.tasks[0].anchor_coefficients)
+        with open(path) as fh:
+            stored = json.load(fh)["tasks"][0]["anchor_classifiers"]
+        assert all(c["normalized"] for c in stored)
+        assert back.tasks[0].fit_record is None
         rep_a = represent(model, ds.features[:7])
         rep_b = represent(back, ds.features[:7])
         np.testing.assert_array_equal(rep_a.values, rep_b.values)

@@ -126,7 +126,7 @@ class TestMatchingObjective:
 
 def anchor_logits(task, x):
     """(n, n_anchor) logits of ``task``'s anchor classifiers at ``x``."""
-    return np.column_stack([x, np.ones(x.shape[0])]) @ task.anchor_coefficients().T
+    return np.column_stack([x, np.ones(x.shape[0])]) @ task.anchor_coefficients.T
 
 
 def stacked_gap(m0, m1, back, x):
@@ -403,7 +403,7 @@ class TestEstimateTransform:
                            np.repeat([0, 1], 2 * n), 2)
 
         m0 = fit_model(mirrored(0))
-        assert np.abs(m0.tasks[0].anchor_coefficients()[:, 1]).max() < 1e-12
+        assert np.abs(m0.tasks[0].anchor_coefficients[:, 1]).max() < 1e-12
         truth = Transform("orthogonal-2d", angle=math.radians(123.4))
         fresh = mirrored(1)
         d1 = Dataset(truth.apply(fresh.features), fresh.labels, 2)

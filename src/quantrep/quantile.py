@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, QuantrepError, ValidationError
-from .linear import FitConfig, LinearClassifier, _sigmoid, fit_weighted_logistic
+from .errors import FitError, ValidationError
+from .linear import (FitConfig, LinearClassifier, _constant_bias, _newton, _sigmoid,
+                     fit_weighted_logistic)
 
 _MONO_TOL = 1e-9
 # bytes per row block (see _block_rows) of the reductions over tau, the shift
@@ -341,6 +342,51 @@ def fit_base_classifiers(dataset, fit_config: FitConfig | None = None):
             for c in _task_classes(dataset.k)]
 
 
+def _anchor_fits(features, probs, sample_weights, taus, median_idx, config):
+    """The raw logistic fits of one task's anchors: their (n_anchor, d+1)
+    coefficients, per anchor whether its fit converged and whether it is
+    degenerate, and the Newton steps summed over the distinct fits.
+
+    The pseudo-label sets I[p > 1 - tau] are nested in tau, so anchors with
+    the same positive count have the same labels: they share one fit,
+    counted once. A one-class set gets the constant classifier of
+    ``fit_weighted_logistic``. The median anchor is fit from zero. Every
+    other set starts from its coefficients with the bias moved by
+    -(max z over y=0 + min z over y=1)/2, z the median fit's logits, so
+    that the start's boundary splits the data where the set's labels do
+    (from a one-class median the start is zero). Those fits run in groups
+    of ``_block_rows(n)``, one ``_newton`` stack each, so a stacked
+    (group, n) array takes one ``_BLOCK_BYTES`` block.
+    """
+    n, d = features.shape
+    counts = n - np.searchsorted(np.sort(probs), 1.0 - taus, side="right")
+    counts, first, which = np.unique(counts, return_index=True, return_inverse=True)
+    one_class = (counts == 0) | (counts == n)
+    coefs = np.zeros((counts.size, d + 1))
+    coefs[one_class, d] = np.where(counts[one_class] == n, _constant_bias(1), _constant_bias(0))
+    converged = np.ones(counts.size, dtype=bool)
+    steps = np.zeros(counts.size, dtype=np.int64)
+
+    def fit(sets, start):
+        labels = modified_labels(probs, taus[first[sets], None]).astype(np.float64)
+        weights = np.stack([class_balance_weights(y, sample_weights) for y in labels])
+        z = LinearClassifier(start[:d], start[d]).decision(features)
+        starts = np.repeat(start[None], sets.size, axis=0)
+        starts[:, d] -= 0.5 * (np.max(np.where(labels == 0, z, -np.inf), axis=1)
+                               + np.min(np.where(labels == 1, z, np.inf), axis=1))
+        coefs[sets], converged[sets], steps[sets] = _newton(
+            features, labels, weights, starts, config)
+
+    median = which[median_idx]
+    if not one_class[median]:
+        fit(np.array([median]), np.zeros(d + 1))
+    rest = np.flatnonzero(~one_class & (np.arange(counts.size) != median))
+    group = _block_rows(n)
+    for lo in range(0, rest.size, group):
+        fit(rest[lo:lo + group], coefs[median])
+    return coefs[which], converged[which], one_class[which], int(np.sum(steps))
+
+
 def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileModel:
     """Fit anchor classifiers for every (class, anchor tau) pseudo-dataset.
 
@@ -348,14 +394,18 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
     (the sigmoid of its ``decision`` logits) at 1 - tau to form
     pseudo-labels, weight them inversely to pseudo-class weight (scaling
     the dataset's sample weights, if any), fit a weighted logistic
-    classifier, and store its coefficients at unit L2 norm as that tau's
-    anchor row (an all-zero fit raises ``FitError``). The dense field is
-    the spline of the anchor rows. Each task's median agreement (median
-    anchor vs base at 0.5) is weighted by the sample weights; its
-    ``fit_record`` sums the anchors' non-converged, degenerate and Newton
-    step counts, with the base's ``converged`` and ``iterations`` if it has
-    them. Deterministic for a fixed config. Binary data takes one base and
-    a grid symmetric about 1/2, both checked before any fit.
+    classifier (``_anchor_fits``: equal label sets share one fit, the
+    median anchor's fit starts from zero and every other from it, and they
+    run in stacked groups of ``_block_rows(n)``), and store its
+    coefficients at unit L2 norm as that tau's anchor row (an all-zero fit
+    raises ``FitError`` at the first such tau). The dense field is the
+    spline of the anchor rows. Each task's median agreement (median anchor
+    vs base at 0.5) is weighted by the sample weights; its ``fit_record``
+    counts the non-converged and degenerate anchors and sums the Newton
+    steps of the distinct fits, with the base's ``converged`` and
+    ``iterations`` if it has them. Deterministic for a fixed config. Binary
+    data takes one base and a grid symmetric about 1/2, both checked before
+    any fit.
     """
     grid = grid or QuantileGrid()
     fit_config = fit_config or FitConfig()
@@ -369,29 +419,18 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
         probs = _sigmoid(base_clf.decision(features))
         if np.any(np.isnan(probs)):
             raise ValidationError(f"base classifier for class {class_id} produced NaN logits")
-        anchors = np.empty((grid.anchors.size, features.shape[1] + 1))
-        record = {"nonconverged_anchors": 0, "degenerate_anchors": 0, "anchor_iterations": 0,
+        coefs, converged, degenerate, iterations = _anchor_fits(
+            features, probs, dataset.weights, grid.anchors, median_idx, fit_config)
+        norms = np.linalg.norm(coefs, axis=1)
+        if np.any(norms == 0.0):
+            raise FitError("cannot normalize an all-zero classifier", class_id=class_id,
+                           tau=float(grid.anchors[np.argmax(norms == 0.0)]))
+        anchors = coefs / norms[:, None]
+        record = {"nonconverged_anchors": int(np.sum(~converged)),
+                  "degenerate_anchors": int(np.sum(degenerate)),
+                  "anchor_iterations": iterations,
                   "base_converged": getattr(base_clf, "converged", None),
                   "base_iterations": getattr(base_clf, "iterations", None)}
-        warm = None  # consecutive anchors share most pseudo-labels
-        for i, tau in enumerate(grid.anchors):
-            try:
-                y_plus = modified_labels(probs, tau)
-                wts = class_balance_weights(y_plus, dataset.weights)
-                clf = fit_weighted_logistic(features, y_plus, wts, fit_config,
-                                            warm_start=warm)
-                coef = clf.coefficients()
-                norm = np.linalg.norm(coef)
-                if norm == 0.0:
-                    raise ValidationError("cannot normalize an all-zero classifier")
-            except QuantrepError as exc:
-                raise FitError(str(exc), class_id=class_id, tau=float(tau)) from exc
-            if not clf.degenerate:
-                warm = coef
-            anchors[i] = coef / norm
-            record["nonconverged_anchors"] += not clf.converged
-            record["degenerate_anchors"] += clf.degenerate
-            record["anchor_iterations"] += clf.iterations
         dense = interpolate_coefficients(grid.anchors, anchors, grid.dense)
 
         median = anchors[median_idx]

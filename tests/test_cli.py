@@ -16,7 +16,6 @@ import quantrep
 from quantrep import (Dataset, LatentModelSpec, gen_gaussian_pair, gen_latent_binary,
                       gen_two_moons, load_dataset, save_dataset)
 from quantrep.cli import FIT_DEFAULTS, GEN_DEFAULTS, build_parser, main
-from quantrep.errors import ValidationError
 
 
 def read(path):
@@ -559,11 +558,14 @@ class TestFitQuantile:
 
         base_dir = run_fit(tmp_path, "bm", moons_dir / "id.csv")
 
-        def boom(*args, **kwargs):
-            raise ValidationError("synthetic failure")
+        def zero_fits(features, probs, sample_weights, taus, median_idx, config):
+            count = taus.size
+            return (np.zeros((count, features.shape[1] + 1)), np.ones(count, dtype=bool),
+                    np.zeros(count, dtype=bool), 0)
 
-        # fail inside the anchor loop (the base model is loaded from disk)
-        monkeypatch.setattr(q, "fit_weighted_logistic", boom)
+        # fail inside the anchor sweep (the base model is loaded from disk):
+        # an all-zero fit has no direction to store
+        monkeypatch.setattr(q, "_anchor_fits", zero_fits)
         rc = main(["fit-quantile", "--data", str(moons_dir / "id.csv"),
                    "--base-model", str(base_dir / "base.json"),
                    "--out", str(tmp_path / "f"), "--anchors", "6",

@@ -156,6 +156,13 @@ class TestWeightedLogistic:
         assert fit_weighted_logistic(x, y, config=FitConfig(max_iter=1)).iterations == 1
         assert fit_weighted_logistic(x, np.ones(100)).iterations == 0
 
+    @pytest.mark.parametrize("start", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                                       [0.0, 0.0], [[0.0, 0.0, 0.0]]])
+    def test_warm_start_must_be_a_finite_coefficient_vector(self, start):
+        x = np.random.default_rng(3).normal(size=(20, 2))
+        with pytest.raises(ValidationError, match="warm_start"):
+            fit_weighted_logistic(x, np.arange(20) % 2, warm_start=start)
+
     def test_curvature_gives_finite_difference_hessian(self):
         # Newton's Hessian X~^T diag(curvature) X~ + diag(l2, .., l2, 0)
         rng = np.random.default_rng(12)
@@ -299,8 +306,9 @@ class TestNormalize:
 
     @staticmethod
     def stored_rows(raw, monkeypatch):
-        fits = iter(raw)
-        monkeypatch.setattr(quantile, "fit_weighted_logistic", lambda *a, **k: next(fits))
+        coefs, count = np.stack([c.coefficients() for c in raw]), len(raw)
+        monkeypatch.setattr(quantile, "_anchor_fits", lambda *a, **k: (
+            coefs, np.ones(count, dtype=bool), np.zeros(count, dtype=bool), 0))
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(size=(40, raw[0].weights.size)), np.arange(40) % 2, 2)
         grid = QuantileGrid(np.linspace(0.01, 0.99, len(raw)), np.linspace(0.01, 0.99, 50))
@@ -365,3 +373,6 @@ def test_every_latent_anchor_converges_at_default_config():
     model = fit_quantile_model(ds, bases)
     assert bases[0].converged
     assert model.tasks[0].fit_record["nonconverged_anchors"] == 0
+    # 746 Newton steps is what warm-starting each anchor from the previous
+    # one takes here; the median start must save steps, not cost them
+    assert model.tasks[0].fit_record["anchor_iterations"] <= 746

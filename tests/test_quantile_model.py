@@ -18,7 +18,9 @@ from quantrep import (
     fit_diagnostics,
     fit_quantile_model,
     fit_weighted_logistic,
+    gen_gaussian_pair,
     gen_latent_binary,
+    gen_two_moons,
     load_model,
     model_class_probabilities,
     monotonicity_violation_rate,
@@ -45,18 +47,33 @@ def separable_1d(n=200, cut=0.15, margin=0.15, seed=0):
 
 
 def replay_sweep(ds, base, grid):
-    """The anchor fits of one binary task, chained by hand as the sweep
-    chains them: each warm-started from the last non-degenerate fit."""
+    """The anchor fits of one task, each a standalone
+    ``fit_weighted_logistic`` started as the sweep starts it: the median
+    anchor from zero; an anchor whose pseudo-labels equal an earlier
+    anchor's takes that fit; any other from the median fit, its bias moved
+    by -(max z over y=0 + min z over y=1)/2, z the median fit's logits.
+    Returns the fit of each anchor and the list of distinct fits."""
     probs = _sigmoid(base.decision(ds.features))
-    fits, warm = [], None
-    for tau in grid.anchors:
-        y = quantile.modified_labels(probs, tau)
-        clf = fit_weighted_logistic(ds.features, y, quantile.class_balance_weights(y),
-                                    warm_start=warm)
-        if not clf.degenerate:
-            warm = clf.coefficients()
-        fits.append(clf)
-    return fits
+    labels = [quantile.modified_labels(probs, tau) for tau in grid.anchors]
+    median_idx = int(np.argmin(np.abs(grid.anchors - 0.5)))
+
+    def fit(y, start):
+        return fit_weighted_logistic(ds.features, y,
+                                     quantile.class_balance_weights(y, ds.weights),
+                                     warm_start=start)
+
+    median = fit(labels[median_idx], None)
+    z = median.decision(ds.features)
+    distinct = {labels[median_idx].tobytes(): median}
+    fits = []
+    for y in labels:
+        if y.tobytes() not in distinct:
+            start = median.coefficients()
+            if 0 < y.sum() < y.size:
+                start[-1] -= (z[y == 0].max() + z[y == 1].min()) / 2
+            distinct[y.tobytes()] = fit(y, start)
+        fits.append(distinct[y.tobytes()])
+    return fits, list(distinct.values())
 
 
 class FixedLogits:
@@ -111,13 +128,15 @@ class TestFitQuantileModel:
         # the first tau whose pseudo-labels split the copies: 1 - tau < sigmoid(1)
         assert exc.value.tau == SMALL_GRID.anchors[SMALL_GRID.anchors > 1 - _sigmoid(1.0)][0]
 
-    def test_anchor_rows_are_the_chained_fits_at_unit_norm(self):
+    def test_anchor_rows_are_the_replayed_fits_at_unit_norm(self):
         # each stored row is its tau's fit scaled by its norm, bit for bit,
-        # so it keeps the fit's decision signs
+        # so it keeps the fit's decision signs; every tau here shares the
+        # median's labels, so the sweep and the replay make the same one fit
         ds = separable_1d(seed=3)
         base = fit_base_classifiers(ds)[0]
         model = fit_quantile_model(ds, base, grid=SMALL_GRID)
-        fits = replay_sweep(ds, base, SMALL_GRID)
+        fits, distinct = replay_sweep(ds, base, SMALL_GRID)
+        assert len(distinct) == 1
         raw = np.stack([c.coefficients() for c in fits])
         np.testing.assert_array_equal(model.tasks[0].anchor_coefficients,
                                       [c / np.linalg.norm(c) for c in raw])
@@ -126,15 +145,17 @@ class TestFitQuantileModel:
                                       np.sign(x @ model.tasks[0].anchor_coefficients.T))
 
     def test_fit_diagnostics_counts(self):
-        ds = separable_1d(seed=3)
+        # anchors are counted one by one, Newton steps once per distinct fit
+        ds = gen_latent_binary(LatentModelSpec([6.0, -3.0]), 300, seed=2)
         bases = fit_base_classifiers(ds)
         model = fit_quantile_model(ds, bases, grid=SMALL_GRID)
         diag = fit_diagnostics(model)
-        fits = replay_sweep(ds, bases[0], SMALL_GRID)
+        fits, distinct = replay_sweep(ds, bases[0], SMALL_GRID)
+        assert 1 < len(distinct) < len(fits)
         assert diag == {
             "nonconverged_anchors": [sum(not c.converged for c in fits)],
             "degenerate_anchors": [sum(c.degenerate for c in fits)],
-            "anchor_iterations": [sum(c.iterations for c in fits)],
+            "anchor_iterations": [sum(c.iterations for c in distinct)],
             "base_converged": [True],
             "base_iterations": [bases[0].iterations],
         }
@@ -259,6 +280,70 @@ class TestFitQuantileModel:
         for base in (ProbabilityOnly(), [ProbabilityOnly()]):
             with pytest.raises(ValidationError, match="decision"):
                 fit_quantile_model(ds, base, grid=SMALL_GRID)
+
+
+def three_blobs(n_per_class=200, seed=31):
+    rng = np.random.default_rng(seed)
+    centers = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]])
+    feats = np.vstack([c + rng.normal(0, 0.8, (n_per_class, 2)) for c in centers])
+    return Dataset(feats, np.repeat(np.arange(3), n_per_class), 3)
+
+
+class TestAnchorSweep:
+    """The stacked sweep of ``fit_quantile_model`` against standalone fits
+    of the same pseudo-labels."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_latent_binary(
+            LatentModelSpec([1.0, -0.7, 0.5, 0.3, -0.2, 0.8, -0.4, 0.1]), 600, seed=1),
+        lambda: gen_two_moons(1000, seed=1)[0],
+        three_blobs,
+    ], ids=["latent-binary", "two-moons", "three-class"])
+    def test_rows_agree_with_standalone_fits(self, make):
+        # a fit from zero and the sweep's fit both stop at ||g|| <= 1e-8 W;
+        # where few points carry one label the fit is near separable and
+        # its Hessian small, so unit rows met to 5e-7 on latent-binary and
+        # 3.5e-6 on the three classes; the bound is 1e-5
+        ds = make()
+        bases = fit_base_classifiers(ds)
+        model = fit_quantile_model(ds, bases)
+        worst = 0.0
+        for base, task in zip(bases, model.tasks):
+            probs = _sigmoid(base.decision(ds.features))
+            for tau, row in zip(model.grid.anchors, task.anchor_coefficients):
+                y = quantile.modified_labels(probs, tau)
+                coef = fit_weighted_logistic(ds.features, y,
+                                             quantile.class_balance_weights(y)).coefficients()
+                worst = max(worst, np.abs(row - coef / np.linalg.norm(coef)).max())
+        assert worst <= 1e-5
+
+    def test_equal_label_sets_give_bit_identical_rows(self):
+        ds = gen_gaussian_pair([[0.0, 0.0], [3.0, 3.0]], [[0.8, 0.8], [0.8, 0.8]], 200,
+                               seed=4)
+        base = fit_base_classifiers(ds)[0]
+        model = fit_quantile_model(ds, base)
+        probs = _sigmoid(base.decision(ds.features))
+        counts = [quantile.modified_labels(probs, tau).sum() for tau in model.grid.anchors]
+        rows = model.tasks[0].anchor_coefficients
+        shared = [i for i in range(1, len(counts)) if counts[i] == counts[i - 1]]
+        assert shared and len(set(counts)) > 2
+        for i in shared:
+            np.testing.assert_array_equal(rows[i], rows[i - 1])
+
+    def test_sweep_holds_a_few_blocks(self):
+        # at 8 000 rows one (n_anchor, n) float64 stack is 6 blocks, and a
+        # Newton round holds about a dozen stacks; in groups of
+        # _block_rows(n) anchors the sweep peaked at 15 blocks
+        ds = gen_latent_binary(LatentModelSpec([1.0, -0.5]), 8000, seed=3)
+        base = fit_base_classifiers(ds)[0]
+        assert ds.n * QuantileGrid().anchors.size * 8 > 6 * quantile._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            fit_quantile_model(ds, base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * quantile._BLOCK_BYTES
 
 
 class TestRepresent:

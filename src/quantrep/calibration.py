@@ -187,7 +187,9 @@ CORRUPTIONS = ("gaussian-noise", "feature-scaling", "feature-shift")
 
 
 def corrupt_features(features, corruption, severity, seed=0):
-    """Apply one synthetic corruption; severity 0 is an exact no-op."""
+    """Apply one synthetic corruption; severity 0 is an exact no-op. A
+    severity so large that the corrupted features overflow raises
+    ``ValidationError`` naming the corruption and the severity."""
     _check_seed(seed)
     features = np.asarray(features, dtype=np.float64)
     if corruption not in CORRUPTIONS:
@@ -195,12 +197,19 @@ def corrupt_features(features, corruption, severity, seed=0):
     if severity == 0:
         return features.copy()
     sigma = features.std(axis=0)
-    if corruption == "gaussian-noise":
-        rng = np.random.default_rng(seed)
-        return features + rng.normal(0.0, 1.0, features.shape) * (severity * sigma)
-    if corruption == "feature-scaling":
-        return features * (1.0 + severity)
-    return features + severity * sigma
+    # an overflow is reported below as an error, not as a warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        if corruption == "gaussian-noise":
+            rng = np.random.default_rng(seed)
+            out = features + rng.normal(0.0, 1.0, features.shape) * (severity * sigma)
+        elif corruption == "feature-scaling":
+            out = features * (1.0 + severity)
+        else:
+            out = features + severity * sigma
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{corruption} at severity {severity:g} makes the features "
+                              "overflow to non-finite values")
+    return out
 
 
 @dataclass

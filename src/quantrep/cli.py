@@ -174,6 +174,24 @@ def _fit_config(cfg):
     return FitConfig(**{f.name: cfg[f.name] for f in fields(FitConfig) if f.name in cfg})
 
 
+def _physical_memory():
+    """Bytes of physical memory, the most a fit's size flags may ask for."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_fit_size(cfg, dataset):
+    """Refuse, before any grid is built, size flags whose anchor and dense
+    fields, 8 (anchors + dense) (d+1) bytes per task, exceed physical
+    memory: numpy would start to fill them, and the kernel kill the run."""
+    tasks = 1 if dataset.k == 2 else dataset.k  # _task_classes's count, with no list built
+    need = 8 * (cfg["anchors"] + cfg["dense"]) * (dataset.d + 1) * tasks
+    if need > _physical_memory():
+        raise ValidationError(
+            f"--anchors {cfg['anchors']} and --dense {cfg['dense']} need {need} bytes for "
+            f"{tasks} task(s) of {dataset.d + 1} coefficients, more than the "
+            f"{_physical_memory()} bytes of physical memory")
+
+
 def _grid(cfg):
     # a negative count gives an empty grid, which QuantileGrid rejects
     return QuantileGrid(*(np.linspace(cfg["tau_min"], cfg["tau_max"], max(cfg[key], 0))
@@ -189,7 +207,7 @@ def _load_bases(path):
         obj = json.load(fh)
     try:
         return [LinearClassifier.from_json_dict(c) for c in obj["classifiers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed base model file {path}: {exc!r}") from exc
 
 
@@ -240,9 +258,10 @@ def _check_fit(model, fit_config, epoch=""):
 def cmd_fit_quantile(args, stages):
     cfg = _resolve(args, FIT_DEFAULTS)
     fit_config = _fit_config(cfg)
-    grid = _grid(cfg)
     dataset = load_dataset(args.data)
     bases = _load_bases(args.base_model) if args.base_model else None
+    _check_fit_size(cfg, dataset)
+    grid = _grid(cfg)
     stages("load")
     if bases is None:
         bases = fit_base_classifiers(dataset, fit_config)

@@ -43,17 +43,14 @@ def _sigmoid(z):
 class LinearClassifier:
     """Weight vector plus bias for one binary task.
 
-    When ``normalized`` is set, the L2 norm of the concatenated
-    (weights, bias) vector is 1. ``converged``, ``degenerate`` and
-    ``iterations`` (solver steps, 0 for a degenerate fit) are fit
-    diagnostics and are not serialized: a classifier read back by
-    ``from_json_dict`` was not fitted there, so its ``converged`` and
-    ``iterations`` are None.
+    ``converged``, ``degenerate`` and ``iterations`` (solver steps, 0 for a
+    degenerate fit) are fit diagnostics and are not serialized: a
+    classifier read back by ``from_json_dict`` was not fitted there, so its
+    ``converged`` and ``iterations`` are None.
     """
 
     weights: np.ndarray
     bias: float
-    normalized: bool = False
     converged: bool | None = True
     degenerate: bool = False
     iterations: int | None = 0
@@ -80,17 +77,15 @@ class LinearClassifier:
         return np.concatenate([self.weights, [self.bias]])
 
     def to_json_dict(self):
-        return {
-            "weights": [float(w) for w in self.weights],
-            "bias": float(self.bias),
-            "normalized": bool(self.normalized),
-        }
+        return {"weights": [float(w) for w in self.weights], "bias": float(self.bias)}
 
     @classmethod
     def from_json_dict(cls, obj):
-        clf = cls(np.asarray(obj["weights"], dtype=np.float64),
-                  float(obj["bias"]),
-                  normalized=bool(obj["normalized"]), converged=None, iterations=None)
+        extra = sorted(set(obj) - {"weights", "bias"})
+        if extra:
+            raise ValueError(f"a classifier holds only weights and bias, not {extra}")
+        clf = cls(np.asarray(obj["weights"], dtype=np.float64), float(obj["bias"]),
+                  converged=None, iterations=None)
         if clf.weights.ndim != 1:
             raise ValueError(f"classifier weights must be a list of numbers, "
                              f"not an array of shape {clf.weights.shape}")

@@ -8,11 +8,11 @@ the base classifier's probabilities therefore yields the pseudo-labels
 that the classifier at any other quantile must fit, with no constraint on
 how the base classifier itself was trained.
 
-A fitted model holds, per one-vs-rest task (class 1 alone for binary data,
-see ``represent``), a matrix of anchor coefficients, one row per tau of a
-100-point grid, plus the dense coefficient field, its natural cubic
-spline. Logits (not probabilities) are stored throughout, and every anchor
-row has unit L2 norm so their logits are comparable.
+A fitted model is its anchors: per one-vs-rest task (class 1 alone for
+binary data, see ``represent``), a matrix of coefficients, one row per tau
+of a 100-point grid. ``QuantileModel`` derives the dense field, their
+natural cubic spline. Logits (not probabilities) are stored throughout,
+and every anchor row has unit L2 norm so their logits are comparable.
 """
 
 import json
@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .linear import (FitConfig, LinearClassifier, _constant_bias, _newton, _sigmoid,
-                     fit_weighted_logistic)
+from .linear import FitConfig, _constant_bias, _newton, _sigmoid, fit_weighted_logistic
 
 _MONO_TOL = 1e-9
 # bytes per row block (see _block_rows) of the reductions over tau, the shift
@@ -32,7 +31,7 @@ _MONO_TOL = 1e-9
 # temporaries then stay within a 2 MiB L2 cache: on a 2-vCPU Xeon, 4 MiB
 # blocks ran the 2 000-row moons passes over tau about 2x slower
 _BLOCK_BYTES = 2**20
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +231,14 @@ def interpolate_coefficients(anchors, anchor_rows, dense):
 @dataclass
 class QuantileTask:
     """One stored task: its anchor coefficients, one unit-norm (weights,
-    bias) row per anchor tau, their spline at the dense taus, and the
-    sweep's ``fit_record`` (None for a task read from a file)."""
+    bias) row per anchor tau, and the sweep's ``fit_record`` (None for a
+    task read from a file). Its model sets ``dense_coefficients``."""
 
     class_id: int
     anchor_coefficients: np.ndarray  # (n_anchor, d+1)
-    dense_coefficients: np.ndarray   # (n_dense, d+1)
     median_agreement: float = float("nan")
     fit_record: dict | None = None
+    dense_coefficients: np.ndarray = field(init=False, default=None, repr=False)  # (n_dense, d+1)
 
     def logits(self, features, out=None):
         """(n, n_dense) logits of the dense field at ``features``; with
@@ -273,16 +272,16 @@ def _check_binary_grid(class_count, grid):
 
 @dataclass
 class QuantileModel:
-    """The tasks ``_task_classes`` names, by ``int`` ids, each with its
-    anchor coefficients and the interpolated dense field, of 2 classes or
-    more. A binary model's class-0 field is the negated, tau-reflected
-    class-1 field, so its dense grid must be symmetric about 1/2.
+    """The tasks ``_task_classes`` names, by ``int`` ids, of 2 classes or
+    more, their anchors (n_anchor, d+1) float matrices of one width. It
+    sets each task's dense field, the anchors' spline at ``grid.dense``. A
+    binary model's class-0 field is the negated, tau-reflected class-1
+    field, so its dense grid must be symmetric about 1/2.
     """
 
     grid: QuantileGrid
     tasks: list
     class_count: int
-    feature_dim: int
 
     def __post_init__(self):
         k = self.class_count
@@ -297,6 +296,20 @@ class QuantileModel:
                 f"a {k}-class model stores the tasks of integer classes "
                 f"{[1] if k == 2 else f'0 to {k - 1}'}, got {stored}")
         _check_binary_grid(k, self.grid)
+        rows = [_as_float_array(t.anchor_coefficients) for t in self.tasks]
+        shape = (self.grid.anchors.size, rows[0].shape[-1] if rows[0].ndim == 2 else 0)
+        if shape[1] < 2 or any(r.shape != shape for r in rows):
+            raise ValidationError(f"every task needs a ({shape[0]}, d+1) anchor matrix of "
+                                  f"one width d+1 >= 2, got {[r.shape for r in rows]}")
+        for task, anchors in zip(self.tasks, rows):
+            task.anchor_coefficients = anchors
+            task.dense_coefficients = interpolate_coefficients(
+                self.grid.anchors, anchors, self.grid.dense)
+
+    @property
+    def feature_dim(self):
+        """d, read off the width d+1 of the anchor rows."""
+        return self.tasks[0].anchor_coefficients.shape[1] - 1
 
 
 @dataclass
@@ -370,7 +383,7 @@ def _anchor_fits(features, probs, sample_weights, taus, median_idx, config):
     def fit(sets, start):
         labels = modified_labels(probs, taus[first[sets], None]).astype(np.float64)
         weights = np.stack([class_balance_weights(y, sample_weights) for y in labels])
-        z = LinearClassifier(start[:d], start[d]).decision(features)
+        z = features @ start[:d] + start[d]
         starts = np.repeat(start[None], sets.size, axis=0)
         starts[:, d] -= 0.5 * (np.max(np.where(labels == 0, z, -np.inf), axis=1)
                                + np.min(np.where(labels == 1, z, np.inf), axis=1))
@@ -398,14 +411,13 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
     median anchor's fit starts from zero and every other from it, and they
     run in stacked groups of ``_block_rows(n)``), and store its
     coefficients at unit L2 norm as that tau's anchor row (an all-zero fit
-    raises ``FitError`` at the first such tau). The dense field is the
-    spline of the anchor rows. Each task's median agreement (median anchor
-    vs base at 0.5) is weighted by the sample weights; its ``fit_record``
-    counts the non-converged and degenerate anchors and sums the Newton
-    steps of the distinct fits, with the base's ``converged`` and
-    ``iterations`` if it has them. Deterministic for a fixed config. Binary
-    data takes one base and a grid symmetric about 1/2, both checked before
-    any fit.
+    raises ``FitError`` at the first such tau). Each task's median
+    agreement (median anchor vs base at 0.5) is weighted by the sample
+    weights; its ``fit_record`` counts the non-converged and degenerate
+    anchors and sums the Newton steps of the distinct fits, with the base's
+    ``converged`` and ``iterations`` if it has them. Deterministic for a
+    fixed config. Binary data takes one base and a grid symmetric about
+    1/2, both checked before any fit.
     """
     grid = grid or QuantileGrid()
     fit_config = fit_config or FitConfig()
@@ -431,14 +443,13 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
                   "anchor_iterations": iterations,
                   "base_converged": getattr(base_clf, "converged", None),
                   "base_iterations": getattr(base_clf, "iterations", None)}
-        dense = interpolate_coefficients(grid.anchors, anchors, grid.dense)
 
         median = anchors[median_idx]
         agreement = float(np.average((features @ median[:-1] + median[-1] >= 0) == (probs > 0.5),
                                      weights=dataset.weights))
-        tasks.append(QuantileTask(class_id, anchors, dense,
-                                  median_agreement=agreement, fit_record=record))
-    return QuantileModel(grid, tasks, dataset.k, features.shape[1])
+        tasks.append(QuantileTask(class_id, anchors, median_agreement=agreement,
+                                  fit_record=record))
+    return QuantileModel(grid, tasks, dataset.k)
 
 
 def fit_diagnostics(model: QuantileModel):
@@ -597,12 +608,13 @@ def raw_feature_correlation(features):
 # ---------------------------------------------------------------------------
 
 def save_model(model: QuantileModel, out_dir):
-    """Write ``model.json`` and ``model_dense.bin``, which it names in
+    """Write ``model.json``, with each task's anchor rows under
+    ``anchor_coefficients``, and ``model_dense.bin``, which it names in
     ``dense_file``; returns the ``model.json`` path.
 
     The sidecar holds the dense field as little-endian float64, shaped
-    ``dense_shape``. It is an export for other tools: ``load_model`` reads
-    ``model.json`` alone and rebuilds the field from the anchors.
+    ``dense_shape``: an export for other tools, as ``load_model`` reads
+    ``model.json`` alone.
     """
     os.makedirs(out_dir, exist_ok=True)
     dense = np.stack([t.dense_coefficients for t in model.tasks])
@@ -612,7 +624,6 @@ def save_model(model: QuantileModel, out_dir):
     obj = {
         "schema_version": _SCHEMA_VERSION,
         "class_count": model.class_count,
-        "feature_dim": model.feature_dim,
         "grid": {
             "anchors": [float(v) for v in model.grid.anchors],
             "dense": [float(v) for v in model.grid.dense],
@@ -622,9 +633,7 @@ def save_model(model: QuantileModel, out_dir):
                 "class_id": t.class_id,
                 "median_agreement": None if np.isnan(t.median_agreement)
                 else float(t.median_agreement),
-                "anchor_classifiers": [
-                    LinearClassifier(row[:-1], row[-1], normalized=True).to_json_dict()
-                    for row in t.anchor_coefficients],
+                "anchor_coefficients": t.anchor_coefficients.tolist(),
             }
             for t in model.tasks
         ],
@@ -641,13 +650,12 @@ def save_model(model: QuantileModel, out_dir):
 def load_model(model_path) -> QuantileModel:
     """Read a model written by ``save_model`` from ``model.json`` alone.
 
-    A task's anchors are read by ``LinearClassifier.from_json_dict`` and
-    stacked; its dense field is their spline, as in the fit, and it has no
-    ``fit_record``. ``model_dense.bin`` is not read. The
-    schema version, the width and unit norm (to 1e-12) of every anchor,
-    each ``median_agreement`` (null or a number in [0, 1]), and the class
-    count, tasks and grid (as :class:`QuantileModel` does) are checked; a
-    missing or malformed field or any mismatch raises ``ValidationError``.
+    Any ``schema_version`` but 2 raises. A task's ``anchor_coefficients``
+    are read as one float array of finite rows of unit (weights, bias) norm
+    (to 1e-12), and the task has no ``fit_record``. Each ``median_agreement``
+    (null or a number in [0, 1]) and, as :class:`QuantileModel` builds the
+    dense field, the class count, tasks, grid and anchor shapes are checked;
+    a missing or malformed field or any mismatch raises ``ValidationError``.
     """
     with open(model_path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -655,35 +663,31 @@ def load_model(model_path) -> QuantileModel:
         version = obj["schema_version"]
         if version != _SCHEMA_VERSION:
             raise ValidationError(
-                f"unsupported model schema_version {version!r} "
-                f"(expected {_SCHEMA_VERSION})")
+                f"{model_path} has model schema_version {version!r}, but only version "
+                f"{_SCHEMA_VERSION} is read: re-run fit-quantile to write the model again")
         grid = QuantileGrid(np.asarray(obj["grid"]["anchors"], dtype=np.float64),
                             np.asarray(obj["grid"]["dense"], dtype=np.float64))
-        class_count, feature_dim = obj["class_count"], obj["feature_dim"]
-        if not (isinstance(class_count, int) and isinstance(feature_dim, int)):
-            raise ValidationError(
-                f"class_count and feature_dim in {model_path} must be integers")
+        class_count = obj["class_count"]
+        if not isinstance(class_count, int):
+            raise ValidationError(f"class_count in {model_path} must be an integer")
         tasks = []
         for t in obj["tasks"]:
-            anchors = [LinearClassifier.from_json_dict(c).coefficients()
-                       for c in t["anchor_classifiers"]]
-            if any(c.shape != (feature_dim + 1,) or abs(np.linalg.norm(c) - 1.0) > 1e-12
-                   for c in anchors):
+            anchors = np.asarray(t["anchor_coefficients"], dtype=np.float64)
+            if not (np.all(np.isfinite(anchors)) and np.all(
+                    np.abs(np.linalg.norm(anchors, axis=-1) - 1.0) <= 1e-12)):
                 raise ValidationError(
-                    f"an anchor of class {t['class_id']} in {model_path} does not "
-                    f"have feature_dim = {feature_dim} weights of unit (weights, bias) norm")
+                    f"the anchor coefficients of class {t['class_id']} in {model_path} "
+                    "are not finite rows of unit (weights, bias) norm")
             agreement = t["median_agreement"]
             if not (agreement is None
                     or type(agreement) in (int, float) and 0 <= agreement <= 1):
                 raise ValueError(f"median_agreement must be null or in [0, 1], "
                                  f"not {agreement!r}")
-            anchors = np.stack(anchors)
             tasks.append(QuantileTask(
                 t["class_id"], anchors,
-                interpolate_coefficients(grid.anchors, anchors, grid.dense),
                 median_agreement=float("nan") if agreement is None else agreement))
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model file {model_path}: {exc!r}") from exc
-    return QuantileModel(grid, tasks, class_count, feature_dim)
+    return QuantileModel(grid, tasks, class_count)

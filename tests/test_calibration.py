@@ -25,30 +25,32 @@ from quantrep.quantile import QuantileTask
 from oracles import ece_bruteforce, isotonic_minmax, latent_posterior
 
 
-def linear_1d_model(dense_coefficients):
+ANCHOR_TAUS = np.linspace(0.0005, 0.9995, 10)
+
+
+def linear_1d_model(anchor_coefficients):
     """Single-task binary model on one feature whose class-1 logit at x is
-    w(tau) * x + b(tau), with (w, b) the rows of ``dense_coefficients``."""
-    dense = np.asarray(dense_coefficients, dtype=np.float64)
-    grid = QuantileGrid(np.linspace(0.0005, 0.9995, 10),
-                        np.linspace(0.0005, 0.9995, dense.shape[0]))
-    return QuantileModel(grid, [QuantileTask(1, [], dense)], 2, 1)
+    w(tau) * x + b(tau), with (w, b) the spline, on 1 000 dense taus, of
+    the rows of ``anchor_coefficients`` at ``ANCHOR_TAUS``."""
+    grid = QuantileGrid(ANCHOR_TAUS, np.linspace(0.0005, 0.9995, 1000))
+    return QuantileModel(grid, [QuantileTask(1, anchor_coefficients)], 2)
 
 
 class TestQuantileProbability:
     def test_all_positive_profile(self):
-        model = linear_1d_model(np.tile([0.0, 1.0], (1000, 1)))
+        model = linear_1d_model(np.tile([0.0, 1.0], (10, 1)))
         probs = model_class_probabilities(model, np.zeros((3, 1)))
         np.testing.assert_array_equal(probs[:, 1], 1.0)
 
     def test_crossing_at_tau_star(self):
-        taus = np.linspace(0.0005, 0.9995, 1000)
-        model = linear_1d_model(np.column_stack([np.zeros(1000), taus - 0.3]))
+        # the spline of a linear function is that function: b(tau) = tau - 0.3
+        model = linear_1d_model(np.column_stack([np.zeros(10), ANCHOR_TAUS - 0.3]))
         p = model_class_probabilities(model, np.zeros((1, 1)))[0, 1]
         assert abs(p - 0.7) <= 1.1 / 1000  # within one grid step
 
     def test_binary_classes_complement(self):
         rng = np.random.default_rng(0)
-        model = linear_1d_model(rng.normal(size=(1000, 2)))
+        model = linear_1d_model(rng.normal(size=(10, 2)))
         probs = model_class_probabilities(model, rng.normal(size=(20, 1)))
         assert np.abs(probs[:, 0] + probs[:, 1] - 1.0).max() <= 1e-12
 

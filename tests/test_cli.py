@@ -522,7 +522,7 @@ class TestFitQuantile:
     def test_two_base_classifiers_for_binary_data_exit_2(self, tmp_path, moons_dir,
                                                            capsys):
         base = tmp_path / "base.json"
-        clf = {"weights": [1.0, -1.0], "bias": 0.0, "normalized": False}
+        clf = {"weights": [1.0, -1.0], "bias": 0.0}
         base.write_text(json.dumps({"classifiers": [clf, clf]}))
         rc = main(["fit-quantile", "--data", str(moons_dir / "id.csv"),
                    "--base-model", str(base), "--out", str(tmp_path / "f"),
@@ -579,7 +579,7 @@ class TestFitQuantile:
                      "--n", "200"]) == 0
         base = tmp_path / "base.json"
         base.write_text(json.dumps({"classifiers": [
-            {"weights": [0.0], "bias": 50.0, "normalized": False}]}))
+            {"weights": [0.0], "bias": 50.0}]}))
         out = tmp_path / "f"
         assert main(["fit-quantile", "--data", str(tmp_path / "d" / "data.csv"),
                      "--base-model", str(base), "--out", str(out)]) == 3
@@ -611,11 +611,13 @@ class TestOodEval:
                                         "weight-nan", "bias-inf",
                                         "agreement-text", "agreement-range",
                                         "class-count-one", "class-count-huge",
-                                        "anchor-norm", "class-id-float"])
+                                        "anchor-norm", "class-id-float",
+                                        "row-count", "width", "int-overflow"])
     def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
         meta = json.loads(meta_path.read_text())
+        rows = meta["tasks"][0]["anchor_coefficients"]  # (weights, bias) per anchor
         if damage == "schema-version":
             meta["schema_version"] = 99
         elif damage == "task-count":
@@ -625,12 +627,13 @@ class TestOodEval:
         elif damage == "missing-field":
             del meta["grid"]
         elif damage == "weights-length":
-            for c in meta["tasks"][0]["anchor_classifiers"]:
-                c["weights"].append(0.0)
+            # a model of 3 features, which the 2-feature data does not match
+            for row in rows:
+                row.insert(-1, 0.0)
         elif damage == "weight-nan":
-            meta["tasks"][0]["anchor_classifiers"][3]["weights"][0] = float("nan")
+            rows[3][0] = float("nan")
         elif damage == "bias-inf":
-            meta["tasks"][0]["anchor_classifiers"][3]["bias"] = float("inf")
+            rows[3][-1] = float("inf")
         elif damage == "agreement-text":
             meta["tasks"][0]["median_agreement"] = "x"
         elif damage == "agreement-range":
@@ -641,14 +644,19 @@ class TestOodEval:
         elif damage == "class-count-huge":
             meta["class_count"] = 10**20
         elif damage == "anchor-norm":
-            for c in meta["tasks"][0]["anchor_classifiers"][:20]:
-                c["weights"] = [3.0 * w for w in c["weights"]]
-                c["bias"] *= 3.0
+            rows[:10] = [[3.0 * v for v in row] for row in rows[:10]]
         elif damage == "class-id-float":
             # equal to 1, but a float id would index the representation
             meta["tasks"][0]["class_id"] = 1.0
+        elif damage == "row-count":
+            del rows[5]
+        elif damage == "width":
+            rows[7].insert(-1, 0.0)
+        elif damage == "int-overflow":
+            # JSON holds integers of any size; this one has no float
+            rows[3][-1] = 10**400
         else:
-            meta["tasks"][0]["anchor_classifiers"][3]["bias"] = "x"
+            rows[3][-1] = "x"
         meta_path.write_text(json.dumps(meta))
         rc = main(["ood-eval", "--model", str(model),
                    "--train", str(moons_dir / "id.csv"),
@@ -663,6 +671,30 @@ class TestOodEval:
         for cmd in ("calib-eval", "xcorr"):
             assert main([cmd, "--model", str(model), "--data", str(moons_dir / "id.csv"),
                          "--out", str(tmp_path / cmd)]) == 2
+
+    def test_schema_1_model_exit_2(self, tmp_path, moons_dir, capsys):
+        # a version-1 file held each anchor as a classifier dict; no code reads
+        # it, and every reader says which version it has and what to do
+        model = run_fit(tmp_path, "m", moons_dir / "id.csv")
+        meta_path = model / "model.json"
+        meta = json.loads(meta_path.read_text())
+        meta["schema_version"], meta["feature_dim"] = 1, 2
+        for task in meta["tasks"]:
+            task["anchor_classifiers"] = [{"weights": row[:-1], "bias": row[-1],
+                                           "normalized": True}
+                                          for row in task.pop("anchor_coefficients")]
+        meta_path.write_text(json.dumps(meta))
+        data = str(moons_dir / "id.csv")
+        for argv in (["ood-eval", "--train", data, "--test-id", data,
+                      "--test-ood", str(moons_dir / "ood.csv")],
+                     ["calib-eval", "--data", data], ["xcorr", "--data", data]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--model", str(model), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "schema_version 1" in err and "version 2" in err
+            assert "re-run fit-quantile" in err
+            assert list(out.iterdir()) == []
 
     def test_feature_dimension_mismatch_exit_2(self, tmp_path, moons_dir):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
@@ -693,7 +725,7 @@ class TestOodEval:
                      "--out", str(tmp_path / "calib")]) == 2
 
     @pytest.mark.parametrize("damage", ["no-bias", "no-classifiers", "bias-nan",
-                                        "weight-inf"])
+                                        "weight-inf", "extra-key", "int-overflow"])
     def test_malformed_base_json_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         base = json.loads((model / "base.json").read_text())
@@ -703,15 +735,28 @@ class TestOodEval:
             base["classifiers"][0]["bias"] = float("nan")
         elif damage == "weight-inf":
             base["classifiers"][0]["weights"][1] = float("-inf")
+        elif damage == "int-overflow":
+            base["classifiers"][0]["bias"] = 10**400
+        elif damage == "extra-key":
+            # the flag a version-1 base.json carried; an entry is weights and bias
+            base["classifiers"][0]["normalized"] = False
         else:
             base = {"clf": []}
         (model / "base.json").write_text(json.dumps(base))
         data = str(moons_dir / "id.csv")
         for argv in (["ood-eval", "--train", data, "--test-id", data,
                       "--test-ood", str(moons_dir / "ood.csv")],
-                     ["calib-eval", "--data", data]):
-            assert main([*argv, "--model", str(model), "--out", str(tmp_path / argv[0])]) == 2
-            assert f"malformed base model file {model / 'base.json'}" in capsys.readouterr().err
+                     ["calib-eval", "--data", data],
+                     ["fit-quantile", "--data", data, "--base-model",
+                      str(model / "base.json"), "--anchors", "8", "--dense", "40"]):
+            if argv[0] != "fit-quantile":
+                argv += ["--model", str(model)]
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"malformed base model file {model / 'base.json'}" in err
+            assert damage != "extra-key" or "'normalized'" in err
+            assert list(out.iterdir()) == []
 
     def test_defaults_in_resolved_config(self, tmp_path, moons_dir, moons_model):
         out = tmp_path / "ood"
@@ -824,6 +869,22 @@ class TestCalibEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "cal" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("corruption", ["gaussian-noise", "feature-scaling"])
+    def test_overflowing_severity_exit_2(self, tmp_path, moons_dir, moons_model, corruption,
+                                         capsys):
+        # a finite severity whose corrupted features overflow: the error
+        # names it, where the confidences it breaks would be blamed instead
+        # (pytest turns the overflow warnings it would raise into errors)
+        out = tmp_path / "cal"
+        rc = main(["calib-eval", "--model", str(moons_model), "--data",
+                   str(moons_dir / "id.csv"), "--out", str(out),
+                   "--corruption", corruption, "--severities", "0,1e308"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{corruption} at severity 1e+308" in err
+        assert list(out.iterdir()) == []
 
     def test_weighted_data_exit_2(self, tmp_path, moons_dir, moons_model, capsys):
         weighted = write_weighted(tmp_path, moons_dir / "id.csv")
@@ -1194,6 +1255,44 @@ def test_size_past_memory_exit_2(tmp_path, moons_dir, moons_model, pair_files, a
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("classes, need", [(2, 8 * (8 + 40) * 3), (3, 8 * (8 + 40) * 3 * 3)])
+def test_fit_size_bound_is_the_fields_byte_count(tmp_path, moons_dir, monkeypatch, classes,
+                                                 need, capsys):
+    # 8 bytes x (anchors + dense) x (d+1) x tasks, with d = 2 and one task for
+    # binary data, one per class otherwise: a fit fits at exactly that much
+    # memory and exits 2, writing nothing, at one byte less
+    import quantrep.cli as cli
+    data = moons_dir / "id.csv"
+    if classes == 3:
+        ds = load_dataset(data)
+        data = tmp_path / "three.csv"
+        x = ds.features[:, 0]
+        save_dataset(Dataset(ds.features, np.digitize(x, np.quantile(x, [1 / 3, 2 / 3])), 3),
+                     data)
+    argv = ["fit-quantile", "--data", str(data), "--anchors", "8", "--dense", "40"]
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert main([*argv, "--out", str(tmp_path / "at")]) == 0
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    out = tmp_path / "past"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"need {need} bytes" in err and f"{need - 1} bytes of physical memory" in err
+    assert list(out.iterdir()) == []
+
+
+def test_dense_past_memory_exits_before_allocating(tmp_path, moons_dir, monkeypatch):
+    # with 7.8 GiB, --dense 10**9 plans 24 GB: refused before its linspace
+    # is built, as filling it would exhaust memory
+    import quantrep.cli as cli
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8_419_655_680)
+    monkeypatch.setattr(cli, "_grid", lambda cfg: pytest.fail("grid built"))
+    out = tmp_path / "o"
+    assert main(["fit-quantile", "--data", str(moons_dir / "id.csv"),
+                 "--dense", "1000000000", "--out", str(out)]) == 2
     assert list(out.iterdir()) == []
 
 

@@ -42,6 +42,42 @@ def test_tracer_after_hooks_name_public_functions():
         assert inspect.isfunction(getattr(importlib.import_module(f"quantrep.{short}"), attr))
 
 
+def test_tracer_after_hooks_read_real_results(tmp_path):
+    # each hook runs on what its function returns for tiny inputs, in every
+    # call form it reads: a result field or argument name that a hook reads
+    # and the library dropped fails here rather than in a traced run
+    from quantrep import (Dataset, QuantileGrid, fit_base_classifiers, fit_quantile_model,
+                          save_dataset)
+    tracer = _load("tracer")
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 2))
+    ds = Dataset(x, (x[:, 0] + rng.normal(size=40) > 0).astype(int), 2)
+    save_dataset(ds, tmp_path / "d.csv")
+    grid = QuantileGrid(np.linspace(0.05, 0.95, 6), np.linspace(0.05, 0.95, 20))
+    model = fit_quantile_model(ds, fit_base_classifiers(ds), grid=grid)
+    calls = [
+        ("linear.fit_weighted_logistic", (x, ds.labels), {},
+         {"linear.nonconverged": 0, "linear.degenerate": 0}),
+        ("linear.fit_weighted_logistic", (x, np.ones(40, dtype=int)), {},
+         {"linear.nonconverged": 0, "linear.degenerate": 1}),
+        ("quantile.represent", (model, x[:5]), {}, {"quantile.represent.bytes": 5 * 2 * 20 * 8}),
+        ("ood.lof_scores", (x, x[:7]), {"k": 5},
+         {"ood.lof_scores.dist_bytes": (40 * 40 + 7 * 40) * 8}),
+        ("ood.lof_scores", (), {"reference": x, "queries": x[:7], "k": 5},
+         {"ood.lof_scores.dist_bytes": (40 * 40 + 7 * 40) * 8}),
+        ("datasets.load_dataset", (str(tmp_path / "d.csv"),), {},
+         {"datasets.load_dataset.rows": 40}),
+    ]
+    assert {name for name, *_ in calls} == set(tracer.AFTER)
+    for name, args, kwargs, expected in calls:
+        short, attr = name.split(".")
+        out = getattr(importlib.import_module(f"quantrep.{short}"), attr)(*args, **kwargs)
+        counts = {}
+        tracer.AFTER[name](out, args, kwargs,
+                           lambda key, value: counts.update({key: counts.get(key, 0) + value}))
+        assert counts == expected, name
+
+
 def test_oracle_imports_exist():
     tree = ast.parse((PERFBENCH / "oracle.py").read_text(encoding="utf-8"))
     imports = [(node.module, alias.name) for node in ast.walk(tree)

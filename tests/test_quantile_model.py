@@ -257,18 +257,42 @@ class TestFitQuantileModel:
         assert [t.class_id for t in model.tasks] == [0, 1, 2]
 
     def test_binary_model_with_two_tasks_rejected(self):
-        dense = np.zeros((SMALL_GRID.n_dense, 2))
+        anchors = np.zeros((SMALL_GRID.anchors.size, 2))
         with pytest.raises(ValidationError, match="stores the tasks"):
-            QuantileModel(SMALL_GRID, [QuantileTask(0, [], dense),
-                                       QuantileTask(1, [], dense)], 2, 1)
+            QuantileModel(SMALL_GRID, [QuantileTask(0, anchors),
+                                       QuantileTask(1, anchors)], 2)
 
     def test_class_count_below_two_or_past_the_tasks_rejected(self):
-        tasks = [QuantileTask(1, [], np.zeros((SMALL_GRID.n_dense, 2)))]
+        tasks = [QuantileTask(1, np.zeros((SMALL_GRID.anchors.size, 2)))]
         with pytest.raises(ValidationError, match="at least 2 classes"):
-            QuantileModel(SMALL_GRID, tasks, 1, 1)
+            QuantileModel(SMALL_GRID, tasks, 1)
         # counted before any list of 10**20 class ids is built
         with pytest.raises(ValidationError, match="stores the tasks"):
-            QuantileModel(SMALL_GRID, tasks, 10**20, 1)
+            QuantileModel(SMALL_GRID, tasks, 10**20)
+
+    @pytest.mark.parametrize("shapes", [[(24, 3)], [(26, 3)], [(25, 1)], [(25,)], [()],
+                                        [(25, 3, 1)], [(25, 3), (25, 3), (25, 4)]],
+                             ids=["rows-short", "rows-long", "no-weights", "vector",
+                                  "scalar", "3-d", "widths-differ"])
+    def test_anchor_matrix_of_another_shape_rejected(self, shapes):
+        tasks = [QuantileTask(c if len(shapes) > 1 else 1, np.ones(shape))
+                 for c, shape in enumerate(shapes)]
+        with pytest.raises(ValidationError, match="anchor matrix"):
+            QuantileModel(SMALL_GRID, tasks, 2 if len(shapes) == 1 else len(shapes))
+
+    def test_model_builds_the_dense_field_from_the_anchors(self):
+        # whoever builds the model, the dense field is the anchors' spline,
+        # and the model's feature dimension is read off the anchor width
+        rng = np.random.default_rng(26)
+        anchors = [rng.normal(size=(SMALL_GRID.anchors.size, 4)).tolist() for _ in range(3)]
+        model = QuantileModel(SMALL_GRID, [QuantileTask(c, a) for c, a in enumerate(anchors)], 3)
+        assert model.feature_dim == 3
+        for task, rows in zip(model.tasks, anchors):
+            assert task.anchor_coefficients.dtype == np.float64
+            np.testing.assert_array_equal(task.anchor_coefficients, rows)
+            np.testing.assert_array_equal(
+                task.dense_coefficients,
+                quantile.interpolate_coefficients(SMALL_GRID.anchors, rows, SMALL_GRID.dense))
 
     def test_base_without_decision_rejected(self):
         # every base is read through its logits; probabilities alone do not do
@@ -392,34 +416,32 @@ class TestRepresent:
             represent(model, np.zeros((3, 2)))
 
 
-def linear_1d_model(dense_coefficients):
+def linear_1d_model(anchor_coefficients):
     """Single-task binary model on one feature whose class-1 logit at x is
-    w(tau) * x + b(tau), with (w, b) the rows of ``dense_coefficients``."""
-    dense = np.asarray(dense_coefficients, dtype=np.float64)
-    grid = QuantileGrid(np.linspace(0.01, 0.99, 10),
-                        np.linspace(0.01, 0.99, dense.shape[0]))
-    return QuantileModel(grid, [QuantileTask(1, [], dense)], 2, 1)
+    w(tau) * x + b(tau), with (w, b) the spline, on 50 dense taus, of the
+    rows of ``anchor_coefficients`` at 10 anchor taus."""
+    grid = QuantileGrid(np.linspace(0.01, 0.99, 10), np.linspace(0.01, 0.99, 50))
+    return QuantileModel(grid, [QuantileTask(1, anchor_coefficients)], 2)
 
 
 def random_field_model(class_count, n_dense=200, d=2, seed=0):
-    """Model with a random (far from monotone) dense field: one task for
-    binary, one per class otherwise."""
+    """Model whose anchors are random rows, so that its dense field is far
+    from monotone: one task for binary, one per class otherwise."""
     rng = np.random.default_rng(seed)
     grid = QuantileGrid(np.linspace(0.01, 0.99, 10), np.linspace(0.01, 0.99, n_dense))
     ids = [1] if class_count == 2 else range(class_count)
-    tasks = [QuantileTask(c, [], rng.normal(size=(n_dense, d + 1)))
-             for c in ids]
-    return QuantileModel(grid, tasks, class_count, d)
+    tasks = [QuantileTask(c, rng.normal(size=(10, d + 1))) for c in ids]
+    return QuantileModel(grid, tasks, class_count)
 
 
 class TestMonotonicity:
     def test_increasing_profile_zero(self):
         # the logit at x = 1 increases in tau; so does the class-0 mirror
-        model = linear_1d_model(np.column_stack([np.linspace(-1, 1, 50), np.zeros(50)]))
+        model = linear_1d_model(np.column_stack([np.linspace(-1, 1, 10), np.zeros(10)]))
         assert monotonicity_violation_rate(model, np.ones((1, 1))).aggregate == 0.0
 
     def test_decreasing_profile_one(self):
-        model = linear_1d_model(np.column_stack([np.linspace(1, -1, 50), np.zeros(50)]))
+        model = linear_1d_model(np.column_stack([np.linspace(1, -1, 10), np.zeros(10)]))
         assert monotonicity_violation_rate(model, np.ones((1, 1))).aggregate == 1.0
 
     def test_separable_end_to_end_below_one_percent(self):
@@ -557,8 +579,13 @@ class TestSerialization:
         np.testing.assert_array_equal(back.tasks[0].anchor_coefficients,
                                       model.tasks[0].anchor_coefficients)
         with open(path) as fh:
-            stored = json.load(fh)["tasks"][0]["anchor_classifiers"]
-        assert all(c["normalized"] for c in stored)
+            stored = json.load(fh)
+        # schema 2: a task is its anchor rows; the width gives feature_dim
+        assert stored["schema_version"] == 2 and "feature_dim" not in stored
+        assert set(stored["tasks"][0]) == {"class_id", "median_agreement",
+                                           "anchor_coefficients"}
+        assert stored["tasks"][0]["anchor_coefficients"] == \
+            model.tasks[0].anchor_coefficients.tolist()
         assert back.tasks[0].fit_record is None
         rep_a = represent(model, ds.features[:7])
         rep_b = represent(back, ds.features[:7])

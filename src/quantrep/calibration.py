@@ -28,10 +28,11 @@ def model_class_probabilities(model: QuantileModel, features):
 
     This is the Riemann form of integrating I[logit(x, tau) >= 0] over tau.
     The representation is evaluated in row blocks, never as a whole. Across
-    classes the probabilities need not sum to 1.
+    classes the probabilities need not sum to 1. A class whose logits at a
+    sample are not all finite gets probability NaN there.
     """
-    return np.concatenate([np.mean(v >= 0, axis=2)
-                           for v in _row_blocks(model, features)])
+    return np.concatenate([np.where(np.all(np.isfinite(v), axis=2), np.mean(v >= 0, axis=2),
+                                    np.nan) for v in _row_blocks(model, features)])
 
 
 @dataclass
@@ -196,9 +197,9 @@ def corrupt_features(features, corruption, severity, seed=0):
         raise ValidationError(f"unknown corruption: {corruption!r}")
     if severity == 0:
         return features.copy()
-    sigma = features.std(axis=0)
     # an overflow is reported below as an error, not as a warning here
     with np.errstate(over="ignore", invalid="ignore"):
+        sigma = features.std(axis=0)
         if corruption == "gaussian-noise":
             rng = np.random.default_rng(seed)
             out = features + rng.normal(0.0, 1.0, features.shape) * (severity * sigma)
@@ -251,7 +252,7 @@ def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
     Both maps are fit once, on the clean QUANT stream, and re-applied at
     every severity; they adjust confidences only, so their accuracy is
     QUANT's. ``severities`` must be nonempty, ascending, finite and >= 0,
-    and every label must be a class of the model.
+    every label must be a class of the model, and every logit finite.
     """
     severities = [float(s) for s in severities]
     if not severities or not all(math.isfinite(s) and s >= 0 for s in severities):
@@ -264,7 +265,15 @@ def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
     if labels.max() >= k:  # a Dataset holds at least one row
         raise ValidationError(f"label {labels.max()} is not a class of the {k}-class model")
 
-    conf, correct = _stream(model_class_probabilities(model, features), labels)
+    def scores(x, what):
+        # an overflow is reported as an error naming ``what``, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            quant, logits = model_class_probabilities(model, x), _base_logits(base, x, k)
+        if not (np.all(np.isfinite(quant)) and np.all(np.isfinite(logits))):
+            raise ValidationError(f"{what} makes a logit overflow to a non-finite value")
+        return quant, logits
+
+    conf, correct = _stream(scores(features, "the clean data")[0], labels)
     # Platt consumes logit-scale scores so a calibrated stream maps to a
     # near-identity correction
     platt_map = platt_fit(_logit(conf), correct)
@@ -273,8 +282,9 @@ def corruption_sweep(model: QuantileModel, base, clean_data, corruption,
     report = MetricsReport()
     for severity in severities:
         x = corrupt_features(features, corruption, severity, seed=seed)
-        conf, correct = _stream(model_class_probabilities(model, x), labels)
-        msp_conf, msp_correct = _stream(_sigmoid(_base_logits(base, x, k)), labels)
+        quant, logits = scores(x, f"{corruption} at severity {severity:g}")
+        conf, correct = _stream(quant, labels)
+        msp_conf, msp_correct = _stream(_sigmoid(logits), labels)
         for method, confidence, hits in (
             ("QUANT", conf, correct),
             ("MSP", msp_conf, msp_correct),

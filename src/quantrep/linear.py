@@ -6,9 +6,10 @@ unknowns, so each step solves the exact (d+1)x(d+1) Hessian system and
 backtracks until the Armijo condition holds. One loop (``_newton``) runs a
 stack of fits that share their features, each with its own labels,
 weights, start and step count: a task's anchors in one stack, a base or
-Platt fit as a stack of one. The sigmoid-MAE fit is
-non-convex and runs scipy's L-BFGS-B from seeded Gaussian multi-starts;
-scipy is imported there only, so a logistic fit loads no scipy module.
+Platt fit as a stack of one; a fit that sees one label alone ends there at
+a constant classifier. The sigmoid-MAE fit is non-convex and runs scipy's
+L-BFGS-B from seeded Gaussian multi-starts; scipy is imported there only,
+so a logistic fit loads no scipy module.
 Both losses are sums over samples, so the stopping rule scales with them:
 a fit has converged when the gradient's L2 norm is at most
 ``tol * max(1, sum of sample weights)`` (``n`` for the sigmoid-MAE fit),
@@ -164,10 +165,6 @@ def _logistic_loss(theta, features, labels01, sample_weights, l2_reg):
             *_loss_derivatives(z, theta, padded_t, labels01, sample_weights, l2_reg))
 
 
-def _constant_bias(label_value):
-    return _DEGENERATE_LOGIT if label_value == 1 else -_DEGENERATE_LOGIT
-
-
 def _validate_fit_inputs(features, labels01, sample_weights):
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
@@ -302,18 +299,27 @@ def _newton(features, labels01, sample_weights, theta0, config):
     restarts that fit once from zero: a start with saturated margins (the
     optimum of a separable neighbour at ``l2_reg = 0``) has a Hessian near
     zero along the directions that matter. One that fails from zero ends
-    the fit where it stands. Returns ``(theta, converged, steps)``, one
-    row or entry per fit; converged means ||g||_2 <= tol * max(1, W) at
-    the returned point, W the fit's total weight.
+    the fit where it stands. A fit whose labels are one class is
+    degenerate: it ends, converged, after 0 steps at the constant
+    classifier of that class (zero weights, bias +-``_DEGENERATE_LOGIT``),
+    whatever its start, which may be infinite. Returns ``(theta,
+    converged, steps, degenerate)``, one row or entry per fit; converged
+    means degenerate or ||g||_2 <= tol * max(1, W) at the returned point,
+    W the fit's total weight.
     """
     l2_reg = config.l2_reg
     bound = config.tol * np.maximum(1.0, np.sum(sample_weights, axis=1))
     padded_t, signs = _padded_transpose(features), 1.0 - 2.0 * labels01
     theta = np.array(theta0, dtype=np.float64)
+    # an empty row has no class, so it is not degenerate
+    high = np.max(labels01, axis=1, initial=0.0)
+    degenerate = high == np.min(labels01, axis=1, initial=1.0)
+    theta[degenerate] = 0.0
+    theta[degenerate, -1] = np.where(high[degenerate] == 1, _DEGENERATE_LOGIT, -_DEGENERATE_LOGIT)
     value, grad, curv = _logistic_loss(theta, features, labels01, sample_weights, l2_reg)
     cold = ~np.any(theta, axis=1)
     steps = np.zeros(theta.shape[0], dtype=np.int64)
-    ended = np.zeros(theta.shape[0], dtype=bool)
+    ended = degenerate.copy()
     while True:
         running = np.flatnonzero((np.linalg.norm(grad, axis=1) > bound)
                                  & (steps < config.max_iter) & ~ended)
@@ -335,7 +341,7 @@ def _newton(features, labels01, sample_weights, theta0, config):
             theta[restart], cold[restart] = 0.0, True
             value[restart], grad[restart], curv[restart] = _logistic_loss(
                 theta[restart], features, labels01[restart], sample_weights[restart], l2_reg)
-    return theta, np.linalg.norm(grad, axis=1) <= bound, steps
+    return theta, (np.linalg.norm(grad, axis=1) <= bound) | degenerate, steps, degenerate
 
 
 def fit_weighted_logistic(features, labels01, sample_weights=None,
@@ -347,9 +353,8 @@ def fit_weighted_logistic(features, labels01, sample_weights=None,
     The objective is convex, so the returned minimizer does not depend on
     the start; ``warm_start``, a finite coefficient vector of length d+1
     (``ValidationError`` otherwise), only saves steps. Single-label input
-    does not error: it returns a constant classifier (zero weights,
-    large-magnitude bias of the observed class) flagged as degenerate,
-    because extreme-quantile pseudo-datasets are routinely one-class.
+    does not error: ``_newton`` returns the constant classifier of the
+    observed class, flagged as degenerate.
     """
     config = config or FitConfig()
     features, labels01, sample_weights = _validate_fit_inputs(
@@ -360,15 +365,10 @@ def fit_weighted_logistic(features, labels01, sample_weights=None,
     if theta0.shape != (d + 1,) or not np.all(np.isfinite(theta0)):
         raise ValidationError(f"warm_start must be a finite vector of length {d + 1}")
 
-    uniq = np.unique(labels01)
-    if uniq.size == 1:
-        return LinearClassifier(np.zeros(d), _constant_bias(int(uniq[0])),
-                                degenerate=True)
-
-    theta, converged, steps = _newton(features, labels01[None], sample_weights[None],
-                                      theta0[None], config)
+    theta, converged, steps, degenerate = _newton(
+        features, labels01[None], sample_weights[None], theta0[None], config)
     return LinearClassifier(theta[0, :d], theta[0, d], converged=bool(converged[0]),
-                            iterations=int(steps[0]))
+                            degenerate=bool(degenerate[0]), iterations=int(steps[0]))
 
 
 def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None) -> LinearClassifier:
@@ -378,16 +378,15 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None) -> Line
     of several starts is returned: zero, five seeded Gaussian draws
     (standard deviation 0.1), and the logistic solution (whose separator is almost always in
     the right basin). ``converged`` and ``iterations`` are the returned
-    start's.
+    start's. Single-label input returns the logistic fit's constant
+    classifier.
     """
     config = config or FitConfig()
     features, labels01, _ = _validate_fit_inputs(features, labels01, None)
     d = features.shape[1]
-
-    uniq = np.unique(labels01)
-    if uniq.size == 1:
-        return LinearClassifier(np.zeros(d), _constant_bias(int(uniq[0])),
-                                degenerate=True)
+    logistic = fit_weighted_logistic(features, labels01, config=config)
+    if logistic.degenerate:
+        return logistic
 
     sign = np.where(labels01 == 1, -1.0, 1.0)
 
@@ -399,9 +398,7 @@ def fit_sigmoid_mae(features, labels01, config: FitConfig | None = None) -> Line
                 np.concatenate([features.T @ r, [float(np.sum(r))]]))
 
     rng = np.random.default_rng(config.seed)
-    starts = [np.zeros(d + 1)]
-    logistic = fit_weighted_logistic(features, labels01, config=config)
-    starts.append(logistic.coefficients())
+    starts = [np.zeros(d + 1), logistic.coefficients()]
     for _ in range(_MAE_RESTARTS):
         starts.append(rng.normal(0.0, _MAE_INIT_STD, d + 1))
 

@@ -16,7 +16,7 @@ DEFAULT_LOF_K = 20
 # onto duplicate points.
 _LRD_EPS = 1e-12
 
-# How far a row's last candidate distance (self aside) must exceed its k-th,
+# How far a row's last candidate distance but one must exceed its k-th,
 # relative to it, for the tree's candidates to settle the row: the tree's
 # distances and ``_distances`` differ by rounding, of order d * 2**-53 relative.
 _TIE_MARGIN = 1e-9
@@ -37,33 +37,36 @@ def _distances(points, reference, rows, cols):
     return np.sqrt(np.cumsum(diff, axis=-1, out=diff)[..., -1])
 
 
-def _k_nearest(points, reference, k, exclude_self):
-    """Exact k nearest reference rows of each point: (indices, distances).
+def _k_nearest(reference, queries, k):
+    """Exact k nearest reference rows, (indices, distances), of the m
+    reference rows followed by those of the queries.
 
     A row's neighbourhood is its first k reference rows in (distance, index)
     order: every row below its k-th distance, then the lowest-indexed ties
-    at it. With ``exclude_self`` the points are the reference itself and
-    row i skips reference row i.
+    at it. Row i skips reference row i, so a query (row m or later) skips
+    none.
 
     A k-d tree (``cKDTree``) gives each pending row ``width`` candidates,
-    k + 1 at first (k + 2 with ``exclude_self``). Their distances are
-    recomputed by ``_distances``, ordered by (distance, index) with self
-    last, and the first k are written. A row is settled where its last
-    candidate other than self lies farther than the k-th by more than
-    ``_TIE_MARGIN``: no other reference row can come before it. The rest
-    (ties, or copies of a point that crowd self out) are queried again at
-    twice the width, up to m, where every reference row is a candidate.
-    Each query takes one block of ``quantile._block_rows`` rows, so memory
-    past the tree and the output is one block at every width.
+    k + 2 at first. Their distances are recomputed by ``_distances``,
+    ordered by (distance, index) with self last, and the first k are
+    written. A row is settled where its last candidate but one (the last
+    other than self, or one no farther than the last) lies farther than
+    the k-th by more than ``_TIE_MARGIN``: no other reference row can come
+    before it. The rest (ties, or copies of a point that crowd self out)
+    are queried again at twice the width, up to m, where every reference
+    row is a candidate. Each query takes one block of
+    ``quantile._block_rows`` rows, so memory past the tree, the rows and
+    the output is one block at every width.
     """
     from scipy.spatial import cKDTree
 
+    points = np.vstack([reference, queries])
     n, m = points.shape[0], reference.shape[0]
     tree = cKDTree(reference)
     nn = np.empty((n, k), dtype=np.intp)
     nn_dist = np.empty((n, k))
     pending = np.arange(n)
-    width = k + 1 + exclude_self
+    width = k + 2
     while pending.size:
         width = min(width, m)
         unsettled, step = [], _block_rows(width * reference.shape[1])
@@ -71,15 +74,14 @@ def _k_nearest(points, reference, k, exclude_self):
             rows = pending[start:start + step]
             cand = tree.query(points[rows], width)[1]
             dist = _distances(points, reference, rows[:, None], cand)
-            if exclude_self:
-                dist[cand == rows[:, None]] = np.inf
+            dist[cand == rows[:, None]] = np.inf
             order = np.lexsort((cand, dist), axis=1)
             cand = np.take_along_axis(cand, order, axis=1)
             dist = np.take_along_axis(dist, order, axis=1)
             nn[rows] = cand[:, :k]
             nn_dist[rows] = dist[:, :k]
-            # self's inf sorts last; at width m every reference row is a candidate
-            last = dist[:, width - 1 - exclude_self]
+            # at width m every reference row is a candidate
+            last = dist[:, width - 2]
             unsettled.append(rows[(width < m) & ~(last > dist[:, k - 1] * (1 + _TIE_MARGIN))])
         pending = np.concatenate(unsettled)
         width *= 2
@@ -94,12 +96,12 @@ def lof_scores(reference, queries, k=DEFAULT_LOF_K):
     local reachability density as inverse mean reachability, and the LOF
     as the ratio of neighbor densities to the query's own. Neighborhoods
     are the exact k nearest points (self excluded inside the reference),
-    ties at the k-th distance going to the lowest reference index. A k-d
-    tree finds them (see ``_k_nearest``): each row costs O(k) candidate
-    distances, and only rows tied at their k-th distance are queried again,
-    at twice the width each time, one row block at a time.
-    ``k`` must be an integer. Returned negated so that higher = more
-    in-distribution.
+    ties at the k-th distance going to the lowest reference index. One
+    k-d tree search finds those of the reference rows and the queries
+    (see ``_k_nearest``): each row costs O(k) candidate distances, and only
+    rows tied at their k-th distance are queried again, at twice the width
+    each time, one row block at a time. ``k`` must be an integer.
+    Returned negated so that higher = more in-distribution.
     """
     reference = np.asarray(reference, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -122,17 +124,10 @@ def lof_scores(reference, queries, k=DEFAULT_LOF_K):
     if not (np.all(np.isfinite(reference)) and np.all(np.isfinite(queries))):
         raise ValidationError("reference and queries must be finite")
 
-    nn_r, d_nn_r = _k_nearest(reference, reference, k, exclude_self=True)
-    kdist = d_nn_r[:, -1]
-    reach_r = np.maximum(d_nn_r, kdist[nn_r])
-    lrd_r = 1.0 / np.maximum(reach_r.mean(axis=1), _LRD_EPS)
-
-    nn_q, d_nn_q = _k_nearest(queries, reference, k, exclude_self=False)
-    reach_q = np.maximum(d_nn_q, kdist[nn_q])
-    lrd_q = 1.0 / np.maximum(reach_q.mean(axis=1), _LRD_EPS)
-
-    lof = lrd_r[nn_q].mean(axis=1) / lrd_q
-    return -lof
+    nn, d_nn = _k_nearest(reference, queries, k)
+    reach = np.maximum(d_nn, d_nn[:m, -1][nn])  # d_nn[:m, -1]: the k-distances
+    lrd = 1.0 / np.maximum(reach.mean(axis=1), _LRD_EPS)
+    return -(lrd[nn[m:]].mean(axis=1) / lrd[m:])
 
 
 def _roc(scores, is_id):

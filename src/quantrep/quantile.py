@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .linear import FitConfig, _constant_bias, _newton, _sigmoid, fit_weighted_logistic
+from .linear import FitConfig, _newton, _sigmoid, fit_weighted_logistic
 
 _MONO_TOL = 1e-9
 # bytes per row block (see _block_rows) of the reductions over tau, the shift
@@ -172,12 +172,10 @@ def _natural_spline_second_derivs(x, y):
     without row swaps and back substitution. The system is strictly
     diagonally dominant, so LAPACK's ``gtsv`` (scipy's ``solve_banded``)
     swaps no row either, and this sweep, which does its arithmetic in the
-    same order, matches it bit for bit.
+    same order, matches it bit for bit. ``x`` has 4 or more knots.
     """
     n = x.shape[0]
     m = np.zeros_like(y)
-    if n < 3:
-        return m
     h = np.diff(x)
     rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:, None] - (y[1:-1] - y[:-2]) / h[:-1, None])
     off = h[1:-1]                            # sub- and superdiagonal
@@ -362,23 +360,22 @@ def _anchor_fits(features, probs, sample_weights, taus, median_idx, config):
 
     The pseudo-label sets I[p > 1 - tau] are nested in tau, so anchors with
     the same positive count have the same labels: they share one fit,
-    counted once. A one-class set gets the constant classifier of
-    ``fit_weighted_logistic``. The median anchor is fit from zero. Every
-    other set starts from its coefficients with the bias moved by
+    counted once. The median anchor is fit from zero. Every other set
+    starts from its coefficients with the bias moved by
     -(max z over y=0 + min z over y=1)/2, z the median fit's logits, so
     that the start's boundary splits the data where the set's labels do
-    (from a one-class median the start is zero). Those fits run in groups
-    of ``_block_rows(n)``, one ``_newton`` stack each, so a stacked
-    (group, n) array takes one ``_BLOCK_BYTES`` block.
+    (from a one-class median the start is zero). A one-class set's start
+    is infinite; ``_newton`` replaces it with the constant classifier of
+    its class. Those fits run in groups of ``_block_rows(n)``, one
+    ``_newton`` stack each, so a stacked (group, n) array takes one
+    ``_BLOCK_BYTES`` block.
     """
     n, d = features.shape
     counts = n - np.searchsorted(np.sort(probs), 1.0 - taus, side="right")
     counts, first, which = np.unique(counts, return_index=True, return_inverse=True)
-    one_class = (counts == 0) | (counts == n)
-    coefs = np.zeros((counts.size, d + 1))
-    coefs[one_class, d] = np.where(counts[one_class] == n, _constant_bias(1), _constant_bias(0))
-    converged = np.ones(counts.size, dtype=bool)
-    steps = np.zeros(counts.size, dtype=np.int64)
+    coefs = np.empty((counts.size, d + 1))
+    converged, degenerate = np.empty((2, counts.size), dtype=bool)
+    steps = np.empty(counts.size, dtype=np.int64)
 
     def fit(sets, start):
         labels = modified_labels(probs, taus[first[sets], None]).astype(np.float64)
@@ -387,17 +384,16 @@ def _anchor_fits(features, probs, sample_weights, taus, median_idx, config):
         starts = np.repeat(start[None], sets.size, axis=0)
         starts[:, d] -= 0.5 * (np.max(np.where(labels == 0, z, -np.inf), axis=1)
                                + np.min(np.where(labels == 1, z, np.inf), axis=1))
-        coefs[sets], converged[sets], steps[sets] = _newton(
+        coefs[sets], converged[sets], steps[sets], degenerate[sets] = _newton(
             features, labels, weights, starts, config)
 
     median = which[median_idx]
-    if not one_class[median]:
-        fit(np.array([median]), np.zeros(d + 1))
-    rest = np.flatnonzero(~one_class & (np.arange(counts.size) != median))
+    fit(np.array([median]), np.zeros(d + 1))
+    rest = np.flatnonzero(np.arange(counts.size) != median)
     group = _block_rows(n)
     for lo in range(0, rest.size, group):
         fit(rest[lo:lo + group], coefs[median])
-    return coefs[which], converged[which], one_class[which], int(np.sum(steps))
+    return coefs[which], converged[which], degenerate[which], int(np.sum(steps))
 
 
 def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileModel:

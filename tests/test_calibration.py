@@ -277,6 +277,16 @@ class TestCorruptionSweep:
         b = corrupt_features(feats, "gaussian-noise", 1.0, seed=4)
         np.testing.assert_array_equal(a, b)
 
+    def test_overflowing_spread_is_an_error_not_a_warning(self):
+        # the columns' standard deviation overflows before any corruption
+        # does; warnings are errors under pytest
+        feats = np.array([[-1e307, 1.0], [1e307, 2.0], [3e307, 3.0]])
+        for kind in ("gaussian-noise", "feature-shift"):
+            with pytest.raises(ValidationError, match=f"{kind} at severity 0.5"):
+                corrupt_features(feats, kind, 0.5)
+        np.testing.assert_array_equal(corrupt_features(feats, "feature-scaling", 0.5),
+                                      feats * 1.5)
+
     def test_schema_and_methods(self, latent_sweep):
         report, severities = latent_sweep
         methods = {r.method for r in report.rows}

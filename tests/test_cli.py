@@ -870,10 +870,12 @@ class TestCalibEval:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "cal" / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("corruption", ["gaussian-noise", "feature-scaling"])
+    @pytest.mark.parametrize("corruption", ["gaussian-noise", "feature-scaling",
+                                            "feature-shift"])
     def test_overflowing_severity_exit_2(self, tmp_path, moons_dir, moons_model, corruption,
                                          capsys):
-        # a finite severity whose corrupted features overflow: the error
+        # a finite severity whose corrupted features overflow, or, for
+        # feature-shift, stay finite but overflow the base logits: the error
         # names it, where the confidences it breaks would be blamed instead
         # (pytest turns the overflow warnings it would raise into errors)
         out = tmp_path / "cal"

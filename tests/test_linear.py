@@ -15,7 +15,7 @@ from quantrep import (
 )
 from quantrep.datasets import LatentModelSpec, gen_latent_binary
 from quantrep import quantile
-from quantrep.linear import _logistic_loss, _sigmoid
+from quantrep.linear import _DEGENERATE_LOGIT, _logistic_loss, _newton, _sigmoid
 from quantrep.quantile import fit_base_classifiers, fit_quantile_model
 
 from oracles import finite_difference_gradient, lbfgs_logistic, logistic_loss
@@ -265,6 +265,35 @@ class TestNewtonFallbacks:
                                      warm_start=[slope, 0.0])
         assert cold.converged and warm.converged
         np.testing.assert_allclose(warm.coefficients(), cold.coefficients(), atol=1e-7)
+
+    def test_one_class_rows_are_constant_rows_of_the_stack(self):
+        # one-class rows with the infinite starts that ``_anchor_fits`` gives
+        # them, mixed into a stack of ordinary rows: they end before the
+        # first step, and the ordinary rows are bit for bit those of a stack
+        # without them
+        x, y, w, rng = _noisy_logistic_problem(15, 200, 3)
+        n, d = x.shape
+        labels = np.stack([y, 1.0 - y, (x[:, 0] > 0).astype(float)])
+        weights = np.stack([w, w[::-1], np.ones(n)])
+        starts = rng.normal(0.0, 0.5, (3, d + 1))
+        alone = _newton(x, labels, weights, starts, FitConfig())
+
+        ones, zeros = np.zeros(d + 1), np.zeros(d + 1)
+        ones[d], zeros[d] = np.inf, -np.inf
+        order = [3, 0, 1, 4, 2]
+        mixed = _newton(x, np.vstack([labels, np.ones(n), np.zeros(n)])[order],
+                        np.vstack([weights, w, w])[order],
+                        np.vstack([starts, ones, zeros])[order], FitConfig())
+        theta, converged, steps, degenerate = mixed
+        assert degenerate.tolist() == [True, False, False, True, False]
+        assert theta[0].tolist() == [0.0] * d + [_DEGENERATE_LOGIT]
+        assert theta[3].tolist() == [0.0] * d + [-_DEGENERATE_LOGIT]
+        assert converged[[0, 3]].all() and steps[[0, 3]].tolist() == [0, 0]
+        kept = [1, 2, 4]
+        assert theta[kept].tobytes() == alone[0].tobytes()
+        assert converged[kept].tolist() == alone[1].tolist() == [True] * 3
+        assert steps[kept].tolist() == alone[2].tolist()
+        assert not alone[3].any() and steps[kept].min() > 0
 
 
 class TestDecision:

@@ -151,16 +151,21 @@ class TestNeighbourSearch:
     candidates."""
 
     def _assert_matches_cdist(self, reference, k, queries):
-        """Both modes of ``_k_nearest`` against the oracle; returns the
-        number of rows tied at their k-th distance, which the tree's first
-        k + 1 candidates cannot settle and a wider query decides."""
+        """The one search of ``_k_nearest`` against both modes of the
+        oracle: its first m rows against the reference rows with self
+        excluded, the rest against the queries. Returns the number of rows
+        tied at their k-th distance, which the tree's first k + 2
+        candidates cannot settle and a wider query decides."""
+        m = reference.shape[0]
+        got = _k_nearest(reference, queries, k)
+        assert got[0].shape == got[1].shape == (m + queries.shape[0], k)
         tied = 0
-        for points, exclude_self in ((reference, True), (queries, False)):
-            got = _k_nearest(points, reference, k, exclude_self)
+        for rows, points, exclude_self in ((slice(None, m), reference, True),
+                                           (slice(m, None), queries, False)):
             want = k_nearest_cdist(points, reference, k, exclude_self)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0)
-            if points.shape[0] and k + 1 + exclude_self <= reference.shape[0]:
+            np.testing.assert_array_equal(got[0][rows], want[0])
+            np.testing.assert_allclose(got[1][rows], want[1], rtol=1e-14, atol=0)
+            if points.shape[0] and k + 1 + exclude_self <= m:
                 d = k_nearest_cdist(points, reference, k + 1, exclude_self)[1]
                 tied += int(np.count_nonzero(d[:, k] == d[:, k - 1]))
         return tied
@@ -224,11 +229,28 @@ class TestNeighbourSearch:
                 self._assert_matches_cdist(r, k, q)
 
     def test_empty_points(self):
+        # no queries: the reference rows alone
         ref = np.random.default_rng(90).normal(size=(12, 2))
-        for exclude_self in (True, False):
-            nn, dist = _k_nearest(ref[:0], ref, 3, exclude_self)
-            want = k_nearest_cdist(ref[:0], ref, 3, exclude_self)
-            assert nn.shape == dist.shape == want[0].shape == (0, 3)
+        self._assert_matches_cdist(ref, 3, ref[:0])
+
+    def test_one_tree_per_lof_call(self, monkeypatch):
+        # the reference rows and the queries share one tree and one search
+        from scipy import spatial
+
+        built = []
+
+        class CountingTree(spatial.cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                built.append(np.asarray(data).shape)
+                super().__init__(data, *args, **kwargs)
+
+        monkeypatch.setattr(spatial, "cKDTree", CountingTree)
+        rng = np.random.default_rng(91)
+        ref, queries = rng.normal(size=(60, 3)), rng.normal(size=(25, 3))
+        scores = lof_scores(ref, queries, k=5)
+        assert built == [(60, 3)]
+        np.testing.assert_allclose(-scores, lof_bruteforce(ref, queries, k=5),
+                                   rtol=0, atol=1e-9)
 
 
 class TestAuroc:

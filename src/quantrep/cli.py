@@ -39,6 +39,7 @@ from .ood import DEFAULT_LOF_K, lof_scores, ood_metrics
 from .quantile import (
     QuantileGrid,
     _base_logits,
+    _task_classes,
     coefficient_cross_correlation,
     fit_base_classifiers,
     fit_diagnostics,
@@ -180,14 +181,15 @@ def _physical_memory():
 
 
 def _check_fit_size(cfg, dataset):
-    """Refuse, before any grid is built, size flags whose anchor and dense
+    """Refuse, before any grid is built, grid sizes whose anchor and dense
     fields, 8 (anchors + dense) (d+1) bytes per task, exceed physical
     memory: numpy would start to fill them, and the kernel kill the run."""
-    tasks = 1 if dataset.k == 2 else dataset.k  # _task_classes's count, with no list built
+    classes = _task_classes(dataset.k)
+    tasks = classes.stop - classes.start  # len() overflows past sys.maxsize tasks
     need = 8 * (cfg["anchors"] + cfg["dense"]) * (dataset.d + 1) * tasks
     if need > _physical_memory():
         raise ValidationError(
-            f"--anchors {cfg['anchors']} and --dense {cfg['dense']} need {need} bytes for "
+            f"{cfg['anchors']} anchor and {cfg['dense']} dense taus need {need} bytes for "
             f"{tasks} task(s) of {dataset.d + 1} coefficients, more than the "
             f"{_physical_memory()} bytes of physical memory")
 
@@ -281,7 +283,6 @@ def cmd_fit_quantile(args, stages):
                  "tau_min": cfg["tau_min"], "tau_max": cfg["tau_max"]},
         "data": {"n": dataset.n, "d": dataset.d, "k": dataset.k},
         "monotonicity_violation_rate": mono.aggregate,
-        "median_agreement": [t.median_agreement for t in model.tasks],
         **diagnostics,
     })
     stages("save")
@@ -375,8 +376,10 @@ def cmd_shift_match(args, stages):
         raise ValidationError(f"--true-angle must be finite, got {args.true_angle}")
     data_t0 = load_dataset(args.data_t0)
     data_t1 = load_dataset(args.data_t1)
-    # the search's input rules, checked before either model is fitted
+    # the search's input rules and the size bound at the default grid (t1
+    # has t0's shape), checked before either model is fitted
     _check_search_inputs(args.family, (data_t0.d, data_t0.k), (data_t1.d, data_t1.k))
+    _check_fit_size(FIT_DEFAULTS, data_t0)
     stages("load")
     fit_config = FitConfig()  # shift-match fits with the library defaults
     grid, fits = None, {}

@@ -174,6 +174,8 @@ def _load_csv(path):
                     weights.append(float(parts[d + 1]))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
+            if not -2**63 <= labels[-1] < 2**63:
+                raise ParseError(f"label {parts[d]} does not fit a 64-bit integer", line=lineno)
     features = np.asarray(feats, dtype=np.float64).reshape(len(labels), d)
     return (
         features,

@@ -218,24 +218,24 @@ def _backtrack(padded_t, signs, sample_weights, l2_reg, theta, value, step, slop
     the point, its logits and its value. A row whose ``step`` is not a
     descent direction finds none.
     """
-    t = np.ones(theta.shape[0])
     found = np.zeros(theta.shape[0], dtype=bool)
     point, point_value = np.empty_like(theta), np.empty_like(value)
     z = np.empty(signs.shape)
-    searching = slope < 0          # NaN fails it
+    rows = np.flatnonzero(slope < 0)          # NaN fails it
+    t = 1.0                                   # every row still searching is at this t
     for _ in range(_MAX_HALVINGS + 1):
-        rows = np.flatnonzero(searching)
         if rows.size == 0:
             break
-        trial = theta[rows] + t[rows, None] * step[rows]
+        trial = theta[rows] + t * step[rows]
         trial_z = trial @ padded_t
         trial_value = _loss_value(trial_z, trial, signs[rows], sample_weights[rows], l2_reg)
         # the difference, not value + c t slope, which rounds back to value
-        ok = trial_value - value[rows] <= _ARMIJO_C * t[rows] * slope[rows]
+        ok = trial_value - value[rows] <= _ARMIJO_C * t * slope[rows]
         met = rows[ok]
         point[met], z[met], point_value[met] = trial[ok], trial_z[ok], trial_value[ok]
-        found[met], searching[met] = True, False
-        t[rows] *= 0.5
+        found[met] = True
+        rows = rows[~ok]
+        t *= 0.5
     return found, point, z, point_value
 
 

@@ -31,7 +31,7 @@ _MONO_TOL = 1e-9
 # temporaries then stay within a 2 MiB L2 cache: on a 2-vCPU Xeon, 4 MiB
 # blocks ran the 2 000-row moons passes over tau about 2x slower
 _BLOCK_BYTES = 2**20
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +230,25 @@ def interpolate_coefficients(anchors, anchor_rows, dense):
 class QuantileTask:
     """One stored task: its anchor coefficients, one unit-norm (weights,
     bias) row per anchor tau, and the sweep's ``fit_record`` (None for a
-    task read from a file). Its model sets ``dense_coefficients``."""
+    task read from a file). Its model sets ``class_id`` and
+    ``dense_coefficients``."""
 
-    class_id: int
     anchor_coefficients: np.ndarray  # (n_anchor, d+1)
-    median_agreement: float = float("nan")
     fit_record: dict | None = None
+    class_id: int = field(init=False, default=None)
     dense_coefficients: np.ndarray = field(init=False, default=None, repr=False)  # (n_dense, d+1)
+
+    def _record(self):
+        if self.fit_record is None:
+            raise ValidationError("fit diagnostics need a fitted model; "
+                                  "a model read from a file has no fit record")
+        return self.fit_record
+
+    @property
+    def median_agreement(self):
+        """The fit record's median agreement (``fit_quantile_model``); a task
+        read from a file has no record and raises ``ValidationError``."""
+        return self._record()["median_agreement"]
 
     def logits(self, features, out=None):
         """(n, n_dense) logits of the dense field at ``features``; with
@@ -254,9 +266,11 @@ class QuantileTask:
 
 
 def _task_classes(k):
-    """The classes whose task a k-class model stores: class 1 alone for
-    binary data (class 0 is its mirror in ``represent``), else every class."""
-    return [1] if k == 2 else list(range(k))
+    """The classes whose task a k-class model stores, in order, as a
+    ``range``: class 1 alone for binary data (class 0 is its mirror in
+    ``represent``), else every class. So one task is a binary model, and
+    k >= 3 tasks a k-class one."""
+    return range(1, 2) if k == 2 else range(k)
 
 
 def _check_binary_grid(class_count, grid):
@@ -270,39 +284,38 @@ def _check_binary_grid(class_count, grid):
 
 @dataclass
 class QuantileModel:
-    """The tasks ``_task_classes`` names, by ``int`` ids, of 2 classes or
-    more, their anchors (n_anchor, d+1) float matrices of one width. It
-    sets each task's dense field, the anchors' spline at ``grid.dense``. A
-    binary model's class-0 field is the negated, tau-reflected class-1
-    field, so its dense grid must be symmetric about 1/2.
+    """A tau grid and the tasks ``_task_classes`` names: one task is a
+    binary model, k >= 3 tasks a k-class model, and 0 or 2 tasks raise.
+    Their anchors are (n_anchor, d+1) float matrices of one width. It sets
+    each task's ``class_id`` and its dense field, the anchors' spline at
+    ``grid.dense``. A binary model's class-0 field is the negated,
+    tau-reflected class-1 field, so its dense grid must be symmetric about
+    1/2.
     """
 
     grid: QuantileGrid
     tasks: list
-    class_count: int
 
     def __post_init__(self):
-        k = self.class_count
-        if k < 2:
-            raise ValidationError(f"a model needs at least 2 classes, got {k}")
-        stored = [t.class_id for t in self.tasks]
-        # the count first, so that a huge class_count builds no list of ids;
-        # a float or bool id compares equal to its int but indexes nothing
-        if (len(stored) != (1 if k == 2 else k)
-                or any(type(c) is not int for c in stored) or stored != _task_classes(k)):
-            raise ValidationError(
-                f"a {k}-class model stores the tasks of integer classes "
-                f"{[1] if k == 2 else f'0 to {k - 1}'}, got {stored}")
-        _check_binary_grid(k, self.grid)
+        if len(self.tasks) in (0, 2):
+            raise ValidationError("a model stores 1 task (binary) or one per class of "
+                                  f"3 or more, got {len(self.tasks)}")
+        _check_binary_grid(self.class_count, self.grid)
         rows = [_as_float_array(t.anchor_coefficients) for t in self.tasks]
         shape = (self.grid.anchors.size, rows[0].shape[-1] if rows[0].ndim == 2 else 0)
         if shape[1] < 2 or any(r.shape != shape for r in rows):
             raise ValidationError(f"every task needs a ({shape[0]}, d+1) anchor matrix of "
                                   f"one width d+1 >= 2, got {[r.shape for r in rows]}")
-        for task, anchors in zip(self.tasks, rows):
+        for task, class_id, anchors in zip(self.tasks, _task_classes(self.class_count), rows):
+            task.class_id = class_id
             task.anchor_coefficients = anchors
             task.dense_coefficients = interpolate_coefficients(
                 self.grid.anchors, anchors, self.grid.dense)
+
+    @property
+    def class_count(self):
+        """k, read off the task count: one task is binary."""
+        return max(2, len(self.tasks))
 
     @property
     def feature_dim(self):
@@ -407,13 +420,13 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
     median anchor's fit starts from zero and every other from it, and they
     run in stacked groups of ``_block_rows(n)``), and store its
     coefficients at unit L2 norm as that tau's anchor row (an all-zero fit
-    raises ``FitError`` at the first such tau). Each task's median
-    agreement (median anchor vs base at 0.5) is weighted by the sample
-    weights; its ``fit_record`` counts the non-converged and degenerate
-    anchors and sums the Newton steps of the distinct fits, with the base's
-    ``converged`` and ``iterations`` if it has them. Deterministic for a
-    fixed config. Binary data takes one base and a grid symmetric about
-    1/2, both checked before any fit.
+    raises ``FitError`` at the first such tau). Each task's ``fit_record``
+    counts the non-converged and degenerate anchors, sums the Newton steps
+    of the distinct fits, holds the base's ``converged`` and ``iterations``
+    if it has them, and its ``median_agreement``: the fraction of samples,
+    weighted by the sample weights, on which the median anchor and the
+    base at 0.5 agree. Deterministic for a fixed config. Binary data takes
+    one base and a grid symmetric about 1/2, both checked before any fit.
     """
     grid = grid or QuantileGrid()
     fit_config = fit_config or FitConfig()
@@ -434,25 +447,24 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
             raise FitError("cannot normalize an all-zero classifier", class_id=class_id,
                            tau=float(grid.anchors[np.argmax(norms == 0.0)]))
         anchors = coefs / norms[:, None]
-        record = {"nonconverged_anchors": int(np.sum(~converged)),
-                  "degenerate_anchors": int(np.sum(degenerate)),
-                  "anchor_iterations": iterations,
-                  "base_converged": getattr(base_clf, "converged", None),
-                  "base_iterations": getattr(base_clf, "iterations", None)}
-
         median = anchors[median_idx]
         agreement = float(np.average((features @ median[:-1] + median[-1] >= 0) == (probs > 0.5),
                                      weights=dataset.weights))
-        tasks.append(QuantileTask(class_id, anchors, median_agreement=agreement,
-                                  fit_record=record))
-    return QuantileModel(grid, tasks, dataset.k)
+        tasks.append(QuantileTask(anchors, fit_record={
+            "nonconverged_anchors": int(np.sum(~converged)),
+            "degenerate_anchors": int(np.sum(degenerate)),
+            "anchor_iterations": iterations,
+            "base_converged": getattr(base_clf, "converged", None),
+            "base_iterations": getattr(base_clf, "iterations", None),
+            "median_agreement": agreement}))
+    return QuantileModel(grid, tasks)
 
 
 def fit_diagnostics(model: QuantileModel):
     """The deterministic fit diagnostics of a model ``fit_quantile_model``
-    returned: each key of its tasks' ``fit_record`` as a list with one
-    entry per task. A model read from a file has no fit record and raises
-    ``ValidationError``.
+    returned: each key of its tasks' ``fit_record``, the median agreement
+    among them, as a list with one entry per task. A model read from a file
+    has no fit record and raises ``ValidationError``.
 
     Raises ``FitError`` when every anchor of a task is degenerate: its
     pseudo-labels are one class at every tau, so the task carries no
@@ -460,10 +472,7 @@ def fit_diagnostics(model: QuantileModel):
     tests of one-class instances and of symmetric constructions fit them on
     purpose; a caller that needs a usable representation checks it here.
     """
-    records = [t.fit_record for t in model.tasks]
-    if any(r is None for r in records):
-        raise ValidationError("fit diagnostics need a fitted model; "
-                              "a model read from a file has no fit record")
+    records = [t._record() for t in model.tasks]
     for task, rec in zip(model.tasks, records):
         if rec["degenerate_anchors"] == task.anchor_coefficients.shape[0]:
             unmet = "; the base fit did not converge" if rec["base_converged"] is False else ""
@@ -604,11 +613,13 @@ def raw_feature_correlation(features):
 # ---------------------------------------------------------------------------
 
 def save_model(model: QuantileModel, out_dir):
-    """Write ``model.json``, with each task's anchor rows under
-    ``anchor_coefficients``, and ``model_dense.bin``, which it names in
-    ``dense_file``; returns the ``model.json`` path.
+    """Write ``model.json`` and ``model_dense.bin``; returns the
+    ``model.json`` path.
 
-    The sidecar holds the dense field as little-endian float64, shaped
+    ``model.json`` (schema 3) holds the grid and, under
+    ``anchor_coefficients``, each task's (n_anchor, d+1) anchor matrix in
+    task order: all a model cannot derive. The sidecar, which ``dense_file``
+    names, holds the dense field as little-endian float64, shaped
     ``dense_shape``: an export for other tools, as ``load_model`` reads
     ``model.json`` alone.
     """
@@ -619,20 +630,11 @@ def save_model(model: QuantileModel, out_dir):
         fh.write(np.ascontiguousarray(dense, dtype="<f8").tobytes())
     obj = {
         "schema_version": _SCHEMA_VERSION,
-        "class_count": model.class_count,
         "grid": {
             "anchors": [float(v) for v in model.grid.anchors],
             "dense": [float(v) for v in model.grid.dense],
         },
-        "tasks": [
-            {
-                "class_id": t.class_id,
-                "median_agreement": None if np.isnan(t.median_agreement)
-                else float(t.median_agreement),
-                "anchor_coefficients": t.anchor_coefficients.tolist(),
-            }
-            for t in model.tasks
-        ],
+        "anchor_coefficients": [t.anchor_coefficients.tolist() for t in model.tasks],
         "dense_file": bin_name,
         "dense_shape": list(dense.shape),
     }
@@ -646,12 +648,12 @@ def save_model(model: QuantileModel, out_dir):
 def load_model(model_path) -> QuantileModel:
     """Read a model written by ``save_model`` from ``model.json`` alone.
 
-    Any ``schema_version`` but 2 raises. A task's ``anchor_coefficients``
-    are read as one float array of finite rows of unit (weights, bias) norm
-    (to 1e-12), and the task has no ``fit_record``. Each ``median_agreement``
-    (null or a number in [0, 1]) and, as :class:`QuantileModel` builds the
-    dense field, the class count, tasks, grid and anchor shapes are checked;
-    a missing or malformed field or any mismatch raises ``ValidationError``.
+    Any ``schema_version`` but 3 raises. Each task's anchor matrix is read
+    as one float array of finite rows of unit (weights, bias) norm (to
+    1e-12), and the task has no ``fit_record``. :class:`QuantileModel`
+    checks the task count, grid and anchor shapes as it builds the dense
+    field; a missing or malformed field or any mismatch raises
+    ``ValidationError``.
     """
     with open(model_path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -663,27 +665,17 @@ def load_model(model_path) -> QuantileModel:
                 f"{_SCHEMA_VERSION} is read: re-run fit-quantile to write the model again")
         grid = QuantileGrid(np.asarray(obj["grid"]["anchors"], dtype=np.float64),
                             np.asarray(obj["grid"]["dense"], dtype=np.float64))
-        class_count = obj["class_count"]
-        if not isinstance(class_count, int):
-            raise ValidationError(f"class_count in {model_path} must be an integer")
         tasks = []
-        for t in obj["tasks"]:
-            anchors = np.asarray(t["anchor_coefficients"], dtype=np.float64)
+        for i, rows in enumerate(obj["anchor_coefficients"]):
+            anchors = np.asarray(rows, dtype=np.float64)
             if not (np.all(np.isfinite(anchors)) and np.all(
                     np.abs(np.linalg.norm(anchors, axis=-1) - 1.0) <= 1e-12)):
                 raise ValidationError(
-                    f"the anchor coefficients of class {t['class_id']} in {model_path} "
+                    f"the anchor coefficients of task {i} in {model_path} "
                     "are not finite rows of unit (weights, bias) norm")
-            agreement = t["median_agreement"]
-            if not (agreement is None
-                    or type(agreement) in (int, float) and 0 <= agreement <= 1):
-                raise ValueError(f"median_agreement must be null or in [0, 1], "
-                                 f"not {agreement!r}")
-            tasks.append(QuantileTask(
-                t["class_id"], anchors,
-                median_agreement=float("nan") if agreement is None else agreement))
+            tasks.append(QuantileTask(anchors))
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model file {model_path}: {exc!r}") from exc
-    return QuantileModel(grid, tasks, class_count)
+    return QuantileModel(grid, tasks)

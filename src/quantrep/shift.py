@@ -159,12 +159,13 @@ class FieldGap:
 
 
 def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
-                       inv_transform: Transform, samples_t1):
+                       transform: Transform, samples_t1):
     """Mean over samples, stored tasks and anchor taus of the absolute logit
     gap between the old model at the mapped-back point and the new model at
-    the point itself (see :class:`FieldGap`). Zero when both pictures agree
-    exactly."""
-    return FieldGap(model_t0, model_t1, samples_t1)(*inv_transform.inverse_map())
+    the point itself (see :class:`FieldGap`). ``transform`` maps t0
+    features to t1 features; a t1 sample is mapped back by its inverse.
+    Zero when both pictures agree exactly."""
+    return FieldGap(model_t0, model_t1, samples_t1)(*transform.inverse_map())
 
 
 @dataclass

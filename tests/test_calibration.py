@@ -33,7 +33,7 @@ def linear_1d_model(anchor_coefficients):
     w(tau) * x + b(tau), with (w, b) the spline, on 1 000 dense taus, of
     the rows of ``anchor_coefficients`` at ``ANCHOR_TAUS``."""
     grid = QuantileGrid(ANCHOR_TAUS, np.linspace(0.0005, 0.9995, 1000))
-    return QuantileModel(grid, [QuantileTask(1, anchor_coefficients)], 2)
+    return QuantileModel(grid, [QuantileTask(anchor_coefficients)])
 
 
 class TestQuantileProbability:

@@ -605,25 +605,24 @@ class TestOodEval:
             rows = list(csv.DictReader(fh))
         assert {r["detector"] for r in rows} == {"baseline", "quantile-rep"}
 
-    @pytest.mark.parametrize("damage", ["schema-version", "task-count",
-                                        "class-count-type", "missing-field",
+    @pytest.mark.parametrize("damage", ["schema-version", "task-count", "no-tasks",
+                                        "missing-field",
                                         "weights-length", "bias-type",
                                         "weight-nan", "bias-inf",
-                                        "agreement-text", "agreement-range",
-                                        "class-count-one", "class-count-huge",
-                                        "anchor-norm", "class-id-float",
+                                        "anchor-norm",
                                         "row-count", "width", "int-overflow"])
     def test_damaged_model_exit_2(self, tmp_path, moons_dir, damage, capsys):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
         meta = json.loads(meta_path.read_text())
-        rows = meta["tasks"][0]["anchor_coefficients"]  # (weights, bias) per anchor
+        rows = meta["anchor_coefficients"][0]  # (weights, bias) per anchor
         if damage == "schema-version":
             meta["schema_version"] = 99
         elif damage == "task-count":
-            meta["tasks"] = meta["tasks"] * 3
-        elif damage == "class-count-type":
-            meta["class_count"] = "2"
+            # one task is binary, three a 3-class model; two name no model
+            meta["anchor_coefficients"] *= 2
+        elif damage == "no-tasks":
+            meta["anchor_coefficients"] = []
         elif damage == "missing-field":
             del meta["grid"]
         elif damage == "weights-length":
@@ -634,20 +633,8 @@ class TestOodEval:
             rows[3][0] = float("nan")
         elif damage == "bias-inf":
             rows[3][-1] = float("inf")
-        elif damage == "agreement-text":
-            meta["tasks"][0]["median_agreement"] = "x"
-        elif damage == "agreement-range":
-            meta["tasks"][0]["median_agreement"] = 1.5
-        elif damage == "class-count-one":
-            meta["class_count"] = 1
-            meta["tasks"][0]["class_id"] = 0
-        elif damage == "class-count-huge":
-            meta["class_count"] = 10**20
         elif damage == "anchor-norm":
             rows[:10] = [[3.0 * v for v in row] for row in rows[:10]]
-        elif damage == "class-id-float":
-            # equal to 1, but a float id would index the representation
-            meta["tasks"][0]["class_id"] = 1.0
         elif damage == "row-count":
             del rows[5]
         elif damage == "width":
@@ -672,18 +659,23 @@ class TestOodEval:
             assert main([cmd, "--model", str(model), "--data", str(moons_dir / "id.csv"),
                          "--out", str(tmp_path / cmd)]) == 2
 
-    def test_schema_1_model_exit_2(self, tmp_path, moons_dir, capsys):
-        # a version-1 file held each anchor as a classifier dict; no code reads
-        # it, and every reader says which version it has and what to do
+    @staticmethod
+    def _old_schema(tmp_path, moons_dir, version, task):
+        """A fitted model's file rewritten as a ``version`` file: each task,
+        which ``task`` builds from its anchor rows, in a ``tasks`` list with
+        its class id and median agreement, under the class count."""
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
         meta_path = model / "model.json"
         meta = json.loads(meta_path.read_text())
-        meta["schema_version"], meta["feature_dim"] = 1, 2
-        for task in meta["tasks"]:
-            task["anchor_classifiers"] = [{"weights": row[:-1], "bias": row[-1],
-                                           "normalized": True}
-                                          for row in task.pop("anchor_coefficients")]
+        meta.update(schema_version=version, class_count=2, tasks=[
+            {"class_id": 1, "median_agreement": 1.0, **task(rows)}
+            for rows in meta.pop("anchor_coefficients")])
         meta_path.write_text(json.dumps(meta))
+        return model
+
+    def _assert_every_reader_refuses(self, model, moons_dir, tmp_path, capsys, version):
+        # no code reads an old layout, and every reader says which version
+        # it has and what to do
         data = str(moons_dir / "id.csv")
         for argv in (["ood-eval", "--train", data, "--test-id", data,
                       "--test-ood", str(moons_dir / "ood.csv")],
@@ -692,9 +684,23 @@ class TestOodEval:
             assert main([*argv, "--model", str(model), "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert "schema_version 1" in err and "version 2" in err
+            assert f"schema_version {version}" in err and "version 3" in err
             assert "re-run fit-quantile" in err
             assert list(out.iterdir()) == []
+
+    def test_schema_1_model_exit_2(self, tmp_path, moons_dir, capsys):
+        # a version-1 file held each anchor as a classifier dict
+        model = self._old_schema(tmp_path, moons_dir, 1, lambda rows: {
+            "anchor_classifiers": [{"weights": row[:-1], "bias": row[-1], "normalized": True}
+                                   for row in rows]})
+        self._assert_every_reader_refuses(model, moons_dir, tmp_path, capsys, 1)
+
+    def test_schema_2_model_exit_2(self, tmp_path, moons_dir, capsys):
+        # a version-2 file held each task's anchor rows with its class id and
+        # median agreement, under the class count
+        model = self._old_schema(tmp_path, moons_dir, 2,
+                                 lambda rows: {"anchor_coefficients": rows})
+        self._assert_every_reader_refuses(model, moons_dir, tmp_path, capsys, 2)
 
     def test_feature_dimension_mismatch_exit_2(self, tmp_path, moons_dir):
         model = run_fit(tmp_path, "m", moons_dir / "id.csv")
@@ -1025,8 +1031,10 @@ class TestShiftMatch:
         for epoch in ("fit_t0", "fit_t1"):
             fit = est[epoch]
             assert set(fit) == {"nonconverged_anchors", "degenerate_anchors",
-                                "anchor_iterations", "base_converged", "base_iterations"}
+                                "anchor_iterations", "base_converged", "base_iterations",
+                                "median_agreement"}
             assert fit["nonconverged_anchors"] == [0] and fit["base_converged"] == [True]
+            assert len(fit["median_agreement"]) == 1 and 0.5 <= fit["median_agreement"][0] <= 1
             assert 0 <= fit["degenerate_anchors"][0] < 100
         with open(out / "report.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -1230,6 +1238,45 @@ def test_bad_number_exit_2(tmp_path, moons_dir, moons_model, pair_files, argv, c
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fit-quantile", "ood-eval", "calib-eval", "xcorr",
+                                     "shift-match"])
+def test_label_past_int64_exit_2(tmp_path, moons_dir, moons_model, pair_files, command,
+                                 capsys):
+    # every dataset is read by load_dataset, which names the label's line
+    path = tmp_path / "big.csv"
+    path.write_text("f0,f1,label\n0.5,1.5,0\n-1,2,10000000000000000000\n")
+    flags = input_flags(command, moons_dir, moons_model, pair_files)
+    flags[flags.index({"ood-eval": "--train", "shift-match": "--data-t0"}.get(
+        command, "--data")) + 1] = str(path)
+    out = tmp_path / "o"
+    assert main([command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: label 10000000000000000000 does not fit a 64-bit integer\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("label", [10**6, 2**63 - 1])
+@pytest.mark.parametrize("command", ["fit-quantile", "shift-match"])
+def test_too_many_classes_exit_2(tmp_path, monkeypatch, command, label, capsys):
+    # a million one-vs-rest tasks outgrow memory at the default grid; the
+    # largest int64 label makes 2**63, a count past what len() takes
+    import quantrep.cli as cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a base fit ran before the size bound")
+
+    monkeypatch.setattr(cli, "fit_base_classifiers", no_fit)
+    path = tmp_path / "big.csv"
+    path.write_text(f"f0,f1,label\n0.5,1.5,0\n-1,2,{label}\n")
+    data = ["--data", str(path)] if command == "fit-quantile" else \
+        ["--data-t0", str(path), "--data-t1", str(path)]
+    out = tmp_path / "o"
+    assert main([command, *data, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"for {label + 1} task(s)" in err and err.count("\n") == 1
     assert list(out.iterdir()) == []
 
 

@@ -71,6 +71,15 @@ class TestFileIO:
             load_dataset(path)
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("label", ["10000000000000000000", "-9223372036854775809"])
+    def test_label_past_int64_reports_line(self, tmp_path, label):
+        # Python reads any integer; numpy's int64 labels cannot hold this one
+        path = tmp_path / "d.csv"
+        path.write_text(f"f0,label\n0.5,0\n\n1.5,{label}\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"line 4: label {label} does not fit a 64-bit integer"
+
     def test_short_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1,label\n0.5,1\n")

@@ -152,12 +152,16 @@ class TestFitQuantileModel:
         diag = fit_diagnostics(model)
         fits, distinct = replay_sweep(ds, bases[0], SMALL_GRID)
         assert 1 < len(distinct) < len(fits)
+        median = fits[int(np.argmin(np.abs(SMALL_GRID.anchors - 0.5)))]
+        agreement = np.mean((median.decision(ds.features) >= 0)
+                            == (_sigmoid(bases[0].decision(ds.features)) > 0.5))
         assert diag == {
             "nonconverged_anchors": [sum(not c.converged for c in fits)],
             "degenerate_anchors": [sum(c.degenerate for c in fits)],
             "anchor_iterations": [sum(c.iterations for c in distinct)],
             "base_converged": [True],
             "base_iterations": [bases[0].iterations],
+            "median_agreement": [agreement],
         }
         assert diag["anchor_iterations"][0] > 0 and diag["base_iterations"][0] > 0
         # a base read from a file was not fitted here: no base diagnostics
@@ -257,35 +261,38 @@ class TestFitQuantileModel:
         assert [t.class_id for t in model.tasks] == [0, 1, 2]
 
     def test_binary_model_with_two_tasks_rejected(self):
+        # one task is binary (class 0 is its mirror); two name no model
         anchors = np.zeros((SMALL_GRID.anchors.size, 2))
-        with pytest.raises(ValidationError, match="stores the tasks"):
-            QuantileModel(SMALL_GRID, [QuantileTask(0, anchors),
-                                       QuantileTask(1, anchors)], 2)
+        with pytest.raises(ValidationError, match="got 2"):
+            QuantileModel(SMALL_GRID, [QuantileTask(anchors), QuantileTask(anchors)])
 
-    def test_class_count_below_two_or_past_the_tasks_rejected(self):
-        tasks = [QuantileTask(1, np.zeros((SMALL_GRID.anchors.size, 2)))]
-        with pytest.raises(ValidationError, match="at least 2 classes"):
-            QuantileModel(SMALL_GRID, tasks, 1)
-        # counted before any list of 10**20 class ids is built
-        with pytest.raises(ValidationError, match="stores the tasks"):
-            QuantileModel(SMALL_GRID, tasks, 10**20)
+    def test_model_of_no_tasks_rejected(self):
+        with pytest.raises(ValidationError, match="got 0"):
+            QuantileModel(SMALL_GRID, [])
+
+    @pytest.mark.parametrize("n_tasks,class_ids", [(1, [1]), (3, [0, 1, 2]), (5, [0, 1, 2, 3, 4])])
+    def test_class_count_and_ids_follow_the_task_count(self, n_tasks, class_ids):
+        anchors = np.ones((SMALL_GRID.anchors.size, 2))
+        model = QuantileModel(SMALL_GRID, [QuantileTask(anchors) for _ in range(n_tasks)])
+        assert model.class_count == max(2, n_tasks)
+        assert [t.class_id for t in model.tasks] == class_ids
+        assert all(type(t.class_id) is int for t in model.tasks)
 
     @pytest.mark.parametrize("shapes", [[(24, 3)], [(26, 3)], [(25, 1)], [(25,)], [()],
                                         [(25, 3, 1)], [(25, 3), (25, 3), (25, 4)]],
                              ids=["rows-short", "rows-long", "no-weights", "vector",
                                   "scalar", "3-d", "widths-differ"])
     def test_anchor_matrix_of_another_shape_rejected(self, shapes):
-        tasks = [QuantileTask(c if len(shapes) > 1 else 1, np.ones(shape))
-                 for c, shape in enumerate(shapes)]
+        tasks = [QuantileTask(np.ones(shape)) for shape in shapes]
         with pytest.raises(ValidationError, match="anchor matrix"):
-            QuantileModel(SMALL_GRID, tasks, 2 if len(shapes) == 1 else len(shapes))
+            QuantileModel(SMALL_GRID, tasks)
 
     def test_model_builds_the_dense_field_from_the_anchors(self):
         # whoever builds the model, the dense field is the anchors' spline,
         # and the model's feature dimension is read off the anchor width
         rng = np.random.default_rng(26)
         anchors = [rng.normal(size=(SMALL_GRID.anchors.size, 4)).tolist() for _ in range(3)]
-        model = QuantileModel(SMALL_GRID, [QuantileTask(c, a) for c, a in enumerate(anchors)], 3)
+        model = QuantileModel(SMALL_GRID, [QuantileTask(a) for a in anchors])
         assert model.feature_dim == 3
         for task, rows in zip(model.tasks, anchors):
             assert task.anchor_coefficients.dtype == np.float64
@@ -421,7 +428,7 @@ def linear_1d_model(anchor_coefficients):
     w(tau) * x + b(tau), with (w, b) the spline, on 50 dense taus, of the
     rows of ``anchor_coefficients`` at 10 anchor taus."""
     grid = QuantileGrid(np.linspace(0.01, 0.99, 10), np.linspace(0.01, 0.99, 50))
-    return QuantileModel(grid, [QuantileTask(1, anchor_coefficients)], 2)
+    return QuantileModel(grid, [QuantileTask(anchor_coefficients)])
 
 
 def random_field_model(class_count, n_dense=200, d=2, seed=0):
@@ -429,9 +436,9 @@ def random_field_model(class_count, n_dense=200, d=2, seed=0):
     from monotone: one task for binary, one per class otherwise."""
     rng = np.random.default_rng(seed)
     grid = QuantileGrid(np.linspace(0.01, 0.99, 10), np.linspace(0.01, 0.99, n_dense))
-    ids = [1] if class_count == 2 else range(class_count)
-    tasks = [QuantileTask(c, rng.normal(size=(10, d + 1))) for c in ids]
-    return QuantileModel(grid, tasks, class_count)
+    tasks = [QuantileTask(rng.normal(size=(10, d + 1)))
+             for _ in range(1 if class_count == 2 else class_count)]
+    return QuantileModel(grid, tasks)
 
 
 class TestMonotonicity:
@@ -580,33 +587,27 @@ class TestSerialization:
                                       model.tasks[0].anchor_coefficients)
         with open(path) as fh:
             stored = json.load(fh)
-        # schema 2: a task is its anchor rows; the width gives feature_dim
-        assert stored["schema_version"] == 2 and "feature_dim" not in stored
-        assert set(stored["tasks"][0]) == {"class_id", "median_agreement",
-                                           "anchor_coefficients"}
-        assert stored["tasks"][0]["anchor_coefficients"] == \
-            model.tasks[0].anchor_coefficients.tolist()
+        # schema 3: the grid and one anchor matrix per task; the task count
+        # gives the classes, the width feature_dim
+        assert stored["schema_version"] == 3
+        assert set(stored) == {"schema_version", "grid", "anchor_coefficients",
+                               "dense_file", "dense_shape"}
+        assert stored["anchor_coefficients"] == [model.tasks[0].anchor_coefficients.tolist()]
         assert back.tasks[0].fit_record is None
+        assert (back.class_count, back.tasks[0].class_id) == (2, 1)
         rep_a = represent(model, ds.features[:7])
         rep_b = represent(back, ds.features[:7])
         np.testing.assert_array_equal(rep_a.values, rep_b.values)
 
-    @pytest.mark.parametrize("field,value", [("class_count", 3),
-                                             ("class_id", 0)])
-    def test_load_rejects_another_task_layout(self, tmp_path, field, value):
+    def test_loaded_task_has_no_median_agreement(self, tmp_path):
+        # the agreement is a fit diagnostic, kept in the fit record; a task
+        # read from a file has none, and says so rather than give a number
         ds = separable_1d(n=50, seed=19)
         model = fit_quantile_model(ds, fit_base_classifiers(ds)[0], grid=SMALL_GRID)
-        path = save_model(model, tmp_path)
-        with open(path) as fh:
-            obj = json.load(fh)
-        if field == "class_count":
-            obj["class_count"] = value
-        else:
-            obj["tasks"][0]["class_id"] = value
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        with pytest.raises(ValidationError, match="stores the tasks"):
-            load_model(path)
+        assert model.tasks[0].median_agreement == model.tasks[0].fit_record["median_agreement"]
+        back = load_model(save_model(model, tmp_path))
+        with pytest.raises(ValidationError, match="no fit record"):
+            back.tasks[0].median_agreement
 
     def test_sidecar_is_little_endian_float64(self, tmp_path):
         ds = separable_1d(n=50, seed=19)

@@ -40,6 +40,7 @@ from .quantile import (
     QuantileGrid,
     _base_logits,
     _task_classes,
+    check_class_rows,
     coefficient_cross_correlation,
     fit_base_classifiers,
     fit_diagnostics,
@@ -50,7 +51,7 @@ from .quantile import (
     raw_feature_correlation,
     save_model,
 )
-from .shift import _check_search_inputs, estimate_transform
+from .shift import _MIN_DECREASE, _check_search_inputs, estimate_transform
 
 _FMT = "%.17g"
 
@@ -266,6 +267,7 @@ def cmd_fit_quantile(args, stages):
     grid = _grid(cfg)
     stages("load")
     if bases is None:
+        check_class_rows(dataset)
         bases = fit_base_classifiers(dataset, fit_config)
     stages("base_fit")
 
@@ -380,6 +382,8 @@ def cmd_shift_match(args, stages):
     # has t0's shape), checked before either model is fitted
     _check_search_inputs(args.family, (data_t0.d, data_t0.k), (data_t1.d, data_t1.k))
     _check_fit_size(FIT_DEFAULTS, data_t0)
+    check_class_rows(data_t0)
+    check_class_rows(data_t1)
     stages("load")
     fit_config = FitConfig()  # shift-match fits with the library defaults
     grid, fits = None, {}
@@ -391,12 +395,17 @@ def cmd_shift_match(args, stages):
         stages(f"fit_{epoch}")
     (model_t0, fit_t0), (model_t1, fit_t1) = fits.values()
     est = estimate_transform(args.family, model_t0, model_t1, data_t1.features)
+    if not est.converged:
+        print(f"warning: the affine search did not meet its stopping rule (a relative "
+              f"decrease below {_MIN_DECREASE:g}) within {est.search_steps} rounds",
+              file=sys.stderr)
     stages("estimate")
 
     obj = est.transform.to_json_dict()
     obj.update({"objective": est.objective,
                 "identifiable": est.identifiable,
                 "near_ties": [t.to_json_dict() for t in est.near_ties],
+                "search_steps": est.search_steps,
                 "fit_t0": fit_t0, "fit_t1": fit_t1})
     _write_json(os.path.join(args.out, "estimate.json"), obj)
     _write_csv(os.path.join(args.out, "report.csv"), [

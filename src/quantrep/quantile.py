@@ -460,6 +460,10 @@ def fit_quantile_model(dataset, base, grid=None, fit_config=None) -> QuantileMod
     return QuantileModel(grid, tasks)
 
 
+_NO_INFORMATION = ("every anchor fit is degenerate: the pseudo-labels are one class "
+                   "at every tau, so the task carries no information")
+
+
 def fit_diagnostics(model: QuantileModel):
     """The deterministic fit diagnostics of a model ``fit_quantile_model``
     returned: each key of its tasks' ``fit_record``, the median agreement
@@ -476,10 +480,22 @@ def fit_diagnostics(model: QuantileModel):
     for task, rec in zip(model.tasks, records):
         if rec["degenerate_anchors"] == task.anchor_coefficients.shape[0]:
             unmet = "; the base fit did not converge" if rec["base_converged"] is False else ""
-            raise FitError("every anchor fit is degenerate: the pseudo-labels are "
-                           "one class at every tau, so the task carries no "
-                           f"information{unmet}", class_id=task.class_id)
+            raise FitError(_NO_INFORMATION + unmet, class_id=task.class_id)
     return {key: [r[key] for r in records] for key in records[0]}
+
+
+def check_class_rows(dataset):
+    """Raise the ``FitError`` of :func:`fit_diagnostics` for the first
+    task whose class holds no row or every row. Bases fitted from such
+    labels are one-class fits, so every anchor of that task would be
+    degenerate; the check is cheap, so a caller that fits the bases runs
+    it before any fit, where a dataset with sparse labels would otherwise
+    fit every empty class's task first."""
+    tasks = _task_classes(dataset.k)
+    counts = np.bincount(dataset.labels, minlength=dataset.k)[tasks.start:tasks.stop]
+    empty_or_all = np.flatnonzero((counts == 0) | (counts == dataset.n))
+    if empty_or_all.size:
+        raise FitError(_NO_INFORMATION, class_id=tasks[empty_or_all[0]])
 
 
 def represent(model: QuantileModel, features) -> QuantileRepresentation:

@@ -5,20 +5,26 @@ The quantile models fitted on the two epochs describe the same labeled
 distribution in different coordinates, so the logit fields should agree
 once the newer features are mapped back through the inverse transform.
 The estimator minimizes the mean absolute logit discrepancy at the fitted
-anchor taus over a transform family with derivative-free searches: for
-rotations a 1 degree scan, refined by a golden-section search in plain
-Python (so the search loads no scipy module), and for affine maps one
-scipy Powell search over the inverse map, where the objective is convex.
-The dense field is the spline of the anchors, so averaging over it would
-add no information, only a finer quadrature over tau at ten times the cost
-on the default grid.
+anchor taus over a transform family. For rotations it scans a 1 degree
+grid and refines the best angle by a golden-section search in plain
+Python. For affine maps the objective is a least-absolute-deviations fit
+in the inverse map, solved by iteratively reweighted least squares in
+numpy (:func:`_estimate_affine`): from the identity, minimum-norm steps,
+halved to keep the map's condition number below ``_MAX_CONDITION``, until
+a round lowers the objective by less than ``_MIN_DECREASE`` of it or
+``_MAX_ROUNDS`` rounds have run. Neither search loads a scipy module. The
+dense field is the spline of the anchors, so averaging over it would add
+no information, only a finer quadrature over tau at ten times the cost on
+the default grid.
 
-A search evaluates that objective thousands of times for one pair of
-models and one t1 sample, so it is a :class:`FieldGap` of the inverse map
-x -> P x + q given as arrays: the logits are affine in the features, so
-one task's gap is a single affine field of the t1 sample, summed in
-absolute value over row blocks of about ``quantile._BLOCK_BYTES``. Both
-searches move in (P, q) and build a :class:`Transform` only to report.
+A search reads that objective many times for one pair of models and one
+t1 sample, so it is a :class:`FieldGap` of the inverse map x -> P x + q
+given as arrays: the logits are affine in the features, so one task's gap
+is a single affine field of the t1 sample, evaluated over row blocks of
+about ``quantile._BLOCK_BYTES``. The rotation search sums its absolute
+values; each affine round also builds its weighted normal equations from
+the same blocks. Both searches move in (P, q) and build a
+:class:`Transform` only to report.
 """
 
 import math
@@ -33,6 +39,10 @@ _MAX_CONDITION = 1e8
 _ANGLE_STEP = math.radians(1.0)  # rotation scan; also the tie detector's grid
 _REFINE_TOL = 1e-4               # radians, golden-section final bracket width
 _TIE_TOL = 1e-6                  # near-optimum reporting threshold
+_WEIGHT_FLOOR = 1e-9             # IRLS weight floor, a share of the objective
+_MIN_DECREASE = 1e-9             # IRLS stops on a smaller relative decrease
+_MAX_ROUNDS = 500                # IRLS round cap
+_MAX_HALVINGS = 60               # step halvings toward a conditioned P
 
 
 def _rotation(angle, reflect):
@@ -140,22 +150,32 @@ class FieldGap:
         n_anchor = model_t1.grid.anchors.size
         self._buf = np.empty((min(samples.shape[0], _block_rows(n_anchor)), n_anchor))
 
-    def __call__(self, p, q):
+    def residual_blocks(self, p, q):
+        """Yield ``(w0, x, r)`` for each task and row block: the t0 task's
+        anchor weights ``w0`` (n_anchor, d), a block ``x`` of t1 samples
+        padded with a ones column, and the signed gaps ``r = x @ D.T`` at
+        those rows, held in this evaluator's buffer, which the next block
+        overwrites."""
         n, d = self._padded.shape[0], self._padded.shape[1] - 1
         if p.shape[0] != d:
             raise ValidationError("feature dimension does not match transform")
         buf = self._buf
-        rows, n_anchor = buf.shape
-        total = 0.0
+        rows = buf.shape[0]
         for coef0, coef1 in self._pairs:
             w0 = coef0[:, :d]
             diff = np.column_stack([w0 @ p, coef0[:, d] + w0 @ q]) - coef1
             for lo in range(0, n, rows):
-                block = buf[:min(rows, n - lo)]
-                np.matmul(self._padded[lo:lo + rows], diff.T, out=block)
-                np.abs(block, out=block)
-                total += float(block.sum())
-        return total / (len(self._pairs) * n * n_anchor)
+                x = self._padded[lo:lo + rows]
+                block = buf[:x.shape[0]]
+                np.matmul(x, diff.T, out=block)
+                yield w0, x, block
+
+    def __call__(self, p, q):
+        total = 0.0
+        for _, _, block in self.residual_blocks(p, q):
+            np.abs(block, out=block)
+            total += float(block.sum())
+        return total / (len(self._pairs) * self._padded.shape[0] * self._buf.shape[1])
 
 
 def matching_objective(model_t0: QuantileModel, model_t1: QuantileModel,
@@ -178,13 +198,18 @@ class TransformEstimate:
     column dropped, stacked over tasks) of rank below d: the field then
     sees only a subspace of the features, and the objective cannot tell the
     map from maps that differ off it. Either makes the estimate not
-    identifiable.
+    identifiable. ``search_steps`` counts the objective evaluations of a
+    rotation search (scan and refine) or the rounds of an affine one;
+    ``converged`` is false only when the affine search stopped at its
+    round cap.
     """
 
     transform: Transform
     objective: float
     near_ties: list = field(default_factory=list)
     rank_deficient: bool = False
+    search_steps: int = 0
+    converged: bool = True
 
     @property
     def identifiable(self):
@@ -228,8 +253,14 @@ def _rotation_scan(gap):
 def _estimate_orthogonal(gap):
     grid_vals = _rotation_scan(gap)
     grid_best, best_angle, best_reflect = min(grid_vals, key=lambda v: v[0])
-    x, fun = _golden_section(lambda a: _rotation_gap(gap, a, best_reflect),
-                             best_angle - _ANGLE_STEP, best_angle + _ANGLE_STEP,
+    evaluations = len(grid_vals)
+
+    def refine(angle):
+        nonlocal evaluations
+        evaluations += 1
+        return _rotation_gap(gap, angle, best_reflect)
+
+    x, fun = _golden_section(refine, best_angle - _ANGLE_STEP, best_angle + _ANGLE_STEP,
                              _REFINE_TOL)
     best_obj, best_angle = ((float(fun), float(x)) if fun <= grid_best
                             else (grid_best, best_angle))
@@ -243,7 +274,7 @@ def _estimate_orthogonal(gap):
         and not (reflect == best_reflect
                  and _angle_distance(angle, best_angle) <= 2.0 * _ANGLE_STEP)
     ]
-    return TransformEstimate(best, best_obj, ties)
+    return TransformEstimate(best, best_obj, ties, search_steps=evaluations)
 
 
 def _angle_distance(a, b):
@@ -251,35 +282,94 @@ def _angle_distance(a, b):
     return min(diff, 2.0 * math.pi - diff)
 
 
-def _affine_objective(theta, gap, d):
-    """``gap`` at ``theta = (P.ravel(), q)``; ``inf`` unless theta is finite
-    and cond(P) < ``_MAX_CONDITION`` (the SVD behind cond fails on NaN)."""
-    if not np.all(np.isfinite(theta)):
-        return np.inf
-    p = theta[:d * d].reshape(d, d)
-    return gap(p, theta[d * d:]) if np.linalg.cond(p) < _MAX_CONDITION else np.inf
+def _normal_system(gap, m, floor):
+    """The weighted least-squares system of one IRLS round at the inverse
+    map ``m = [P | q]``, read off the residual blocks of ``gap``.
+
+    A gap ``r = w0' M x~`` (w0 an anchor's t0 weights, x~ a padded sample)
+    is linear in ``M``, with design row ``outer(w0, x~)`` in ``M.ravel()``
+    order. With weights ``u = 1 / max(|r|, floor)``, the round's step to
+    ``M - step`` minimises sum u (r - design' step)^2, so its normal matrix
+    is sum u (w0 w0') kron (x~ x~') and its right side sum u r outer(w0, x~):
+    each block adds (x~ x~')' U (w0 w0') and x~' (u r) w0.
+    """
+    d = m.shape[0]
+    normal = np.zeros((d + 1, d + 1, d, d))
+    grad = np.zeros((d + 1, d))
+    for w0, x, r in gap.residual_blocks(m[:, :d], m[:, d]):
+        weight = np.abs(r)
+        np.reciprocal(np.maximum(weight, floor, out=weight), out=weight)
+        outer_x = (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
+        outer_w = (w0[:, :, None] * w0[:, None, :]).reshape(w0.shape[0], -1)
+        normal += (outer_x.T @ (weight @ outer_w)).reshape(normal.shape)
+        r *= weight
+        grad += x.T @ r @ w0
+        del weight, outer_x  # so that no two blocks' temporaries are held at once
+    size = d * (d + 1)
+    return normal.transpose(2, 0, 3, 1).reshape(size, size), grad.T.ravel()
+
+
+def _conditioned_inverse(p):
+    """``inv(p)`` when ``p`` and that inverse both have a condition number
+    below ``_MAX_CONDITION``, as the reported ``Transform`` requires of its
+    matrix, else None (``cond`` is inf for a singular ``p``)."""
+    if np.linalg.cond(p) < _MAX_CONDITION:
+        inv_p = np.linalg.inv(p)
+        if np.linalg.cond(inv_p) < _MAX_CONDITION:
+            return inv_p
+    return None
 
 
 def _estimate_affine(gap, model_t0):
-    """One Powell search over the inverse map x -> P x + q from the identity.
+    """Minimise the objective over the inverse map x -> P x + q by
+    iteratively reweighted least squares (IRLS; Schlossmacher, 1973).
 
-    The t0 logits at ``P x + q`` are affine in (P, q), so the objective, a
-    mean of absolute values of affine functions, is convex in (P, q): it has
-    no other basin for restarts to find. Powell is a local, derivative-free
-    method, though, and may stop at a kink of this piecewise-linear objective
-    short of its minimum; the reported objective is only known to be at or
-    below the objective at the true map.
+    The objective is a least-absolute-deviations fit: each gap is linear in
+    ``M = [P | q]`` (see :func:`_normal_system`). From the identity, each
+    round weights every gap by ``1 / max(|r|, eps)``, with ``eps`` a
+    ``_WEIGHT_FLOOR`` share of the objective where the round starts, and
+    steps to the weighted least-squares solution. The step is the
+    minimum-norm solution of the (d^2 + d)-square normal system
+    (``lstsq``), so on a rank-deficient t0 field the map stays the identity
+    off the field's row space. The step is halved (at most
+    ``_MAX_HALVINGS`` times) until P and its inverse have a condition
+    number below ``_MAX_CONDITION``, which the identity meets, so the
+    search walks toward a singular exact fit but never onto it. It stops
+    when a round lowers the best objective by less than a
+    ``_MIN_DECREASE`` share of it, when the objective is 0, or after
+    ``_MAX_ROUNDS`` rounds, and reports the best iterate. ``search_steps``
+    counts the rounds; ``converged`` is false when the cap ended the search.
     """
-    from scipy.optimize import minimize
-
     d = model_t0.feature_dim
-    theta0 = np.concatenate([np.eye(d).ravel(), np.zeros(d)])
-    theta = minimize(_affine_objective, theta0, args=(gap, d), method="Powell").x
-    inv_p = np.linalg.inv(theta[:d * d].reshape(d, d))
-    best = Transform("affine", matrix=inv_p, offset=-inv_p @ theta[d * d:])
+    m = np.eye(d, d + 1)
+    objective = gap(m[:, :d], m[:, d])
+    best = objective, m, np.eye(d)
+    converged, rounds = True, 0
+    while objective > 0.0:
+        if rounds == _MAX_ROUNDS:
+            converged = False
+            break
+        normal, grad = _normal_system(gap, m, _WEIGHT_FLOOR * objective)
+        step = np.linalg.lstsq(normal, grad, rcond=None)[0].reshape(d, d + 1)
+        for _ in range(_MAX_HALVINGS):
+            inv_p = _conditioned_inverse(m[:, :d] - step[:, :d])
+            if inv_p is not None:
+                m = m - step
+                break
+            step = step / 2.0
+        rounds += 1
+        objective = gap(m[:, :d], m[:, d])
+        decreased = objective < (1.0 - _MIN_DECREASE) * best[0]
+        if objective < best[0]:
+            best = objective, m, inv_p
+        if not decreased:
+            break
+    _, m, inv_p = best
+    transform = Transform("affine", matrix=inv_p, offset=-inv_p @ m[:, d])
     field_t0 = np.vstack([t.anchor_coefficients[:, :d] for t in model_t0.tasks])
-    return TransformEstimate(best, gap(*best.inverse_map()), [],
-                             rank_deficient=bool(np.linalg.matrix_rank(field_t0) < d))
+    return TransformEstimate(transform, gap(*transform.inverse_map()),
+                             rank_deficient=bool(np.linalg.matrix_rank(field_t0) < d),
+                             search_steps=rounds, converged=converged)
 
 
 def _check_search_inputs(family, shape_t0, shape_t1):
@@ -311,7 +401,8 @@ def estimate_transform(family, model_t0: QuantileModel, model_t1: QuantileModel,
     members indistinguishable from the optimum; a nonempty list signals a
     non-identifiable (symmetric) construction rather than a unique answer.
     An affine estimate is also not identifiable when the t0 anchor field is
-    rank deficient (see :class:`TransformEstimate`).
+    rank deficient (see :class:`TransformEstimate`); the search then leaves
+    the map at the identity off that field's row space.
     """
     _check_search_inputs(family, (model_t0.feature_dim, model_t0.class_count),
                          (model_t1.feature_dim, model_t1.class_count))

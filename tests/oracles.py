@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.special import expit, ndtr
 
 
@@ -307,3 +307,38 @@ def lbfgs_logistic(features, labels01, sample_weights, l2_reg, theta0,
                             "gtol": bound / np.sqrt(theta0.size)})
     _, grad = logistic_loss(res.x, features, labels01, sample_weights, l2_reg)
     return res.x, bool(np.linalg.norm(grad) <= bound), int(res.nit)
+
+
+def affine_gap_lad(anchors_t0, anchors_t1, samples):
+    """The exact minimum of the affine matching objective, by linear
+    programming (HiGHS) over its residual rows.
+
+    ``anchors_t0`` and ``anchors_t1`` list each task's (n_anchor, d+1)
+    anchor rows ``(w, b)``. With M = [P | q] the inverse map, the row of
+    t1 sample x, task and anchor a is
+    r = w0_a . (P x + q) + b0_a - c1_a . (x, 1) = design . M.ravel() + const,
+    linear in M. Minimising mean |r| is the program's dual: maximise
+    -const . y subject to design' y = 0 and |y| <= 1/rows, which is solved
+    here (a few hundred times faster than the primal's slack form), and M
+    is read off its equality multipliers. Returns ``(objective, P, q)``,
+    the objective evaluated as mean |r| at that M, so that no solver
+    tolerance puts it below the minimum.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    n, d = samples.shape
+    padded = np.column_stack([samples, np.ones(n)])
+    design, const = [], []
+    for c0, c1 in zip(anchors_t0, anchors_t1):
+        for a in range(c0.shape[0]):
+            for i in range(n):
+                design.append(np.outer(c0[a, :d], padded[i]).ravel())
+                const.append(c0[a, d] - float(np.dot(c1[a], padded[i])))
+    design, const = np.array(design), np.array(const)
+    rows = design.shape[0]
+    res = linprog(const, A_eq=design.T, b_eq=np.zeros(design.shape[1]),
+                  bounds=(-1.0 / rows, 1.0 / rows), method="highs")
+    assert res.status == 0, res.message
+    m = -res.eqlin.marginals
+    objective = float(np.mean(np.abs(design @ m + const)))
+    m = m.reshape(d, d + 1)
+    return objective, m[:, :d], m[:, d]

@@ -43,12 +43,13 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pa
     # 80 ms to a 1 s import of quantrep.cli. scipy is imported where it is
     # called, so gen-data, xcorr and fit-quantile (numpy Newton fits, with
     # or without a given base) run on numpy alone. So do calib-eval, whose
-    # isotonic map is pool-adjacent-violators in plain Python, and the
-    # rotation search of shift-match, whose refine is a plain golden-section
-    # search; its affine search still loads scipy.optimize for Powell. A
-    # shift-match whose t1 epoch fails its fit check loads none either. No
-    # step up to the rotation search loads concurrent.futures (with logging,
-    # about 10 ms): the scan is one plain loop.
+    # isotonic map is pool-adjacent-violators in plain Python, and both
+    # searches of shift-match: the rotation refine is a plain golden-section
+    # search, and the affine search is IRLS in numpy (importing
+    # scipy.optimize alone takes about 0.36 s and 76 MB). A shift-match
+    # whose t1 epoch fails its fit check loads none either. No step up to
+    # ood-eval loads concurrent.futures (with logging, about 10 ms): the
+    # rotation scan is one plain loop.
     src = os.path.dirname(os.path.dirname(quantrep.__file__))
     data, model = str(moons_dir / "id.csv"), str(moons_model)
     one_class = str(_degenerate_input("one-class", tmp_path / "one-class.csv"))
@@ -65,11 +66,11 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pa
         ["calib-eval", ["calib-eval", "--model", model, "--data", data,
                         "--severities", "0,1"]],
         ["shift-match-orthogonal", [*shift, "--family", "orthogonal-2d"]],
+        ["shift-match-affine", [*shift, "--family", "affine"]],
+        # last: the probe lists every module loaded so far, and this step
+        # loads scipy.spatial
         ["ood-eval", ["ood-eval", "--model", model, "--train", data, "--test-id", data,
                       "--test-ood", str(moons_dir / "ood.csv")]],
-        # last: the probe lists every module loaded so far, and this step
-        # loads scipy.optimize
-        ["shift-match-affine", [*shift, "--family", "affine"]],
     ]
     steps = [[tag, [*argv, "--out", str(tmp_path / tag)]] for tag, argv in steps]
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(steps)],
@@ -82,13 +83,12 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, moons_dir, moons_model, pa
     assert {f"quantrep.{name}" for name in ("cli", "datasets", "linear", "quantile", "ood",
                                             "calibration", "shift")} <= set(seen["quantrep"])
     for tag in ("two-moons", "gaussian-pair", "latent-binary", "xcorr", "fit-quantile",
-                "fit-quantile-base", "calib-eval", "shift-match-orthogonal"):
+                "fit-quantile-base", "calib-eval", "shift-match-orthogonal",
+                "shift-match-affine"):
         assert seen[tag] == [0, [], []], tag
     assert seen["shift-match-one-class-t1"] == [3, [], []]
     rc, loaded, _ = seen["ood-eval"]
     assert rc == 0 and "scipy.spatial" in loaded and "scipy.optimize" not in loaded
-    rc, loaded, _ = seen["shift-match-affine"]
-    assert rc == 0 and "scipy.optimize" in loaded
 
 
 def run_fit(tmp_path, tag, data, extra=()):
@@ -1028,6 +1028,8 @@ class TestShiftMatch:
         est = json.loads((out / "estimate.json").read_text())
         assert est["family"] == "orthogonal-2d"
         assert "objective" in est and "near_ties" in est
+        # the 720-point scan and the golden-section refine's evaluations
+        assert 720 < est["search_steps"] < 760
         for epoch in ("fit_t0", "fit_t1"):
             fit = est[epoch]
             assert set(fit) == {"nonconverged_anchors", "degenerate_anchors",
@@ -1066,6 +1068,22 @@ class TestShiftMatch:
         assert est["family"] == "affine"
         assert est["identifiable"] is False
         assert est["near_ties"] == []
+        assert isinstance(est["search_steps"], int) and est["search_steps"] > 0
+
+    def test_affine_round_cap_warns_once(self, tmp_path, pair_files, monkeypatch, capsys):
+        import quantrep.shift as shift
+
+        argv = ["shift-match", "--data-t0", str(pair_files[0]), "--data-t1",
+                str(pair_files[1]), "--family", "affine"]
+        assert main([*argv, "--out", str(tmp_path / "free")]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(shift, "_MAX_ROUNDS", 1)
+        assert main([*argv, "--out", str(tmp_path / "capped")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: the affine search did not meet its stopping rule (a relative "
+            "decrease below 1e-09) within 1 rounds\n")
+        est = json.loads((tmp_path / "capped" / "estimate.json").read_text())
+        assert est["search_steps"] == 1
 
     @pytest.mark.parametrize("family, t0_shape, t1_shape", [
         ("orthogonal-2d", (3, 2), (3, 2)),   # rotations need 2-d data
@@ -1133,6 +1151,31 @@ def test_degenerate_input_exit_3(tmp_path, pair_files, monkeypatch, capsys, kind
     err = capsys.readouterr().err
     assert "every anchor fit is degenerate" in err
     assert ("the base fit did not converge" in err) == (kind == "huge")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("role", ["fit-quantile", "t0", "t1"])
+def test_empty_class_exits_3_before_any_fit(tmp_path, pair_files, monkeypatch, capsys, role):
+    # labels 0 and 100000 make 100 001 classes, 99 999 of them empty; each
+    # task used to be fitted before the empty ones were refused
+    import quantrep.cli as cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a base was fitted before the class counts were checked")
+
+    monkeypatch.setattr(cli, "fit_base_classifiers", no_fit)
+    data = tmp_path / "sparse.csv"
+    data.write_text("f0,f1,label\n0.5,1.5,0\n-1,2,100000\n")
+    if role != "fit-quantile":
+        # shift-match takes two epochs of one shape
+        save_dataset(Dataset(np.array([[0.0, 1.0], [2.0, 0.5]]), np.array([0, 100000]),
+                             100001), tmp_path / "other.csv")
+        pair_files = (tmp_path / "other.csv",) * 2
+    out = tmp_path / "out"
+    assert main([*_degenerate_argv(role, str(data), pair_files), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: every anchor fit is degenerate: the pseudo-labels are one class at "
+        "every tau, so the task carries no information (class=1)\n")
     assert list(out.iterdir()) == []
 
 

@@ -16,10 +16,21 @@ DEFAULT_LOF_K = 20
 # onto duplicate points.
 _LRD_EPS = 1e-12
 
-# How far a row's last candidate distance but one must exceed its k-th,
-# relative to it, for the tree's candidates to settle the row: the tree's
-# distances and ``_distances`` differ by rounding, of order d * 2**-53 relative.
-_TIE_MARGIN = 1e-9
+# Times (d + 4), a bound on the rounding in the neighbour search of d
+# coordinates, relative to the centred rows' squared norms (products) or
+# norms (projections). A product, the centring and ``_distances`` together
+# round a squared distance by at most (5d + 16) * 2**-53 of the two rows'
+# squared norms plus (3d + 8) * 2**-1074 where squares underflow, and a gap
+# between projections by (2d + 4) * 2**-53 of their norms: the padding is
+# over twice that, so the bands and candidate sets it pads miss no
+# neighbour and no tie.
+_ROUNDING = 8 * np.finfo(np.float64).eps
+
+# A first pass scores each row against _WINDOW * (k + 1) sorted reference
+# rows on either side of it; a block of rows scores at most _WASTE times the
+# products its rows' windows need.
+_WINDOW = 4
+_WASTE = 3
 
 # The ID acceptance rate at which ``tnr_at_tpr`` reads the OOD rejection rate.
 _TPR_LEVEL = 0.95
@@ -46,46 +57,145 @@ def _k_nearest(reference, queries, k):
     at it. Row i skips reference row i, so a query (row m or later) skips
     none.
 
-    A k-d tree (``cKDTree``) gives each pending row ``width`` candidates,
-    k + 2 at first. Their distances are recomputed by ``_distances``,
-    ordered by (distance, index) with self last, and the first k are
-    written. A row is settled where its last candidate but one (the last
-    other than self, or one no farther than the last) lies farther than
-    the k-th by more than ``_TIE_MARGIN``: no other reference row can come
-    before it. The rest (ties, or copies of a point that crowd self out)
-    are queried again at twice the width, up to m, where every reference
-    row is a candidate. Each query takes one block of
-    ``quantile._block_rows`` rows, so memory past the tree, the rows and
-    the output is one block at every width.
-    """
-    from scipy.spatial import cKDTree
+    The reference is centred and sorted once by its projection on its
+    principal axis. The gap between two projections is a lower bound on
+    the distance for any unit axis; the principal one makes it tight on the
+    near-rank-one ``x @ L`` of a binary model, where a row's neighbours lie
+    within a few dozen rows of it in that order. The rows (reference and
+    queries) go in projection order, in blocks of consecutive rows each
+    scored against one run of the sorted reference by one matrix product:
+    squared distances to within ``err``, a bound on the rounding of the
+    product and of ``_distances``. The k-th smallest product of a row, plus
+    ``err``, bounds its squared k-th distance from above, so every
+    neighbour and every tie at the k-th distance lies in the band of
+    reference projections within that distance (plus ``slack``, the
+    rounding of the projections) of the row's own.
 
+    1. Each row is scored against the ``_WINDOW`` * (k + 1) sorted rows on
+       either side of its projection. A row whose band lies in its block's
+       run is settled from those products.
+    2. Each other row is scored against its band, which settles it. Its k
+       smallest products lie within its k-th of step 1 plus 2 * ``err``,
+       so only the products within that bound are partitioned: a few times
+       k a row where the band holds most of the reference.
+
+    To settle a row, every pair whose product is within twice ``err`` of
+    the row's k-th smallest has its distance recomputed by ``_distances``;
+    the first k in (distance, index) order are the neighbourhood. Each
+    block holds about one ``quantile._BLOCK_BYTES`` block of products (see
+    ``_blocks``), and the pairs go a quarter block at a time, so memory
+    past the rows and the output is a few blocks however the rows tie.
+    """
     points = np.vstack([reference, queries])
-    n, m = points.shape[0], reference.shape[0]
-    tree = cKDTree(reference)
+    n, (m, d) = points.shape[0], reference.shape
+    centred = points - reference.mean(axis=0)
+    proj = centred @ np.linalg.eigh(centred[:m].T @ centred[:m])[1][:, -1]
+    order = np.argsort(proj[:m], kind="stable")
+    sorted_proj = proj[order]
+    sq = np.einsum("ij,ij->i", centred, centred)
+    tol = (d + 4) * _ROUNDING
+    err = tol * (sq + sq[:m].max() + np.finfo(np.float64).tiny)
+    slack = tol * (np.sqrt(sq) + np.sqrt(sq[:m].max()))
+    # [-2x, |x|^2, 1] . [y, 1, |y|^2] = |x - y|^2, in one product
+    left = np.hstack([-2.0 * centred, sq[:, None], np.ones((n, 1))])
+    right = np.hstack([centred[order], np.ones((m, 1)), sq[order, None]]).T.copy()
+    self_col = np.full(n, -1, dtype=np.intp)
+    self_col[order] = np.arange(m)
+
     nn = np.empty((n, k), dtype=np.intp)
     nn_dist = np.empty((n, k))
-    pending = np.arange(n)
-    width = k + 2
-    while pending.size:
-        width = min(width, m)
-        unsettled, step = [], _block_rows(width * reference.shape[1])
-        for start in range(0, pending.size, step):
-            rows = pending[start:start + step]
-            cand = tree.query(points[rows], width)[1]
-            dist = _distances(points, reference, rows[:, None], cand)
-            dist[cand == rows[:, None]] = np.inf
-            order = np.lexsort((cand, dist), axis=1)
-            cand = np.take_along_axis(cand, order, axis=1)
-            dist = np.take_along_axis(dist, order, axis=1)
-            nn[rows] = cand[:, :k]
-            nn_dist[rows] = dist[:, :k]
-            # at width m every reference row is a candidate
-            last = dist[:, width - 2]
-            unsettled.append(rows[(width < m) & ~(last > dist[:, k - 1] * (1 + _TIE_MARGIN))])
-        pending = np.concatenate(unsettled)
-        width *= 2
+    budget = _block_rows(1)
+    # reused from block to block: a fresh 1 MiB array takes page faults that
+    # cost more than the products in it
+    work = np.empty((2, budget))
+    rows = np.argsort(proj, kind="stable")
+    pos = np.searchsorted(sorted_proj, proj[rows])
+    lo = np.maximum(pos - _WINDOW * (k + 1), 0)
+    hi = np.minimum(pos + _WINDOW * (k + 1), m)
+    for final in (False, True):
+        unsettled = []
+        for start, stop, lo_b, hi_b in _blocks(lo, hi, budget):
+            blk = rows[start:stop]
+            shape = (blk.size, hi_b - lo_b)
+            size = shape[0] * shape[1]
+            if size > work.shape[1]:
+                work = np.empty((2, size))
+            prod = work[0, :size].reshape(shape)
+            np.matmul(left[blk], right[:, lo_b:hi_b], out=prod)
+            col = self_col[blk] - lo_b
+            own = (col >= 0) & (col < shape[1])
+            prod[np.flatnonzero(own), col[own]] = np.inf
+            if final:
+                keep = np.flatnonzero(prod <= bound[start:stop, None])
+                count = np.bincount(keep // shape[1], minlength=blk.size)
+                low = work[1, :blk.size * count.max()].reshape(blk.size, -1)
+                low.fill(np.inf)
+                low[np.arange(low.shape[1]) < count[:, None]] = prod.ravel()[keep]
+                del keep
+            else:
+                low = work[1, :size].reshape(shape)
+                np.copyto(low, prod)
+            low.partition(k - 1, axis=1)
+            kth = low[:, k - 1]
+            if final:
+                # the run holds the band of step 1, which holds every neighbour
+                done = np.ones(blk.size, dtype=bool)
+            else:
+                half = np.sqrt(kth + err[blk]) * (1 + tol) + slack[blk]
+                band_lo = np.searchsorted(sorted_proj, proj[blk] - half, "left")
+                band_hi = np.searchsorted(sorted_proj, proj[blk] + half, "right")
+                done = (band_lo >= lo_b) & (band_hi <= hi_b)
+                wait = ~done
+                # two products of one pair differ by at most 2 * err, so the
+                # k smallest of step 2 are within 2 * err of this k-th
+                unsettled.append((blk[wait], band_lo[wait], band_hi[wait],
+                                  kth[wait] + 2 * err[blk[wait]]))
+            near = prod <= (kth + 2 * err[blk])[:, None]
+            near[~done] = False
+            hits = np.flatnonzero(near)
+            count = np.bincount(hits // shape[1], minlength=blk.size)[done]
+            _write_nearest(points, reference, blk[done], order[lo_b:hi_b], hits, count,
+                           nn, nn_dist, budget // 4)
+        if not final:
+            rows, lo, hi, bound = (np.concatenate(part) for part in zip(*unsettled))
     return nn, nn_dist
+
+
+def _write_nearest(points, reference, rows, cols, hits, count, nn, nn_dist, budget):
+    """Write the first k (nn's width) in (distance, index) order of each
+    row's candidates, row i of ``rows`` taking the ``count[i]`` next of
+    ``hits``: flat positions in a block of products whose columns are the
+    reference rows ``cols``. Rows go in runs of ``budget`` candidate slots."""
+    k = nn.shape[1]
+    ends = np.cumsum(count)
+    for a, b, _, most in _blocks(np.zeros_like(count), count, budget):
+        filled = np.arange(most) < count[a:b, None]
+        cand = np.zeros(filled.shape, dtype=np.intp)
+        cand[filled] = cols[hits[ends[a] - count[a]:ends[b - 1]] % cols.size]
+        dist = _distances(points, reference, rows[a:b, None], cand)
+        dist[~filled] = np.inf
+        pick = np.lexsort((cand, dist), axis=1)[:, :k]
+        nn[rows[a:b]] = np.take_along_axis(cand, pick, axis=1)
+        nn_dist[rows[a:b]] = np.take_along_axis(dist, pick, axis=1)
+
+
+def _blocks(lo, hi, budget):
+    """Split rows with windows ``[lo, hi)`` into blocks of consecutive rows,
+    yielding (start, stop, low, high) with ``[low, high)`` the union of the
+    block's windows. A block is as long as its rows times that union stays
+    within ``budget`` and within ``_WASTE`` times the sum of its windows,
+    so it does not score a row against many columns it does not need; a
+    row whose window alone exceeds the budget is a block of its own."""
+    start = 0
+    while start < lo.size:
+        stop = min(lo.size, start + budget // max(1, hi[start] - lo[start]) + 1)
+        low = np.minimum.accumulate(lo[start:stop])
+        high = np.maximum.accumulate(hi[start:stop])
+        area = (high - low) * np.arange(1, stop - start + 1)
+        fits = (area <= budget) & (area <= _WASTE * np.cumsum(hi[start:stop] - lo[start:stop]))
+        take = max(1, int(np.logical_and.accumulate(fits).sum()))
+        yield start, start + take, int(low[take - 1]), int(high[take - 1])
+        start += take
 
 
 def lof_scores(reference, queries, k=DEFAULT_LOF_K):
@@ -97,11 +207,12 @@ def lof_scores(reference, queries, k=DEFAULT_LOF_K):
     as the ratio of neighbor densities to the query's own. Neighborhoods
     are the exact k nearest points (self excluded inside the reference),
     ties at the k-th distance going to the lowest reference index. One
-    k-d tree search finds those of the reference rows and the queries
-    (see ``_k_nearest``): each row costs O(k) candidate distances, and only
-    rows tied at their k-th distance are queried again, at twice the width
-    each time, one row block at a time. ``k`` must be an integer.
-    Returned negated so that higher = more in-distribution.
+    search finds those of the reference rows and the queries (see
+    ``_k_nearest``), in numpy alone: blocked matrix products over the
+    reference sorted on its principal axis, which score a row against a
+    few dozen reference rows on near-rank-one input and against most of
+    them on full-rank input, one row block at a time. ``k`` must be an
+    integer. Returned negated so that higher = more in-distribution.
     """
     reference = np.asarray(reference, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import quantrep
 from quantrep import (
     Dataset,
     FitConfig,
@@ -73,14 +77,15 @@ class TestLof:
     def test_chunked_search_matches_single_chunk(self, monkeypatch):
         rng = np.random.default_rng(11)
         rounded = np.round(rng.normal(size=(90, 2)), 1)
-        # three points, 26 to 33 copies each: the tied rows widen to 28 to
-        # 64 candidates, three rows or one a block below
+        # three points, 26 to 33 copies each: a row's candidates are every
+        # copy of its point, more than a quarter block below, so each run of
+        # candidates is one row
         copies = rng.integers(0, 3, (90, 1)) * np.array([1.0, 0.5])
         queries = np.round(rng.normal(size=(40, 2)), 1)
         for ref in (rounded, copies):
             whole = lof_scores(ref, np.vstack([queries, ref[:10]]), k=6)
             with monkeypatch.context() as patch:
-                # 200 floats per block: the coordinates of 100 candidates
+                # 200 floats per block: 2 to 7 rows of products a block
                 patch.setattr("quantrep.quantile._BLOCK_BYTES", 200 * 8)
                 np.testing.assert_array_equal(
                     lof_scores(ref, np.vstack([queries, ref[:10]]), k=6), whole)
@@ -90,7 +95,6 @@ class TestLof:
         rng = np.random.default_rng(12)
         ref = rng.normal(size=(2000, 2))
         queries = rng.normal(size=(2400, 2))
-        lof_scores(ref[:50], queries[:5])  # imports scipy.spatial untraced
         tracemalloc.start()
         try:
             lof_scores(ref, queries)
@@ -100,12 +104,11 @@ class TestLof:
         assert peak < 8 * _BLOCK_BYTES
 
     def test_ties_never_hold_more_than_a_few_blocks(self):
-        # every row has about 1 000 copies, so the search widens to 1 344 or
-        # 1 408 candidates a row; their indices and distances for all 2 400
-        # rows would be 50 MiB
+        # every row has about 1 000 copies, all of them candidates at the
+        # k-th distance 0; their indices and distances for all 2 400 rows
+        # would be 37 MiB
         rng = np.random.default_rng(14)
         ref = np.repeat(rng.integers(0, 2, (2000, 1)), 2, axis=1).astype(np.float64)
-        lof_scores(ref[:50], ref[:5])  # imports scipy.spatial untraced
         tracemalloc.start()
         try:
             scores = lof_scores(ref, ref[:400])
@@ -145,17 +148,17 @@ class TestLof:
 
 
 class TestNeighbourSearch:
-    """The k-d tree search returns the neighbourhoods of the full-row
+    """The projection search returns the neighbourhoods of the full-row
     ``cdist`` search: the same indices in the same order, and distances
-    equal to 1e-14 relative, however many times it widens a row's
-    candidates."""
+    equal to 1e-14 relative, however the rows tie, crowd one projection or
+    sit far from the origin."""
 
     def _assert_matches_cdist(self, reference, k, queries):
         """The one search of ``_k_nearest`` against both modes of the
         oracle: its first m rows against the reference rows with self
         excluded, the rest against the queries. Returns the number of rows
-        tied at their k-th distance, which the tree's first k + 2
-        candidates cannot settle and a wider query decides."""
+        tied at their k-th distance, which only the lowest indices among
+        the tied candidates settle."""
         m = reference.shape[0]
         got = _k_nearest(reference, queries, k)
         assert got[0].shape == got[1].shape == (m + queries.shape[0], k)
@@ -188,8 +191,8 @@ class TestNeighbourSearch:
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_every_point_repeated(self, k):
-        # four copies of each point: with k + 2 <= 4 the tree's candidates
-        # may all be copies, self among them or not
+        # four copies of each point: a row's k nearest may all be copies,
+        # with self among the candidates or not
         rng = np.random.default_rng(60)
         base = rng.normal(size=(40, 2))
         ref = np.repeat(base, 4, axis=0)
@@ -198,9 +201,8 @@ class TestNeighbourSearch:
 
     @pytest.mark.parametrize("k", [1, 5, 9])
     def test_every_point_repeated_ten_times(self, k):
-        # ten copies of each point tie every row at distance 0 until the
-        # candidates take all ten and one more: k = 1 widens two or three
-        # times, k = 5 once, and k = 9 once for the queries
+        # ten copies of each point tie every row at distance 0 for k < 10,
+        # so each row picks the lowest-indexed of its copies
         rng = np.random.default_rng(61)
         base = rng.normal(size=(30, 2))
         ref = np.repeat(base, 10, axis=0)
@@ -221,8 +223,8 @@ class TestNeighbourSearch:
         rng = np.random.default_rng(80)
         ref = rng.normal(size=(25, 3))
         queries = rng.normal(size=(10, 3))
-        # identical rows tie every candidate with every other, so only the
-        # full-width rule settles them
+        # identical rows tie every candidate with every other, so a row's
+        # candidates are the whole reference
         same = np.full((16, 3), 0.25)
         for r, q in ((ref, queries), (same, np.vstack([same[:3], np.ones((2, 3))]))):
             for k in (1, r.shape[0] - 1):
@@ -233,24 +235,66 @@ class TestNeighbourSearch:
         ref = np.random.default_rng(90).normal(size=(12, 2))
         self._assert_matches_cdist(ref, 3, ref[:0])
 
-    def test_one_tree_per_lof_call(self, monkeypatch):
-        # the reference rows and the queries share one tree and one search
-        from scipy import spatial
+    def test_far_from_the_origin(self):
+        # 1e6 from the origin and about 1e-3 apart: squared norms of the raw
+        # rows would cancel to 1e-4 in the product, far above the squared
+        # distances of 1e-6 it must order
+        rng = np.random.default_rng(92)
+        ref = 1e6 + np.cumsum(rng.uniform(0.5e-3, 1.5e-3, (400, 2)), axis=0)
+        queries = ref[::7] + rng.normal(scale=1e-3, size=(58, 2))
+        for k in (1, 5, 20):
+            self._assert_matches_cdist(ref, k, queries)
+        self._assert_matches_cdist(ref[:, :1], 5, queries[:, :1])
 
-        built = []
+    def test_squares_underflow(self):
+        # coordinates of 1e-160 or less: squared distances are subnormal or
+        # 0, where rounding is absolute, not relative to the norms
+        rng = np.random.default_rng(95)
+        for scale in (1e-160, 1e-300):
+            ref = scale * rng.normal(size=(200, 2))
+            self._assert_matches_cdist(ref, 5, scale * rng.normal(size=(50, 2)))
 
-        class CountingTree(spatial.cKDTree):
-            def __init__(self, data, *args, **kwargs):
-                built.append(np.asarray(data).shape)
-                super().__init__(data, *args, **kwargs)
+    def test_gaussian_mixture_8d(self):
+        # ten centres in 8-d: full rank, so the band around a row's
+        # projection holds much of the reference
+        rng = np.random.default_rng(93)
+        centres = 3.0 * rng.normal(size=(10, 8))
+        ref = centres[rng.integers(0, 10, 800)] + rng.normal(size=(800, 8))
+        queries = centres[rng.integers(0, 10, 200)] + 1.5 * rng.normal(size=(200, 8))
+        for k in (1, 20):
+            self._assert_matches_cdist(ref, k, queries)
 
-        monkeypatch.setattr(spatial, "cKDTree", CountingTree)
-        rng = np.random.default_rng(91)
-        ref, queries = rng.normal(size=(60, 3)), rng.normal(size=(25, 3))
-        scores = lof_scores(ref, queries, k=5)
-        assert built == [(60, 3)]
-        np.testing.assert_allclose(-scores, lof_bruteforce(ref, queries, k=5),
-                                   rtol=0, atol=1e-9)
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_reference_of_one_point(self, dim):
+        # no spread, so no principal axis: every reference row ties with
+        # every other, and the queries sit on the point or off it
+        ref = np.full((40, dim), -2.5)
+        queries = np.vstack([ref[:3], np.linspace(-4.0, 1.0, 6 * dim).reshape(6, dim)])
+        for k in (1, 7, 39):
+            assert self._assert_matches_cdist(ref, k, queries) > 0
+
+    def test_band_wider_than_a_block(self, monkeypatch):
+        # 32 floats per block: a row's first window of 8 * (k + 1) sorted
+        # rows (k = 9), or the far query's band, exceeds a block, so such a
+        # row is a block of its own
+        rng = np.random.default_rng(94)
+        ref = np.round(rng.normal(size=(200, 2)), 1)
+        queries = np.vstack([rng.normal(size=(30, 2)), [[6.0, 0.0]]])
+        monkeypatch.setattr("quantrep.quantile._BLOCK_BYTES", 32 * 8)
+        for k in (1, 9):
+            self._assert_matches_cdist(ref, k, queries)
+
+    def test_lof_call_loads_no_scipy(self):
+        # the search is numpy alone: scipy.spatial cost ood-eval about
+        # 0.33 s of imports
+        probe = ("import sys; import numpy as np; from quantrep import lof_scores; "
+                 "rng = np.random.default_rng(91); "
+                 "lof_scores(rng.normal(size=(60, 3)), rng.normal(size=(25, 3)), k=5); "
+                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(quantrep.__file__))
+        proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestAuroc:
